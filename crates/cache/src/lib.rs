@@ -143,21 +143,7 @@ pub trait CacheSim {
     /// Short design name, e.g. `"BC"` or `"CPP"`.
     fn name(&self) -> &'static str;
 
-    /// Address-bit range `[lo, hi)` that partitions this design's state
-    /// into independent regions, or `None` when no such range exists.
-    ///
-    /// Two accesses whose addresses differ inside the range must be
-    /// unable to interact: they may not share a set at any level, reach
-    /// each other through prefetch/affiliation/victim placement, or read
-    /// memory the other writes. When a design can prove such a range, the
-    /// functional replayer may shard a trace by these bits across worker
-    /// threads and merge per-shard [`HierarchyStats`] field-wise
-    /// ([`HierarchyStats::absorb_shard`]) into totals identical to a
-    /// serial replay.
-    ///
-    /// The default is `None` — designs with cross-region reach (next-line
-    /// prefetch buffers, stride prefetchers) must not shard, and the
-    /// replayer falls back to serial, which is trivially order-exact.
+    /// Unused by the simulator; kept only because `perfbench/src/spans.rs` forwards it.
     fn shard_region_bits(&self) -> Option<(u32, u32)> {
         None
     }

@@ -107,20 +107,17 @@ impl HierarchyStats {
         self.mem_bus.total_halfwords()
     }
 
-    /// Canonical shard merge for region-sharded replay: every event
-    /// counter is a per-access sum, so the merged statistics are the
-    /// field-wise sums over shards — identical to a serial run because
-    /// each event is attributable to exactly one access, and each access
-    /// to exactly one shard.
+    /// Field-wise merge of the counters of an independent run into this
+    /// one: every event counter sums.
     ///
     /// `tag_overhead_bits` is the one non-event field (a property of
-    /// geometry × scheme stamped at construction): every shard reports
+    /// geometry × scheme stamped at construction): both runs must report
     /// the same value and it carries through unchanged rather than
     /// summing.
     pub fn absorb_shard(&mut self, other: &HierarchyStats) {
         debug_assert!(
             self.tag_overhead_bits == other.tag_overhead_bits,
-            "shards disagree on tag overhead: {} vs {}",
+            "runs disagree on tag overhead: {} vs {}",
             self.tag_overhead_bits,
             other.tag_overhead_bits
         );

@@ -576,31 +576,6 @@ impl<S: CompressionScheme> CppHierarchy<S> {
     }
 }
 
-/// Address-bit range `[lo, hi)` that partitions a CPP hierarchy's state
-/// into independent regions, or `None` when the geometry leaves no such
-/// range (see [`CacheSim::shard_region_bits`] for the contract).
-///
-/// A CPP access at address `A` can only touch state reachable from `A`'s
-/// 256-byte L2 line pair: its own L1/L2 sets, the affiliated line (a
-/// set-index XOR below the pair bit), same-set victims, and the memory
-/// words of the pair region. All of that is invariant in address bits at
-/// or above `l2_line_shift + 1` except the set indices themselves — so
-/// any bit range that is part of *both* levels' set index and above the
-/// pair bit is a valid partition: two addresses differing there can never
-/// share a set, an affiliation pair, or a memory region.
-pub fn cpp_shard_region_bits(cfg: &HierarchyConfig) -> Option<(u32, u32)> {
-    let line_shift = |g: &ccp_cache::geometry::CacheGeometry| g.line_bytes().trailing_zeros();
-    let index_top =
-        |g: &ccp_cache::geometry::CacheGeometry| line_shift(g) + g.num_sets().trailing_zeros();
-    // Highest line-number bit the affiliation mask flips (0 for the
-    // paper's mask 0x1); the partition must sit above the flipped bits at
-    // the wider level too.
-    let mask_span = 31u32.saturating_sub(cfg.affiliation_mask.max(1).leading_zeros());
-    let lo = line_shift(&cfg.l2) + 1 + mask_span;
-    let hi = index_top(&cfg.l1).min(index_top(&cfg.l2));
-    (hi > lo).then_some((lo, hi))
-}
-
 impl<S: CompressionScheme> CacheSim for CppHierarchy<S> {
     fn read(&mut self, addr: Addr) -> AccessResult {
         self.access(addr, None)
@@ -655,10 +630,6 @@ impl<S: CompressionScheme> CacheSim for CppHierarchy<S> {
 
     fn name(&self) -> &'static str {
         "CPP"
-    }
-
-    fn shard_region_bits(&self) -> Option<(u32, u32)> {
-        cpp_shard_region_bits(&self.cfg)
     }
 }
 

@@ -910,10 +910,6 @@ impl CacheSim for RefCppHierarchy {
     fn name(&self) -> &'static str {
         "CPP-ref"
     }
-
-    fn shard_region_bits(&self) -> Option<(u32, u32)> {
-        crate::cpp_shard_region_bits(&self.cfg)
-    }
 }
 
 #[cfg(test)]

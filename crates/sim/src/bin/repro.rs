@@ -57,7 +57,6 @@ struct Args {
     goldens_dir: Option<std::path::PathBuf>,
     schemes: Vec<ccp_schemes::SchemeKind>,
     dispatch: Option<ccp_compress::LaneDispatch>,
-    scramble_merge: Option<u64>,
 }
 
 fn parse_args() -> SimResult<Args> {
@@ -73,7 +72,6 @@ fn parse_args() -> SimResult<Args> {
     let mut goldens_dir = None;
     let mut schemes = ccp_schemes::SchemeKind::ALL.to_vec();
     let mut dispatch = None;
-    let mut scramble_merge = None;
     let value = |flag: &str, v: Option<String>| v.ok_or_else(|| spec_err(flag, "needs a value"));
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -115,9 +113,6 @@ fn parse_args() -> SimResult<Args> {
                     ccp_compress::LaneDispatch::from_name(&v)
                         .ok_or_else(|| SimError::unknown("dispatch", &v))?,
                 );
-            }
-            "--scramble-merge" => {
-                scramble_merge = Some(value(&a, it.next())?.parse().map_err(|e| spec_err(&a, e))?);
             }
             "--schemes" => {
                 schemes = value(&a, it.next())?
@@ -174,7 +169,6 @@ fn parse_args() -> SimResult<Args> {
         goldens_dir,
         schemes,
         dispatch,
-        scramble_merge,
     })
 }
 
@@ -194,14 +188,11 @@ const HELP: &str = "repro — regenerate the paper's tables and figures
 usage: repro [--budget N] [--seed S] [--threads T] [--benchmarks a,b,..] [--json FILE] [--bars]
              [fig3..fig15 | exta | extb | extc | ext | workgen | all]
        repro difftest [--budget N] [--seed S] [--benchmarks a,b,..]
-                      [--render-goldens DIR] [--scramble-merge SEED]
+                      [--render-goldens DIR]
            replay every benchmark through the optimized and reference CPP
-           engines — serially, then across the {scalar,swar} lane-dispatch
-           x {1,4} replay-thread matrix; exit 1 unless all stats are
-           byte-identical; --scramble-merge deliberately permutes the
-           parallel replayer's slice-merge order (must be caught as a
-           divergence — the CI must-fail gate); --render-goldens
-           regenerates the pinned stats fixtures
+           engines under each {scalar,swar} lane dispatch; exit 1 unless
+           all stats are byte-identical; --render-goldens regenerates the
+           pinned stats fixtures
            (crates/sim/tests/expected_stats) after auditing a change
        repro perf [--budget N] [--seed S] [--benchmarks a,b,..]
                   [--out FILE] [--assert-min-speedup X] [--dispatch D]
@@ -407,23 +398,13 @@ fn main() {
                     }
                     continue;
                 }
-                let merge = match args.scramble_merge {
-                    Some(seed) => ccp_sim::fastsim::MergePolicy::Scrambled(seed),
-                    None => ccp_sim::fastsim::MergePolicy::Canonical,
-                };
                 eprintln!(
-                    "running differential conformance: {} benchmarks x 2 engines x {{scalar,swar}} x {{1,4}} threads, {} instructions each...",
+                    "running differential conformance: {} benchmarks x 2 engines x {{scalar,swar}}, {} instructions each...",
                     args.benchmarks.len(),
                     args.budget
                 );
-                let mut outcomes =
+                let outcomes =
                     ccp_sim::difftest::run_difftest(&args.benchmarks, args.budget, args.seed);
-                outcomes.extend(ccp_sim::difftest::run_difftest_matrix(
-                    &args.benchmarks,
-                    args.budget,
-                    args.seed,
-                    merge,
-                ));
                 println!("{}", ccp_sim::difftest::render_difftest(&outcomes));
                 if outcomes.iter().any(|o| !o.matches()) {
                     eprintln!("error [conformance]: optimized and reference CPP engines diverged");
@@ -438,20 +419,6 @@ fn main() {
                 );
                 let report = ccp_sim::perf::run_perf(&args.benchmarks, args.budget, args.seed);
                 println!("{}", ccp_sim::perf::render_perf(&report));
-                let threads = args.threads.max(1);
-                let parallel = if threads > 1 {
-                    eprintln!(
-                        "timing multi-core replay at {threads} threads (reported separately)..."
-                    );
-                    Some(ccp_sim::perf::run_perf_parallel(
-                        &args.benchmarks,
-                        args.budget,
-                        args.seed,
-                        threads,
-                    ))
-                } else {
-                    None
-                };
                 let out = args
                     .out_path
                     .clone()
@@ -460,8 +427,6 @@ fn main() {
                     &report,
                     &git_rev(),
                     ccp_compress::line_dispatch().name(),
-                    threads,
-                    parallel,
                 );
                 let existing = std::fs::read_to_string(&out).ok();
                 let doc = ccp_sim::perf::append_trajectory(existing.as_deref(), entry).to_string();

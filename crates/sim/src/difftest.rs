@@ -14,10 +14,9 @@
 //! paths are lint-gated panic-free); the `repro difftest` subcommand and the
 //! test-suite wrappers decide how to fail.
 
-use crate::fastsim::{run_functional, run_functional_parallel, MergePolicy, ReplayOptions};
+use crate::fastsim::{run_functional, FastStats};
 use crate::json::Json;
 use ccp_cache::stats::HierarchyStats;
-use ccp_cache::CacheSim;
 use ccp_compress::LaneDispatch;
 use ccp_cpp::{CppHierarchy, RefCppHierarchy};
 use ccp_errors::{SimError, SimResult};
@@ -27,9 +26,6 @@ use std::path::{Path, PathBuf};
 
 /// Lane-dispatch settings the matrix difftest sweeps.
 pub const MATRIX_DISPATCHES: [LaneDispatch; 2] = [LaneDispatch::Scalar, LaneDispatch::Swar];
-
-/// Replay thread counts the matrix difftest sweeps.
-pub const MATRIX_THREADS: [usize; 2] = [1, 4];
 
 /// Result of replaying one benchmark through both engines.
 #[derive(Debug, Clone)]
@@ -112,97 +108,68 @@ pub fn json_diff(a: &Json, b: &Json, path: &str, out: &mut Vec<String>) {
     }
 }
 
-/// Replays `bench` through both engines and compares their statistics,
-/// both structurally and through the JSON rendering.
+/// Compares one optimized-engine run against the reference engine's
+/// stats, both structurally and through the JSON rendering.
+fn compare(benchmark: String, o: FastStats, reference: HierarchyStats) -> DiffOutcome {
+    let mut divergences = Vec::new();
+    json_diff(
+        &hierarchy_stats_json(&o.hierarchy),
+        &hierarchy_stats_json(&reference),
+        "stats",
+        &mut divergences,
+    );
+    // The struct comparison is stricter than the JSON one only if the JSON
+    // rendering dropped a field; catching that here keeps the two in sync.
+    if divergences.is_empty() && o.hierarchy != reference {
+        divergences.push("stats (field not covered by hierarchy_stats_json)".to_string());
+    }
+    DiffOutcome {
+        benchmark,
+        mem_ops: o.mem_ops,
+        optimized: o.hierarchy,
+        reference,
+        divergences,
+    }
+}
+
+/// Replays `bench` through both engines at the process's current lane
+/// dispatch and compares their statistics.
 pub fn diff_benchmark(bench: &Benchmark, budget: usize, seed: u64) -> DiffOutcome {
     let trace = bench.trace(budget, seed);
     let mut opt = CppHierarchy::paper();
     let o = run_functional(&trace, &mut opt, 0);
     let mut rf = RefCppHierarchy::paper();
     let r = run_functional(&trace, &mut rf, 0);
-
-    let mut divergences = Vec::new();
-    json_diff(
-        &hierarchy_stats_json(&o.hierarchy),
-        &hierarchy_stats_json(&r.hierarchy),
-        "stats",
-        &mut divergences,
-    );
-    // The struct comparison is stricter than the JSON one only if the JSON
-    // rendering dropped a field; catching that here keeps the two in sync.
-    if divergences.is_empty() && o.hierarchy != r.hierarchy {
-        divergences.push("stats (field not covered by hierarchy_stats_json)".to_string());
-    }
-    DiffOutcome {
-        benchmark: bench.full_name(),
-        mem_ops: o.mem_ops,
-        optimized: o.hierarchy,
-        reference: r.hierarchy,
-        divergences,
-    }
+    compare(bench.full_name(), o, r.hierarchy)
 }
 
 /// Replays `bench` through the reference engine once, then through the
-/// optimized engine at every {lane dispatch} × {thread count} cell of the
-/// equivalence matrix, comparing each cell's statistics against the
-/// reference. `merge` is threaded through to the parallel replayer —
-/// [`MergePolicy::Canonical`] for real runs; [`MergePolicy::Scrambled`]
-/// exists so CI can prove a wrong merge order is *caught* by this very
-/// comparison.
-pub fn diff_benchmark_matrix(
-    bench: &Benchmark,
-    budget: usize,
-    seed: u64,
-    merge: MergePolicy,
-) -> Vec<DiffOutcome> {
+/// optimized engine under every lane dispatch of the equivalence matrix,
+/// comparing each cell's statistics against the reference.
+pub fn diff_benchmark_matrix(bench: &Benchmark, budget: usize, seed: u64) -> Vec<DiffOutcome> {
     let trace = bench.trace(budget, seed);
     let mut rf = RefCppHierarchy::paper();
     let r = run_functional(&trace, &mut rf, 0);
 
-    let mut outcomes = Vec::new();
     let prev = ccp_compress::line_dispatch();
-    for dispatch in MATRIX_DISPATCHES {
-        ccp_compress::set_line_dispatch(dispatch);
-        for threads in MATRIX_THREADS {
-            let factory = || Box::new(CppHierarchy::paper()) as Box<dyn CacheSim>;
-            let opts = ReplayOptions {
-                threads,
-                merge,
-                ..Default::default()
-            };
-            let o = run_functional_parallel(&trace, &factory, 0, &opts);
-            let mut divergences = Vec::new();
-            json_diff(
-                &hierarchy_stats_json(&o.hierarchy),
-                &hierarchy_stats_json(&r.hierarchy),
-                "stats",
-                &mut divergences,
-            );
-            if divergences.is_empty() && o.hierarchy != r.hierarchy {
-                divergences.push("stats (field not covered by hierarchy_stats_json)".to_string());
-            }
-            outcomes.push(DiffOutcome {
-                benchmark: format!("{} [{}x{}t]", bench.full_name(), dispatch.name(), threads),
-                mem_ops: o.mem_ops,
-                optimized: o.hierarchy,
-                reference: r.hierarchy,
-                divergences,
-            });
-        }
-    }
+    let outcomes = MATRIX_DISPATCHES
+        .iter()
+        .map(|&dispatch| {
+            ccp_compress::set_line_dispatch(dispatch);
+            let mut opt = CppHierarchy::paper();
+            let o = run_functional(&trace, &mut opt, 0);
+            let label = format!("{} [{}]", bench.full_name(), dispatch.name());
+            compare(label, o, r.hierarchy)
+        })
+        .collect();
     ccp_compress::set_line_dispatch(prev);
     outcomes
 }
 
-/// Runs the matrix differential suite over `benchmarks` (all 14 when
-/// empty): every benchmark × {scalar, SWAR} × {1, 4} threads against the
-/// reference engine.
-pub fn run_difftest_matrix(
-    benchmarks: &[Benchmark],
-    budget: usize,
-    seed: u64,
-    merge: MergePolicy,
-) -> Vec<DiffOutcome> {
+/// Runs the differential suite over `benchmarks` (all 14 when empty):
+/// every benchmark × {scalar, SWAR} lane dispatch against the reference
+/// engine.
+pub fn run_difftest(benchmarks: &[Benchmark], budget: usize, seed: u64) -> Vec<DiffOutcome> {
     let all;
     let benches = if benchmarks.is_empty() {
         all = all_benchmarks();
@@ -212,7 +179,7 @@ pub fn run_difftest_matrix(
     };
     benches
         .iter()
-        .flat_map(|b| diff_benchmark_matrix(b, budget, seed, merge))
+        .flat_map(|b| diff_benchmark_matrix(b, budget, seed))
         .collect()
 }
 
@@ -240,30 +207,24 @@ pub fn golden_stats_doc(bench: &Benchmark) -> String {
 /// parameters so a fixture can never be silently compared at the wrong
 /// budget or scheme.
 pub fn golden_stats_doc_scheme(bench: &Benchmark, scheme: SchemeKind) -> String {
-    golden_stats_doc_scheme_at(bench, scheme, ccp_compress::line_dispatch(), 1)
+    golden_stats_doc_scheme_at(bench, scheme, ccp_compress::line_dispatch())
 }
 
-/// [`golden_stats_doc_scheme`] at an explicit lane dispatch and replay
-/// thread count. The fixture files are rendered once and must be
-/// reproduced byte-for-byte by **every** {dispatch} × {threads} cell —
-/// the golden sweep in `tests/golden_stats.rs` checks all of them against
-/// the same pinned file.
+/// [`golden_stats_doc_scheme`] at an explicit lane dispatch. The fixture
+/// files are rendered once and must be reproduced byte-for-byte under
+/// **every** dispatch — the golden sweep in `tests/golden_stats.rs`
+/// checks each against the same pinned file.
 pub fn golden_stats_doc_scheme_at(
     bench: &Benchmark,
     scheme: SchemeKind,
     dispatch: LaneDispatch,
-    threads: usize,
 ) -> String {
     let trace = bench.trace(GOLDEN_BUDGET, GOLDEN_SEED);
     let cfg = ccp_cache::HierarchyConfig::paper(ccp_cache::DesignKind::Cpp);
     let prev = ccp_compress::line_dispatch();
     ccp_compress::set_line_dispatch(dispatch);
-    let factory = || crate::build_design_scheme(cfg, scheme);
-    let opts = ReplayOptions {
-        threads,
-        ..Default::default()
-    };
-    let s = run_functional_parallel(&trace, &factory, 0, &opts);
+    let mut cache = crate::build_design_scheme(cfg, scheme);
+    let s = run_functional(&trace, cache.as_mut(), 0);
     ccp_compress::set_line_dispatch(prev);
     Json::obj([
         ("benchmark", Json::from(bench.full_name())),
@@ -304,21 +265,6 @@ pub fn render_goldens(dir: &Path) -> SimResult<Vec<PathBuf>> {
     Ok(written)
 }
 
-/// Runs the differential suite over `benchmarks` (all 14 when empty).
-pub fn run_difftest(benchmarks: &[Benchmark], budget: usize, seed: u64) -> Vec<DiffOutcome> {
-    let all;
-    let benches = if benchmarks.is_empty() {
-        all = all_benchmarks();
-        &all
-    } else {
-        benchmarks
-    };
-    benches
-        .iter()
-        .map(|b| diff_benchmark(b, budget, seed))
-        .collect()
-}
-
 /// Renders the suite's outcome as a table.
 pub fn render_difftest(outcomes: &[DiffOutcome]) -> String {
     let mut s = String::from(
@@ -338,11 +284,11 @@ pub fn render_difftest(outcomes: &[DiffOutcome]) -> String {
     let failed = outcomes.iter().filter(|o| !o.matches()).count();
     if failed == 0 {
         s.push_str(&format!(
-            "all {} benchmarks byte-identical across engines\n",
+            "all {} benchmark cells byte-identical across engines\n",
             outcomes.len()
         ));
     } else {
-        s.push_str(&format!("{failed} benchmark(s) DIVERGED\n"));
+        s.push_str(&format!("{failed} benchmark cell(s) DIVERGED\n"));
     }
     s
 }
@@ -356,7 +302,10 @@ mod tests {
     #[test]
     fn all_benchmarks_difftest_identical() {
         let outcomes = run_difftest(&[], 40_000, 1);
-        assert_eq!(outcomes.len(), all_benchmarks().len());
+        assert_eq!(
+            outcomes.len(),
+            all_benchmarks().len() * MATRIX_DISPATCHES.len()
+        );
         for o in &outcomes {
             assert!(
                 o.matches(),
@@ -375,17 +324,12 @@ mod tests {
         assert!(o.matches(), "{:?}", o.divergences);
     }
 
-    /// The matrix gate: one benchmark, all four {dispatch} × {threads}
-    /// cells (the full 14-benchmark sweep runs under `repro difftest` in
-    /// release; a spot check keeps the debug suite fast).
+    /// The matrix gate: one benchmark, every lane-dispatch cell.
     #[test]
     fn matrix_cells_all_match_reference() {
         let b = all_benchmarks();
-        let outcomes = diff_benchmark_matrix(&b[0], 20_000, 1, MergePolicy::Canonical);
-        assert_eq!(
-            outcomes.len(),
-            MATRIX_DISPATCHES.len() * MATRIX_THREADS.len()
-        );
+        let outcomes = diff_benchmark_matrix(&b[0], 20_000, 1);
+        assert_eq!(outcomes.len(), MATRIX_DISPATCHES.len());
         for o in &outcomes {
             assert!(
                 o.matches(),
@@ -394,19 +338,6 @@ mod tests {
                 o.divergences.join("\n")
             );
         }
-    }
-
-    /// The must-fail hook: a scrambled slice merge has to surface as a
-    /// divergence in at least one matrix cell — otherwise the equivalence
-    /// battery couldn't catch a broken merge order.
-    #[test]
-    fn matrix_catches_scrambled_merge() {
-        let b = all_benchmarks();
-        let outcomes = diff_benchmark_matrix(&b[0], 20_000, 1, MergePolicy::Scrambled(42));
-        assert!(
-            outcomes.iter().any(|o| !o.matches()),
-            "scrambled merge went undetected across all matrix cells"
-        );
     }
 
     #[test]

@@ -18,48 +18,12 @@
 //! into `dyn CacheSim` runs over a dense array instead of interleaving with
 //! stream decoding. Results are identical to one-at-a-time replay (stores
 //! stay in program order; the warm-up boundary is honored per operation).
-//!
-//! # Deterministic multi-core replay
-//!
-//! [`run_functional_parallel`] replays one trace across worker threads
-//! with **field-identical** [`HierarchyStats`] at any thread count,
-//! including `--threads 1`. Exact parallelism is possible because a CPP
-//! access can only touch state reachable from its own L2 line pair (sets
-//! at both levels, the affiliated line, same-set victims, the pair's
-//! memory words) — so when the design exposes a partition-consistent
-//! address-bit range via [`CacheSim::shard_region_bits`], the trace
-//! shards by those bits into fully independent replicas:
-//!
-//! 1. **decode** — the instruction stream is cut into fixed-size slices
-//!    (a constant, independent of thread count) and decoded by worker
-//!    threads in parallel; each slice yields per-shard sub-queues plus
-//!    each op's ordinal within the slice.
-//! 2. **canonical merge** — sub-queues are concatenated in slice order
-//!    (the *canonical* order; [`MergePolicy::Scrambled`] deliberately
-//!    permutes it so the equivalence suite can prove divergence is
-//!    caught), which reconstructs program order within every shard and
-//!    locates the global warm-up boundary per shard.
-//! 3. **drive** — one hierarchy replica per shard (own memory image)
-//!    replays its queue on its own thread; no two shards share any
-//!    mutable state.
-//! 4. **stat merge** — per-shard counters are summed field-wise in shard
-//!    order ([`HierarchyStats::absorb_shard`]); every counter is a
-//!    per-access sum and every access belongs to exactly one shard, so
-//!    the totals equal a serial replay's exactly.
-//!
-//! Designs without a shardable region range (`None`) fall back to the
-//! serial path, which is trivially order-exact at any requested thread
-//! count.
 
 use ccp_cache::{Addr, CacheSim, HierarchyStats, Word};
 use ccp_trace::{Inst, Op, Trace, TraceSource};
 
 /// Decoded memory operations per drive block.
 const BATCH_OPS: usize = 4096;
-
-/// Instructions per decode slice of the parallel replayer — fixed (not a
-/// function of thread count) so cut points are stable across runs.
-pub const DEFAULT_SLICE_INSTS: usize = 8192;
 
 /// One decoded memory operation.
 #[derive(Debug, Clone, Copy)]
@@ -184,244 +148,6 @@ fn replay<I: Iterator<Item = Inst>>(
     stats
 }
 
-/// Order in which decoded slices are concatenated into shard queues.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MergePolicy {
-    /// Slice order — reconstructs program order within every shard. The
-    /// only correct policy.
-    Canonical,
-    /// Seeded permutation of the slice order. Breaks program order within
-    /// shards, so replay diverges from serial — exists solely so the
-    /// equivalence-test battery (and the CI must-fail gate) can prove a
-    /// non-canonical merge is *caught*, not silently accepted.
-    Scrambled(u64),
-}
-
-/// Configuration for [`run_functional_parallel`].
-#[derive(Debug, Clone, Copy)]
-pub struct ReplayOptions {
-    /// Worker threads (and shards). `0` or `1` selects the serial path.
-    pub threads: usize,
-    /// Instructions per decode slice. Must not depend on `threads`, so
-    /// that cut points — and therefore the canonical merge — are a pure
-    /// function of the trace.
-    pub slice_insts: usize,
-    /// Slice concatenation order.
-    pub merge: MergePolicy,
-}
-
-impl Default for ReplayOptions {
-    fn default() -> Self {
-        Self {
-            threads: 1,
-            slice_insts: DEFAULT_SLICE_INSTS,
-            merge: MergePolicy::Canonical,
-        }
-    }
-}
-
-/// Seeded Fisher–Yates permutation of `0..n` (xorshift64), guaranteed to
-/// differ from the identity for `n >= 2` so a scrambled merge always
-/// exercises a genuinely wrong order.
-fn scrambled_order(n: usize, seed: u64) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..n).collect();
-    let mut s = seed | 1;
-    for i in (1..n).rev() {
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-        let j = (s % (i as u64 + 1)) as usize;
-        order.swap(i, j);
-    }
-    if n >= 2 && order.iter().enumerate().all(|(i, &v)| i == v) {
-        order.rotate_left(1);
-    }
-    order
-}
-
-/// One decoded slice: memory ops bucketed by shard, each carrying its
-/// slice-local ordinal (its index among the slice's ops across *all*
-/// shards), plus the slice's total op count for warm-up prefix sums.
-struct SliceOut {
-    per_shard: Vec<Vec<(u32, MemOp)>>,
-    ops: u32,
-}
-
-fn decode_slice(
-    insts: &[Inst],
-    shards: usize,
-    shard_of: &(dyn Fn(Addr) -> usize + Sync),
-) -> SliceOut {
-    let mut out = SliceOut {
-        per_shard: (0..shards).map(|_| Vec::new()).collect(),
-        ops: 0,
-    };
-    for inst in insts {
-        let op = match inst.op {
-            Op::Load { addr } => MemOp {
-                addr,
-                value: 0,
-                pc: inst.pc,
-                is_store: false,
-            },
-            Op::Store { addr, value } => MemOp {
-                addr,
-                value,
-                pc: inst.pc,
-                is_store: true,
-            },
-            _ => continue,
-        };
-        out.per_shard[shard_of(op.addr)].push((out.ops, op));
-        out.ops += 1;
-    }
-    out
-}
-
-/// Replays one shard's queue, replicating the serial loop's warm-up
-/// semantics: the first `warm_ops` operations run with statistics
-/// discarded; a shard whose queue is entirely warm-up reports zeros.
-fn drive_shard(cache: &mut dyn CacheSim, queue: &[MemOp], warm_ops: u64) -> FastStats {
-    let mut stats = FastStats {
-        mem_ops: 0,
-        loads: 0,
-        stores: 0,
-        hierarchy: HierarchyStats::default(),
-    };
-    let mut seen = 0u64;
-    let mut warm = warm_ops == 0;
-    if !warm {
-        cache.reset_stats();
-    }
-    for op in queue {
-        if op.is_store {
-            cache.write_pc(op.addr, op.value, op.pc);
-        } else {
-            cache.read_pc(op.addr, op.pc);
-        }
-        seen += 1;
-        if warm {
-            if op.is_store {
-                stats.stores += 1;
-            } else {
-                stats.loads += 1;
-            }
-        } else if seen >= warm_ops {
-            cache.reset_stats();
-            warm = true;
-        }
-    }
-    if !warm {
-        cache.reset_stats();
-    }
-    stats.mem_ops = stats.loads + stats.stores;
-    stats.hierarchy = *cache.stats();
-    stats
-}
-
-/// Replays `trace` across `opts.threads` workers with statistics
-/// field-identical to [`run_functional`] at any thread count.
-///
-/// `factory` builds one hierarchy replica per shard (each gets its own
-/// copy of the trace's initial memory image). When the design reports no
-/// shardable region range — or one worker is requested — the serial path
-/// runs instead.
-pub fn run_functional_parallel<F>(
-    trace: &Trace,
-    factory: &F,
-    warmup_mem_ops: u64,
-    opts: &ReplayOptions,
-) -> FastStats
-where
-    F: Fn() -> Box<dyn CacheSim> + Sync,
-{
-    let mut probe = factory();
-    let threads = opts.threads.max(1);
-    let region = probe.shard_region_bits();
-    if (threads <= 1 && opts.merge == MergePolicy::Canonical) || region.is_none() {
-        return run_functional(trace, probe.as_mut(), warmup_mem_ops);
-    }
-    let (lo, hi) = region.expect("checked above");
-    let span_mask = (1u32 << (hi - lo)) - 1;
-    let shard_of = move |addr: Addr| ((addr >> lo) & span_mask) as usize % threads;
-
-    // Decode phase: fixed-size slices, distributed round-robin over
-    // workers. Slice boundaries depend only on the trace, never on the
-    // thread count, so the canonical merge is reproducible.
-    let slice_insts = opts.slice_insts.max(1);
-    let chunks: Vec<&[Inst]> = trace.insts.chunks(slice_insts).collect();
-    let n_slices = chunks.len();
-    let mut decoded: Vec<Option<SliceOut>> = (0..n_slices).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let mut rest = decoded.as_mut_slice();
-        let mut offset = 0usize;
-        for w in 0..threads {
-            let take = n_slices / threads + usize::from(w < n_slices % threads);
-            let (mine, tail) = rest.split_at_mut(take);
-            rest = tail;
-            let my_chunks = &chunks[offset..offset + take];
-            offset += take;
-            scope.spawn(move || {
-                for (slot, insts) in mine.iter_mut().zip(my_chunks) {
-                    *slot = Some(decode_slice(insts, threads, &shard_of));
-                }
-            });
-        }
-    });
-
-    // Merge phase: concatenate per-shard sub-queues in merge order. The
-    // global warm-up boundary maps onto each shard as the count of its
-    // ops whose canonical ordinal (slice base + slice-local index) falls
-    // inside the warm-up window — a prefix of the shard's canonical
-    // queue, exactly as the serial loop would consume it.
-    let slices: Vec<SliceOut> = decoded.into_iter().map(|s| s.expect("decoded")).collect();
-    let mut base = vec![0u64; n_slices];
-    let mut running = 0u64;
-    for (i, s) in slices.iter().enumerate() {
-        base[i] = running;
-        running += u64::from(s.ops);
-    }
-    let order = match opts.merge {
-        MergePolicy::Canonical => (0..n_slices).collect(),
-        MergePolicy::Scrambled(seed) => scrambled_order(n_slices, seed),
-    };
-    let mut queues: Vec<Vec<MemOp>> = (0..threads).map(|_| Vec::new()).collect();
-    let mut warm_ops = vec![0u64; threads];
-    for &si in &order {
-        for (s, queue) in queues.iter_mut().enumerate() {
-            for &(ord, op) in &slices[si].per_shard[s] {
-                if base[si] + u64::from(ord) < warmup_mem_ops {
-                    warm_ops[s] += 1;
-                }
-                queue.push(op);
-            }
-        }
-    }
-
-    // Drive phase: one hierarchy replica per shard, fully independent.
-    let mut shard_stats: Vec<Option<FastStats>> = (0..threads).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for ((slot, queue), warm) in shard_stats.iter_mut().zip(&queues).zip(&warm_ops) {
-            scope.spawn(move || {
-                let mut cache = factory();
-                *cache.mem_mut() = trace.initial_mem.clone();
-                *slot = Some(drive_shard(cache.as_mut(), queue, *warm));
-            });
-        }
-    });
-
-    // Stat merge: field-wise sums in shard order.
-    let mut shards = shard_stats.into_iter().map(|s| s.expect("driven"));
-    let mut total = shards.next().expect("at least one shard");
-    for s in shards {
-        total.loads += s.loads;
-        total.stores += s.stores;
-        total.hierarchy.absorb_shard(&s.hierarchy);
-    }
-    total.mem_ops = total.loads + total.stores;
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -491,114 +217,25 @@ mod tests {
         }
     }
 
-    fn assert_stats_identical(a: &FastStats, b: &FastStats, label: &str) {
-        assert_eq!(a.mem_ops, b.mem_ops, "{label}: mem_ops");
-        assert_eq!(a.loads, b.loads, "{label}: loads");
-        assert_eq!(a.stores, b.stores, "{label}: stores");
-        assert_eq!(a.hierarchy, b.hierarchy, "{label}: hierarchy stats");
-    }
-
     #[test]
-    fn parallel_replay_matches_serial_at_every_thread_count() {
-        let t = benchmark_by_name("health").unwrap().trace(30_000, 1);
-        let factory = || build_design(DesignKind::Cpp);
-        let mut serial_cache = factory();
-        let serial = run_functional(&t, serial_cache.as_mut(), 0);
-        for threads in [1, 2, 3, 8] {
-            let opts = ReplayOptions {
-                threads,
-                ..Default::default()
-            };
-            let par = run_functional_parallel(&t, &factory, 0, &opts);
-            assert_stats_identical(&serial, &par, &format!("threads={threads}"));
-        }
-    }
-
-    #[test]
-    fn parallel_replay_honors_warmup_boundary() {
-        let t = benchmark_by_name("treeadd").unwrap().trace(30_000, 1);
-        let factory = || build_design(DesignKind::Cpp);
-        for warmup in [0, 1, 4_000, u64::MAX] {
-            let mut serial_cache = factory();
-            let serial = run_functional(&t, serial_cache.as_mut(), warmup);
-            let opts = ReplayOptions {
-                threads: 3,
-                ..Default::default()
-            };
-            let par = run_functional_parallel(&t, &factory, warmup, &opts);
-            assert_stats_identical(&serial, &par, &format!("warmup={warmup}"));
-        }
-    }
-
-    #[test]
-    fn parallel_replay_is_slice_size_invariant() {
-        let t = benchmark_by_name("mst").unwrap().trace(20_000, 1);
-        let factory = || build_design(DesignKind::Cpp);
-        let mut serial_cache = factory();
-        let serial = run_functional(&t, serial_cache.as_mut(), 1_000);
-        for slice_insts in [7, 100, 8192, 1_000_000] {
-            let opts = ReplayOptions {
-                threads: 4,
-                slice_insts,
-                merge: MergePolicy::Canonical,
-            };
-            let par = run_functional_parallel(&t, &factory, 1_000, &opts);
-            assert_stats_identical(&serial, &par, &format!("slice_insts={slice_insts}"));
-        }
-    }
-
-    #[test]
-    fn unshardable_designs_fall_back_to_serial() {
-        // BCP prefetches the *next* line, which crosses region boundaries;
-        // its shard_region_bits is None, so any thread count must take the
-        // serial path and still be exact.
-        let t = benchmark_by_name("130.li").unwrap().trace(10_000, 1);
-        let factory = || build_design(DesignKind::Bcp);
-        let mut serial_cache = factory();
-        let serial = run_functional(&t, serial_cache.as_mut(), 0);
-        let opts = ReplayOptions {
-            threads: 4,
-            ..Default::default()
-        };
-        let par = run_functional_parallel(&t, &factory, 0, &opts);
-        assert_stats_identical(&serial, &par, "BCP fallback");
-    }
-
-    #[test]
-    fn scrambled_merge_diverges_from_serial() {
-        // The scrambled policy permutes slice order, breaking program order
-        // within shards; the equivalence battery must detect that. Use a
-        // small slice size so the trace yields many slices to permute.
-        let t = benchmark_by_name("health").unwrap().trace(30_000, 1);
-        let factory = || build_design(DesignKind::Cpp);
-        let mut serial_cache = factory();
-        let serial = run_functional(&t, serial_cache.as_mut(), 0);
-        let opts = ReplayOptions {
-            threads: 2,
-            slice_insts: 512,
-            merge: MergePolicy::Scrambled(42),
-        };
-        let par = run_functional_parallel(&t, &factory, 0, &opts);
-        assert_eq!(serial.mem_ops, par.mem_ops, "op counts survive any order");
-        assert_ne!(
-            serial.hierarchy, par.hierarchy,
-            "a non-canonical merge must be observable in the stats"
-        );
-    }
-
-    #[test]
-    fn scrambled_order_is_never_identity() {
-        for n in 2..40 {
-            for seed in 0..16 {
-                let order = scrambled_order(n, seed);
-                let mut sorted = order.clone();
-                sorted.sort_unstable();
-                assert_eq!(sorted, (0..n).collect::<Vec<_>>(), "must be a permutation");
-                assert!(
-                    order.iter().enumerate().any(|(i, &v)| i != v),
-                    "identity slipped through: n={n} seed={seed}"
-                );
-            }
+    fn warmup_boundary_is_exact_at_batch_edges() {
+        // The warm-up window ends per operation, not per decoded batch:
+        // boundaries on either side of a batch edge and of the trace end
+        // must leave exactly the remaining operations measured.
+        let t = benchmark_by_name("olden.health").unwrap().trace(30_000, 1);
+        let m = t.mix();
+        let total = m.loads + m.stores;
+        let batch = BATCH_OPS as u64;
+        assert!(total > batch + 1, "trace must span more than one batch");
+        for w in [1, batch - 1, batch, batch + 1, total - 1, total, total + 1] {
+            let mut c = build_design(DesignKind::Cpp);
+            let s = run_functional(&t, c.as_mut(), w);
+            assert_eq!(s.mem_ops, total.saturating_sub(w), "warmup={w}: mem_ops");
+            assert_eq!(
+                s.hierarchy.l1.accesses(),
+                s.mem_ops,
+                "warmup={w}: L1 accesses"
+            );
         }
     }
 }

@@ -185,67 +185,6 @@ pub fn render_perf(report: &PerfReport) -> String {
     s
 }
 
-/// Times the region-sharded parallel replayer against the serial
-/// optimized engine at `threads` workers, per benchmark. The serial time
-/// is re-measured here (not reused from the main report) so both sides of
-/// each ratio come from the same machine state. Reported *separately*
-/// from the optimized-vs-reference speedup: the latter measures the
-/// storage/batching/SWAR overhaul, this measures core scaling (≈1.0 minus
-/// sharding overhead on a single-core host).
-pub fn run_perf_parallel(
-    benchmarks: &[Benchmark],
-    budget: usize,
-    seed: u64,
-    threads: usize,
-) -> Json {
-    let all;
-    let benches = if benchmarks.is_empty() {
-        all = all_benchmarks();
-        &all
-    } else {
-        benchmarks
-    };
-    let factory = || Box::new(CppHierarchy::paper()) as Box<dyn CacheSim>;
-    let opts = crate::fastsim::ReplayOptions {
-        threads,
-        ..Default::default()
-    };
-    let mut rows = Vec::new();
-    let mut log_sum = 0.0f64;
-    for bench in benches {
-        let trace = bench.trace(budget, seed);
-        let mut serial_cache = factory();
-        time_replay(&trace, serial_cache.as_mut()); // warm-up, untimed
-        let (serial_secs, _) = time_replay(&trace, serial_cache.as_mut());
-        // ccp-lint: allow(deterministic-core-transitive) — wall-clock here measures host throughput for the perf report; the duration is output-only and never feeds simulated state
-        let t0 = Instant::now();
-        crate::fastsim::run_functional_parallel(&trace, &factory, 0, &opts);
-        let parallel_secs = t0.elapsed().as_secs_f64();
-        let speedup = if parallel_secs > 0.0 {
-            serial_secs / parallel_secs
-        } else {
-            f64::INFINITY
-        };
-        log_sum += speedup.ln();
-        rows.push(Json::obj([
-            ("benchmark", Json::from(bench.full_name())),
-            ("serial_secs", Json::from(serial_secs)),
-            ("parallel_secs", Json::from(parallel_secs)),
-            ("speedup", Json::from(speedup)),
-        ]));
-    }
-    let geomean = if rows.is_empty() {
-        1.0
-    } else {
-        (log_sum / rows.len() as f64).exp()
-    };
-    Json::obj([
-        ("threads", Json::from(threads as u64)),
-        ("rows", Json::Arr(rows)),
-        ("geomean_speedup_vs_serial", Json::from(geomean)),
-    ])
-}
-
 /// Converts the report to the `BENCH_core.json` document.
 pub fn perf_json(report: &PerfReport) -> Json {
     Json::obj([
@@ -278,25 +217,16 @@ pub fn perf_json(report: &PerfReport) -> Json {
 }
 
 /// One `BENCH_core.json` trajectory entry: the classic snapshot document
-/// plus run provenance (git revision, lane dispatch, replay threads) and
-/// — when the run timed the multi-core path — the separate parallel
-/// scaling report.
-pub fn perf_entry_json(
-    report: &PerfReport,
-    git_rev: &str,
-    dispatch: &str,
-    threads: usize,
-    parallel: Option<Json>,
-) -> Json {
+/// plus run provenance (git revision, lane dispatch, and the host's
+/// available parallelism as `nproc`).
+pub fn perf_entry_json(report: &PerfReport, git_rev: &str, dispatch: &str) -> Json {
     let Json::Obj(mut map) = perf_json(report) else {
         unreachable!("perf_json renders an object");
     };
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     map.insert("git_rev".to_string(), Json::from(git_rev.to_string()));
     map.insert("dispatch".to_string(), Json::from(dispatch.to_string()));
-    map.insert("threads".to_string(), Json::from(threads as u64));
-    if let Some(p) = parallel {
-        map.insert("parallel".to_string(), p);
-    }
+    map.insert("nproc".to_string(), Json::from(nproc as u64));
     Json::Obj(map)
 }
 
@@ -431,13 +361,13 @@ mod tests {
 
     #[test]
     fn trajectory_starts_fresh_and_grows() {
-        let e1 = perf_entry_json(&tiny_report(), "abc1234", "swar", 1, None);
+        let e1 = perf_entry_json(&tiny_report(), "abc1234", "swar");
         let doc1 = append_trajectory(None, e1);
         let text1 = doc1.to_string();
         assert!(text1.contains("core_hotpath_trajectory"));
         assert!((newest_geomean(&doc1).expect("geomean") - 3.0).abs() < 1e-9);
 
-        let e2 = perf_entry_json(&tiny_report(), "def5678", "scalar", 4, None);
+        let e2 = perf_entry_json(&tiny_report(), "def5678", "scalar");
         let doc2 = append_trajectory(Some(&text1), e2);
         let Some(Json::Arr(entries)) = doc2.get("entries") else {
             panic!("entries array");
@@ -447,7 +377,9 @@ mod tests {
             entries[1].get("git_rev"),
             Some(&Json::from("def5678".to_string()))
         );
-        assert_eq!(entries[1].get("threads"), Some(&Json::from(4u64)));
+        let nproc = entries[1].get("nproc").and_then(Json::as_u64);
+        assert!(nproc >= Some(1), "entries record the host's core count");
+        assert!(entries[1].get("threads").is_none());
     }
 
     #[test]
@@ -455,7 +387,7 @@ mod tests {
         // The pre-trajectory BENCH_core.json was a bare snapshot document;
         // appending must preserve it as the first entry, tagged.
         let legacy = perf_json(&tiny_report()).to_string();
-        let entry = perf_entry_json(&tiny_report(), "abc1234", "swar", 1, None);
+        let entry = perf_entry_json(&tiny_report(), "abc1234", "swar");
         let doc = append_trajectory(Some(&legacy), entry);
         let Some(Json::Arr(entries)) = doc.get("entries") else {
             panic!("entries array");
@@ -478,35 +410,12 @@ mod tests {
 
     #[test]
     fn trajectory_replaces_unreadable_content() {
-        let entry = perf_entry_json(&tiny_report(), "abc1234", "swar", 1, None);
+        let entry = perf_entry_json(&tiny_report(), "abc1234", "swar");
         let doc = append_trajectory(Some("not json {"), entry);
         let Some(Json::Arr(entries)) = doc.get("entries") else {
             panic!("entries array");
         };
         assert_eq!(entries.len(), 1);
-    }
-
-    #[test]
-    fn entry_carries_parallel_report_when_present() {
-        let parallel = Json::obj([("threads", Json::from(4u64))]);
-        let entry = perf_entry_json(&tiny_report(), "abc1234", "swar", 4, Some(parallel));
-        assert!(entry.get("parallel").is_some());
-        let without = perf_entry_json(&tiny_report(), "abc1234", "swar", 1, None);
-        assert!(without.get("parallel").is_none());
-    }
-
-    #[test]
-    fn parallel_perf_reports_scaling_rows() {
-        let b = benchmark_by_name("health")
-            .map(|b| vec![b])
-            .unwrap_or_default();
-        let doc = run_perf_parallel(&b, 5_000, 1, 2);
-        assert_eq!(doc.get("threads"), Some(&Json::from(2u64)));
-        let Some(Json::Arr(rows)) = doc.get("rows") else {
-            panic!("rows array");
-        };
-        assert_eq!(rows.len(), 1);
-        assert!(doc.get("geomean_speedup_vs_serial").is_some());
     }
 
     #[test]

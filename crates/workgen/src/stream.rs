@@ -44,7 +44,7 @@ fn sub_rng(seed: u64, tag: u64) -> SmallRng {
     SmallRng::seed_from_u64(seed.rotate_left(23) ^ tag.wrapping_mul(0x2545_F491_4F6C_DD1D))
 }
 
-/// SplitMix64 finalizer: maps pool indices to scrambled words.
+/// SplitMix64 finalizer: maps pool indices to well-mixed words.
 fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
