@@ -192,8 +192,9 @@ usage: repro [--budget N] [--seed S] [--threads T] [--benchmarks a,b,..] [--json
            replay every benchmark through the optimized and reference CPP
            engines under each {scalar,swar} lane dispatch; exit 1 unless
            all stats are byte-identical; --render-goldens regenerates the
-           pinned stats fixtures
-           (crates/sim/tests/expected_stats) after auditing a change
+           pinned stats fixtures in DIR
+           (crates/sim/tests/expected_stats) and the pipeline fixtures
+           beside it (expected_pipeline) after auditing a change
        repro perf [--budget N] [--seed S] [--benchmarks a,b,..]
                   [--out FILE] [--assert-min-speedup X] [--dispatch D]
            time optimized vs reference replay, append a trajectory row to

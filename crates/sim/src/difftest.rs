@@ -247,9 +247,11 @@ pub fn golden_fixture_name(bench: &str, scheme: SchemeKind) -> String {
     }
 }
 
-/// Regenerates every golden fixture under `dir` (the
-/// `repro difftest --render-goldens DIR` path): one file per golden
-/// benchmark × scheme. Returns the files written.
+/// Regenerates every golden fixture (the `repro difftest --render-goldens
+/// DIR` path): one file per golden benchmark × scheme under `dir`, and the
+/// pipeline fixtures in the sibling
+/// [`PIPELINE_GOLDEN_DIR`](crate::pipeline_goldens::PIPELINE_GOLDEN_DIR).
+/// Returns the files written.
 pub fn render_goldens(dir: &Path) -> SimResult<Vec<PathBuf>> {
     let mut written = Vec::new();
     for name in GOLDEN_BENCHMARKS {
@@ -262,6 +264,10 @@ pub fn render_goldens(dir: &Path) -> SimResult<Vec<PathBuf>> {
             written.push(path);
         }
     }
+    let pipeline_dir = dir.with_file_name(crate::pipeline_goldens::PIPELINE_GOLDEN_DIR);
+    written.extend(crate::pipeline_goldens::render_pipeline_goldens(
+        &pipeline_dir,
+    )?);
     Ok(written)
 }
 

@@ -31,6 +31,7 @@ pub mod fastsim;
 pub mod job;
 pub mod json;
 pub mod perf;
+pub mod pipeline_goldens;
 pub mod report;
 pub mod schemes_study;
 pub mod sweep;
