@@ -112,6 +112,22 @@ echo "== difftest: engines byte-identical across the lane-dispatch matrix"
 grep -q "byte-identical across engines" "$SCRATCH/difftest.txt" || {
     echo "difftest did not report full identity:"; cat "$SCRATCH/difftest.txt"; exit 1; }
 
+echo "== perfbench: benchmark tests + a fingerprint-checked pass per workload"
+# perfbench/expect/ records every cell's RunStats/FastStats fingerprint for
+# seeds 0-63, so a pipeline or hierarchy change that moves any counter
+# fails here, not only in the benchmark. Built into the benchmark's own
+# target directory.
+CARGO_TARGET_DIR=.bench_build cargo test --release --offline -q \
+    --manifest-path perfbench/Cargo.toml
+for w in paper-sweep replay; do
+    CARGO_TARGET_DIR=.bench_build cargo run --release --offline --quiet \
+        --manifest-path perfbench/Cargo.toml -- --workload "$w" --seed 0 --seconds 1 \
+        > "$SCRATCH/perfbench-$w.txt"
+    grep -q '"failed": 0,' "$SCRATCH/perfbench-$w.txt" || {
+        echo "perfbench $w failed a recorded fingerprint:"
+        cat "$SCRATCH/perfbench-$w.txt"; exit 1; }
+done
+
 echo "== perf smoke: hot-path overhaul holds a conservative speedup floor"
 # The committed BENCH_core.json trajectory records the full-budget margin
 # (~3.3x geomean per entry); the CI floor is deliberately low so machine

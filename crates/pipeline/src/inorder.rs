@@ -15,7 +15,7 @@
 //! front-end as the OOO core; the I-cache charges its latencies.
 
 use crate::{Bimod, ICache, PipelineConfig, RunStats};
-use ccp_cache::{CacheSim, HierarchyStats};
+use ccp_cache::CacheSim;
 use ccp_trace::{Op, Trace};
 
 /// Runs `trace` on a scalar in-order core over `cache`, reusing the
@@ -25,21 +25,7 @@ pub fn run_inorder(trace: &Trace, cache: &mut dyn CacheSim, cfg: &PipelineConfig
     let mut bimod = Bimod::new(cfg.bimod_entries);
     let mut icache = ICache::paper();
 
-    let mut stats = RunStats {
-        cycles: 0,
-        instructions: 0,
-        loads: 0,
-        stores: 0,
-        forwarded_loads: 0,
-        branch_mispredicts: 0,
-        branches: 0,
-        icache_misses: 0,
-        miss_cycles: 0,
-        ready_len_sum: 0,
-        cpi_stack: Default::default(),
-        load_sources: Default::default(),
-        hierarchy: HierarchyStats::default(),
-    };
+    let mut stats = RunStats::default();
 
     // ready[i % RING] = cycle instruction i's result is available.
     const RING: usize = 4096;
@@ -79,17 +65,7 @@ pub fn run_inorder(trace: &Trace, cache: &mut dyn CacheSim, cfg: &PipelineConfig
             Op::Load { addr } => {
                 stats.loads += 1;
                 let r = cache.read_pc(addr, inst.pc);
-                stats.load_sources = {
-                    let mut ls = stats.load_sources;
-                    match r.source {
-                        ccp_cache::HitSource::L1 => ls.l1 += 1,
-                        ccp_cache::HitSource::L1Affiliated => ls.l1_affiliated += 1,
-                        ccp_cache::HitSource::L1PrefetchBuffer => ls.l1_prefetch += 1,
-                        ccp_cache::HitSource::L2 => ls.l2 += 1,
-                        ccp_cache::HitSource::Memory => ls.memory += 1,
-                    }
-                    ls
-                };
+                stats.load_sources.record(r.source);
                 if r.l1_miss() {
                     stats.miss_cycles += u64::from(r.latency);
                 }

@@ -165,7 +165,7 @@ impl LoadSources {
         self.l1 + self.l1_affiliated + self.l1_prefetch + self.l2 + self.memory
     }
 
-    fn record(&mut self, source: HitSource) {
+    pub(crate) fn record(&mut self, source: HitSource) {
         match source {
             HitSource::L1 => self.l1 += 1,
             HitSource::L1Affiliated => self.l1_affiliated += 1,
@@ -239,6 +239,9 @@ struct RuuEntry {
     issued: bool,
     /// Cycle the result is available; `u64::MAX` until scheduled.
     done: u64,
+    /// Cycle both operands are available; `u64::MAX` until every producer
+    /// still in the window has issued (see [`operands_ready_at`]).
+    ready_at: u64,
 }
 
 /// Seeds `cache`'s memory from the trace and runs it to completion.
@@ -286,7 +289,10 @@ impl Pipeline {
     }
 
     /// Runs an instruction stream against `cache` cycle by cycle until it
-    /// drains — the streaming core behind [`Pipeline::run`]. Instructions
+    /// drains — the streaming core behind [`Pipeline::run`]. A cycle in
+    /// which no stage moves is followed by a jump to the cycle before the
+    /// next pending event, its skipped cycles credited in bulk, so memory
+    /// stalls cost host time per event rather than per cycle. Instructions
     /// are pulled from `stream` on demand and buffered only while in
     /// flight (a sliding window bounded by the IFQ + RUU sizes), so a
     /// 100M-instruction synthetic stream never materializes. The cache's
@@ -308,21 +314,7 @@ impl Pipeline {
         let mut win_base: u64 = 0;
         let mut stream_done = false;
 
-        let mut stats = RunStats {
-            cycles: 0,
-            instructions: 0,
-            loads: 0,
-            stores: 0,
-            forwarded_loads: 0,
-            branch_mispredicts: 0,
-            branches: 0,
-            icache_misses: 0,
-            miss_cycles: 0,
-            ready_len_sum: 0,
-            cpi_stack: CpiStack::default(),
-            load_sources: LoadSources::default(),
-            hierarchy: HierarchyStats::default(),
-        };
+        let mut stats = RunStats::default();
 
         // Fetch state.
         let mut next_fetch: u64 = 0;
@@ -335,6 +327,8 @@ impl Pipeline {
 
         // RUU window; the front entry is the oldest in-flight instruction.
         let mut ruu: VecDeque<RuuEntry> = VecDeque::with_capacity(cfg.ruu_size);
+        // RUU entries holding a memory op (the LSQ's occupancy).
+        let mut lsq_used: usize = 0;
 
         // Outstanding load-miss completion cycles (Figure 15 window).
         let mut outstanding: Vec<u64> = Vec::new();
@@ -373,13 +367,17 @@ impl Pipeline {
                     .pop_front()
                     .expect("window holds in-flight instructions");
                 win_base += 1;
-                if let Op::Store { addr, value } = e.op {
-                    // The architectural write happens at commit.
-                    cache.write_pc(addr, value, inst.pc);
-                    stats.stores += 1;
-                }
                 match e.op {
-                    Op::Load { .. } => stats.loads += 1,
+                    Op::Store { addr, value } => {
+                        // The architectural write happens at commit.
+                        cache.write_pc(addr, value, inst.pc);
+                        stats.stores += 1;
+                        lsq_used -= 1;
+                    }
+                    Op::Load { .. } => {
+                        stats.loads += 1;
+                        lsq_used -= 1;
+                    }
                     Op::Branch { .. } => stats.branches += 1,
                     _ => {}
                 }
@@ -391,31 +389,31 @@ impl Pipeline {
             if committed > 0 {
                 last_commit = now;
                 stats.cpi_stack.busy += 1;
-            } else if let Some(head) = ruu.front() {
-                let mem_bound = head.op.is_mem() && head.issued && head.done > now;
-                if mem_bound {
-                    stats.cpi_stack.memory += 1;
-                } else {
-                    stats.cpi_stack.core += 1;
-                }
             } else {
-                stats.cpi_stack.frontend += 1;
+                *stall_bucket(&mut stats.cpi_stack, ruu.front(), now) += 1;
             }
 
             // ---- Issue (oldest first) ---------------------------------
             outstanding.retain(|&c| c > now);
             let ruu_base = ruu.front().map(|e| e.idx).unwrap_or(next_fetch);
 
-            // Ready-queue census before issuing (Figure 15).
-            let mut ready_count = 0u32;
-            for e in ruu.iter() {
-                if !e.issued && deps_ready(e, &ruu, ruu_base, now) {
+            // Ready-queue census before issuing (Figure 15). It resolves
+            // each waiting entry's operand-ready cycle, which the issue
+            // loop then reads back, and finds the earliest pending result.
+            let mut ready_count = 0u64;
+            let mut next_done = u64::MAX;
+            for i in 0..ruu.len() {
+                if ruu[i].issued {
+                    if ruu[i].done > now {
+                        next_done = next_done.min(ruu[i].done);
+                    }
+                } else if operands_ready_at(&mut ruu, i, ruu_base) <= now {
                     ready_count += 1;
                 }
             }
             if !outstanding.is_empty() {
                 stats.miss_cycles += 1;
-                stats.ready_len_sum += u64::from(ready_count);
+                stats.ready_len_sum += ready_count;
             }
 
             let mut fu_ialu = cfg.n_ialu;
@@ -429,7 +427,7 @@ impl Pipeline {
                     break;
                 }
                 let e = ruu[i];
-                if e.issued || !deps_ready(&e, &ruu, ruu_base, now) {
+                if e.issued || operands_ready_at(&mut ruu, i, ruu_base) > now {
                     continue;
                 }
                 match e.op {
@@ -535,10 +533,10 @@ impl Pipeline {
                 }
                 let inst = window[(idx - win_base) as usize];
                 if inst.op.is_mem() {
-                    let lsq_used = ruu.iter().filter(|e| e.op.is_mem()).count();
                     if lsq_used >= cfg.lsq_size {
                         break;
                     }
+                    lsq_used += 1;
                 }
                 ifq.pop_front();
                 ruu.push_back(RuuEntry {
@@ -548,13 +546,14 @@ impl Pipeline {
                     dep2: inst.dep2,
                     issued: false,
                     done: u64::MAX,
+                    ready_at: u64::MAX,
                 });
                 dispatched += 1;
             }
 
             // ---- Fetch -------------------------------------------------
+            let mut fetched = 0;
             if now >= fetch_stall_until && waiting_branch.is_none() {
-                let mut fetched = 0;
                 while fetched < cfg.fetch_width && ifq.len() < cfg.ifq_size {
                     // Pull from the stream until the window covers the
                     // fetch point (or the stream runs dry).
@@ -598,6 +597,29 @@ impl Pipeline {
                     }
                 }
             }
+
+            // ---- Time advance ------------------------------------------
+            // A cycle in which no stage moved leaves every time test above
+            // answering the same until the earliest pending threshold, so
+            // the cycles before it are credited in bulk (DESIGN.md §4).
+            if committed == 0 && issued == 0 && dispatched == 0 && fetched == 0 {
+                // IFQ entries are available the cycle after their fetch,
+                // and this cycle fetched nothing.
+                debug_assert!(ifq.front().is_none_or(|&(_, avail)| avail <= now));
+                let mut next = next_done;
+                if fetch_stall_until > now {
+                    next = next.min(fetch_stall_until);
+                }
+                if next != u64::MAX && next > now + 1 {
+                    let idle = next - 1 - now;
+                    *stall_bucket(&mut stats.cpi_stack, ruu.front(), now) += idle;
+                    if !outstanding.is_empty() {
+                        stats.miss_cycles += idle;
+                        stats.ready_len_sum += idle * ready_count;
+                    }
+                    now = next - 1;
+                }
+            }
         }
 
         stats.cycles = now;
@@ -607,9 +629,30 @@ impl Pipeline {
     }
 }
 
-/// Are both dependences of `e` satisfied at `now`?
+/// The CPI-stack bucket of a cycle in which nothing commits: memory when
+/// the oldest instruction is a memory op waiting on the hierarchy, core
+/// when it waits on operands or a unit, front end when the window is empty.
+fn stall_bucket<'a>(stack: &'a mut CpiStack, head: Option<&RuuEntry>, now: u64) -> &'a mut u64 {
+    match head {
+        Some(h) if h.op.is_mem() && h.issued && h.done > now => &mut stack.memory,
+        Some(_) => &mut stack.core,
+        None => &mut stack.frontend,
+    }
+}
+
+/// The cycle both operands of `ruu[i]` are available, or `u64::MAX` while
+/// a producer in the window has not issued. Producers that already
+/// committed count as available; a producer precedes its consumer (traces
+/// are validated for that), so every other producer is in the window. The
+/// answer is cached in the entry once known: a producer's `done` is fixed
+/// when it issues, so the cache never goes stale.
 #[inline]
-fn deps_ready(e: &RuuEntry, ruu: &VecDeque<RuuEntry>, ruu_base: u64, now: u64) -> bool {
+fn operands_ready_at(ruu: &mut VecDeque<RuuEntry>, i: usize, ruu_base: u64) -> u64 {
+    let e = ruu[i];
+    if e.ready_at != u64::MAX {
+        return e.ready_at;
+    }
+    let mut at = 0;
     for d in [e.dep1, e.dep2] {
         if d == 0 {
             continue;
@@ -623,11 +666,13 @@ fn deps_ready(e: &RuuEntry, ruu: &VecDeque<RuuEntry>, ruu_base: u64, now: u64) -
             continue; // defensive: treat unknown as ready
         }
         let p = &ruu[off];
-        if !p.issued || p.done > now {
-            return false;
+        if !p.issued {
+            return u64::MAX;
         }
+        at = at.max(p.done);
     }
-    true
+    ruu[i].ready_at = at;
+    at
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //! configuration.
 
 use ccp_cache::{CacheSim, DesignKind, TwoLevelCache};
-use ccp_pipeline::{run_trace, PipelineConfig};
+use ccp_pipeline::{run_trace, PipelineConfig, PredictorKind};
 use ccp_trace::{ProgramCtx, Trace, H};
 use proptest::prelude::*;
 
@@ -42,6 +42,47 @@ fn bc() -> TwoLevelCache {
     TwoLevelCache::paper(DesignKind::Bc)
 }
 
+/// A random small machine: every width, queue and unit count at least one.
+fn config_strategy() -> impl Strategy<Value = PipelineConfig> {
+    (
+        (1u32..=4, 1u32..=4, 1u32..=4, 1u32..=4),
+        (1usize..=8, 1usize..=16, 1usize..=8, 1usize..=8),
+        (1u32..=4, 1u32..=2, 1u32..=4, 1u32..=2, 1u32..=2),
+        (0u32..=20, any::<bool>()),
+    )
+        .prop_map(
+            |(
+                (fw, dw, iw, cw),
+                (ifq, ruu, lsq, mshrs),
+                (ialu, imd, falu, fmd, ports),
+                (pen, gs),
+            )| {
+                PipelineConfig {
+                    fetch_width: fw,
+                    dispatch_width: dw,
+                    issue_width: iw,
+                    commit_width: cw,
+                    ifq_size: ifq,
+                    ruu_size: ruu,
+                    lsq_size: lsq,
+                    n_ialu: ialu,
+                    n_imuldiv: imd,
+                    n_falu: falu,
+                    n_fmuldiv: fmd,
+                    n_memports: ports,
+                    predictor: if gs {
+                        PredictorKind::Gshare
+                    } else {
+                        PredictorKind::Bimod
+                    },
+                    bimod_entries: 2048,
+                    mispredict_penalty: pen,
+                    mshrs,
+                }
+            },
+        )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -56,12 +97,33 @@ proptest! {
         prop_assert!(s.cycles >= (trace.len() as u64).div_ceil(4));
         prop_assert_eq!(s.cpi_stack.total(), s.cycles);
         prop_assert_eq!(
-            s.loads + s.forwarded_loads as u64 - s.forwarded_loads,
+            s.load_sources.total() + s.forwarded_loads,
             s.loads,
-            "forwarded loads are a subset of loads"
+            "every load is either forwarded or served by the hierarchy"
         );
-        prop_assert!(s.forwarded_loads <= s.loads);
+        prop_assert_eq!(
+            s.load_sources.total(),
+            s.hierarchy.l1.reads,
+            "every unforwarded load is one L1 read"
+        );
         prop_assert_eq!(s.loads + s.stores, trace.mix().loads + trace.mix().stores);
+    }
+
+    /// The cycle accounting holds on any machine, not only the paper's:
+    /// the CPI stack covers every cycle, outstanding-miss cycles are a
+    /// subset of all cycles, and the ready queue never outgrows the window.
+    #[test]
+    fn accounting_holds_on_any_config(trace in trace_strategy(), cfg in config_strategy(), cpp: bool) {
+        let mut cache: Box<dyn CacheSim> = if cpp {
+            Box::new(ccp_cpp::CppHierarchy::paper())
+        } else {
+            Box::new(bc())
+        };
+        let s = run_trace(&trace, cache.as_mut(), &cfg);
+        prop_assert_eq!(s.instructions, trace.len() as u64);
+        prop_assert_eq!(s.cpi_stack.total(), s.cycles);
+        prop_assert!(s.miss_cycles <= s.cycles);
+        prop_assert!(s.ready_len_sum <= s.miss_cycles * cfg.ruu_size as u64);
     }
 
     /// The pipeline is a function: identical runs give identical stats.
