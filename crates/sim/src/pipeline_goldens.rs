@@ -10,12 +10,13 @@
 //!   the Figure 14/15 inputs `miss_cycles`/`ready_len_sum`, hit sources,
 //!   hierarchy counters) of every [`GOLDEN_BENCHMARKS`] × design ×
 //!   {paper, halved miss penalty} cell at the paper's [`PipelineConfig`].
-//! * **Corner corpus** — seeded random programs × [`corner_configs`] ×
-//!   {BC, CPP}, one [`RunStats`] fingerprint per run in [`CORNER_FILE`].
-//!   Each configuration starves one structure (one MSHR, one LSQ slot, a
-//!   two-entry window, a one-entry IFQ, ...), so stalls end on every kind
-//!   of event the pipeline's time advance must honour: I-cache refills,
-//!   MSHR-blocked loads, mispredict restarts, functional-unit contention.
+//! * **Corner corpus** — seeded random programs × ten non-paper
+//!   configurations × {BC, CPP}, one [`RunStats`] fingerprint per run in
+//!   [`CORNER_FILE`]. Each configuration starves or exaggerates one
+//!   structure (one MSHR, one LSQ slot, a two-entry window, a one-entry
+//!   IFQ, ...), so stalls end on every kind of event the pipeline's time
+//!   advance must honour: I-cache refills, MSHR-blocked loads, mispredict
+//!   restarts, functional-unit contention.
 
 use crate::checkpoint::stats_to_json;
 use crate::difftest::{GOLDEN_BENCHMARKS, GOLDEN_BUDGET, GOLDEN_SEED};
@@ -37,12 +38,12 @@ pub const PIPELINE_GOLDEN_DIR: &str = "expected_pipeline";
 pub const CORNER_FILE: &str = "corners.txt";
 
 /// Random programs in the corner corpus (seeds `0..CORNER_PROGRAMS`).
-pub const CORNER_PROGRAMS: u64 = 8;
+const CORNER_PROGRAMS: u64 = 8;
 
 /// Designs the corner corpus runs each program on: the plain baseline and
 /// the paper's prefetching hierarchy (whose affiliated hits and partial
 /// fills give loads latencies the baseline never produces).
-pub const CORNER_DESIGNS: [DesignKind; 2] = [DesignKind::Bc, DesignKind::Cpp];
+const CORNER_DESIGNS: [DesignKind; 2] = [DesignKind::Bc, DesignKind::Cpp];
 
 /// Fixture file name of one paper cell: `{bench}.{DESIGN}.{paper|halved}.json`.
 pub fn pipeline_fixture_name(bench: &str, design: DesignKind, halved: bool) -> String {
@@ -75,7 +76,7 @@ pub fn pipeline_golden_doc(bench: &Benchmark, design: DesignKind, halved: bool) 
 
 /// The corner corpus's pipeline configurations: each differs from the
 /// paper's in one starved or exaggerated structure.
-pub fn corner_configs() -> Vec<(&'static str, PipelineConfig)> {
+fn corner_configs() -> Vec<(&'static str, PipelineConfig)> {
     let with = |f: fn(&mut PipelineConfig)| {
         let mut c = PipelineConfig::paper();
         f(&mut c);
@@ -147,7 +148,7 @@ const COLD_WORDS: u32 = 1 << 18;
 /// with the last cold access, and memory words mix small values,
 /// same-region pointers and incompressible noise; operands
 /// depend on one of the last eight results or on nothing.
-pub fn corner_program(seed: u64) -> Trace {
+fn corner_program(seed: u64) -> Trace {
     let mut rng = SplitMix(seed ^ 0xC0DE_C0DE);
     let mut ctx = ProgramCtx::new(&format!("corner{seed}"));
     let value = |rng: &mut SplitMix, addr: u32| match rng.below(3) {
@@ -213,7 +214,7 @@ pub fn corner_program(seed: u64) -> Trace {
 
 /// 64-bit FNV-1a over a [`RunStats`]' JSON rendering: every counter feeds
 /// it, so any changed counter changes the fingerprint.
-pub fn stats_fingerprint(s: &RunStats) -> u64 {
+fn stats_fingerprint(s: &RunStats) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in stats_to_json(s).to_string().bytes() {
         h ^= u64::from(b);
