@@ -30,6 +30,14 @@ C2_PID=""
 OV_PID=""
 trap 'for p in $SERVED_PID $W1_PID $W2_PID $C1_PID $C2_PID $OV_PID; do kill -9 "$p" 2>/dev/null || true; done; rm -rf "$SCRATCH"' EXIT
 
+echo "== examples: every facade example runs to completion"
+# The examples are the facade's usage docs; each must exit 0.
+for ex in examples/*.rs; do
+    name="$(basename "$ex" .rs)"
+    cargo run --release --quiet --example "$name" > "$SCRATCH/example-$name.txt" || {
+        echo "example $name failed"; exit 1; }
+done
+
 echo "== ccp-lint: workspace invariants (deny warnings)"
 ./target/release/ccp-lint --deny warnings --json "$SCRATCH/lint-report.json"
 grep -q '"failed":false' "$SCRATCH/lint-report.json" || {

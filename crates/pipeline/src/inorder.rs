@@ -165,7 +165,7 @@ mod tests {
         let b = ccp_trace::benchmark_by_name("health").unwrap();
         let t = b.trace(20_000, 1);
         let cfg = PipelineConfig::paper();
-        let ooo = crate::run_trace(&t, &mut bc(), &cfg);
+        let ooo = crate::run_source(&t, &mut bc(), &cfg);
         let ino = run_inorder(&t, &mut bc(), &cfg);
         assert!(
             ino.cycles > ooo.cycles,

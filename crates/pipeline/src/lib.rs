@@ -6,7 +6,7 @@
 //! LSQ, 4 integer ALUs + 1 mult/div, 4 FP ALUs + 1 FP mult/div, 2 memory
 //! ports, 8 KB direct-mapped I-cache (1/10-cycle hit/miss).
 //!
-//! The pipeline replays a [`ccp_trace::Trace`] against any
+//! The pipeline replays any [`ccp_trace::TraceSource`] against any
 //! [`ccp_cache::CacheSim`] data-memory hierarchy:
 //!
 //! * **Fetch** — up to 4 instructions/cycle through the I-cache into the
@@ -36,7 +36,7 @@ pub use icache::ICache;
 pub use inorder::run_inorder;
 
 use ccp_cache::{CacheSim, HierarchyStats, HitSource};
-use ccp_trace::{Inst, Op, Trace, TraceSource};
+use ccp_trace::{Inst, Op, TraceSource};
 use std::collections::VecDeque;
 
 /// Pipeline configuration (defaults = paper Figure 9).
@@ -244,15 +244,10 @@ struct RuuEntry {
     ready_at: u64,
 }
 
-/// Seeds `cache`'s memory from the trace and runs it to completion.
-pub fn run_trace(trace: &Trace, cache: &mut dyn CacheSim, cfg: &PipelineConfig) -> RunStats {
-    *cache.mem_mut() = trace.initial_mem.clone();
-    Pipeline::new(*cfg).run(trace, cache)
-}
-
 /// Seeds `cache`'s memory from `source` and runs its stream to completion
-/// — the streaming counterpart of [`run_trace`]: memory use is bounded by
-/// the in-flight window (IFQ + RUU), not the stream length.
+/// — the one out-of-order entry point. A materialized [`ccp_trace::Trace`]
+/// is a source too; for a streaming one, memory use is bounded by the
+/// in-flight window (IFQ + RUU), not the stream length.
 pub fn run_source(
     source: &dyn TraceSource,
     cache: &mut dyn CacheSim,
@@ -281,15 +276,8 @@ impl Pipeline {
         }
     }
 
-    /// Runs `trace` against `cache` cycle by cycle until every instruction
-    /// commits. The cache's memory must already hold the trace's initial
-    /// image (see [`run_trace`]).
-    pub fn run(&mut self, trace: &Trace, cache: &mut dyn CacheSim) -> RunStats {
-        self.run_stream(trace.insts.iter().copied(), cache)
-    }
-
     /// Runs an instruction stream against `cache` cycle by cycle until it
-    /// drains — the streaming core behind [`Pipeline::run`]. A cycle in
+    /// drains — the core behind [`run_source`]. A cycle in
     /// which no stage moves is followed by a jump to the cycle before the
     /// next pending event, its skipped cycles credited in bulk, so memory
     /// stalls cost host time per event rather than per cycle. Instructions
@@ -693,7 +681,7 @@ mod tests {
         }
         let t = ctx.finish();
         let mut c = bc();
-        let s = run_trace(&t, &mut c, &PipelineConfig::paper());
+        let s = run_source(&t, &mut c, &PipelineConfig::paper());
         assert_eq!(s.instructions, 100);
         assert!(s.cycles >= 25, "4-wide bound: {}", s.cycles);
         assert!(s.cycles < 100, "independent ALUs should overlap");
@@ -708,7 +696,7 @@ mod tests {
         }
         let t = ctx.finish();
         let mut c = bc();
-        let s = run_trace(&t, &mut c, &PipelineConfig::paper());
+        let s = run_source(&t, &mut c, &PipelineConfig::paper());
         assert!(
             s.cycles >= 100,
             "a dependence chain cannot beat 1 IPC: {}",
@@ -727,7 +715,7 @@ mod tests {
         }
         let t = ctx.finish();
         let mut c = bc();
-        let s = run_trace(&t, &mut c, &PipelineConfig::paper());
+        let s = run_source(&t, &mut c, &PipelineConfig::paper());
         assert!(s.cycles > 100, "memory latency must show: {}", s.cycles);
         assert!(s.miss_cycles >= 90, "outstanding miss window tracked");
     }
@@ -741,7 +729,7 @@ mod tests {
         }
         let t = ctx.finish();
         let mut c = bc();
-        let s = run_trace(&t, &mut c, &PipelineConfig::paper());
+        let s = run_source(&t, &mut c, &PipelineConfig::paper());
         // 1 miss (100) + 50 hits over 2 ports ≈ well under serial misses.
         assert!(s.cycles < 250, "{}", s.cycles);
     }
@@ -754,7 +742,7 @@ mod tests {
         ctx.load(0x6000, H::NONE);
         let t = ctx.finish();
         let mut c = bc();
-        let s = run_trace(&t, &mut c, &PipelineConfig::paper());
+        let s = run_source(&t, &mut c, &PipelineConfig::paper());
         assert_eq!(s.forwarded_loads, 1);
         // The load never touched the cache; only the commit-time store did.
         assert_eq!(s.hierarchy.l1.reads, 0);
@@ -777,8 +765,8 @@ mod tests {
         let always = build(false);
         let alternating = build(true);
         let cfg = PipelineConfig::paper();
-        let s1 = run_trace(&always, &mut bc(), &cfg);
-        let s2 = run_trace(&alternating, &mut bc(), &cfg);
+        let s1 = run_source(&always, &mut bc(), &cfg);
+        let s2 = run_source(&alternating, &mut bc(), &cfg);
         assert!(s2.branch_mispredicts > s1.branch_mispredicts + 50);
         assert!(
             s2.cycles > s1.cycles,
@@ -796,7 +784,7 @@ mod tests {
             ctx.alu(H::NONE, H::NONE);
         }
         let t = ctx.finish();
-        let s = run_trace(&t, &mut bc(), &PipelineConfig::paper());
+        let s = run_source(&t, &mut bc(), &PipelineConfig::paper());
         // 400 insts × 4 B = 1600 B = 25 blocks ⇒ ~25 I-misses.
         assert!(s.icache_misses >= 20, "{}", s.icache_misses);
         assert!(s.cycles > 250, "I-miss stalls must show: {}", s.cycles);
@@ -815,7 +803,7 @@ mod tests {
         ctx.store(0x7000, 99, H::NONE, d);
         ctx.load(0x7000, H::NONE);
         let t = ctx.finish();
-        let s = run_trace(&t, &mut bc(), &PipelineConfig::paper());
+        let s = run_source(&t, &mut bc(), &PipelineConfig::paper());
         assert_eq!(s.forwarded_loads, 1, "load forwards once store resolves");
     }
 
@@ -828,7 +816,7 @@ mod tests {
             ctx.alu(H::NONE, H::NONE);
         }
         let t = ctx.finish();
-        let s = run_trace(&t, &mut bc(), &PipelineConfig::paper());
+        let s = run_source(&t, &mut bc(), &PipelineConfig::paper());
         assert!(s.ipc() <= 4.0 + 1e-9);
         assert!(
             s.ipc() > 2.0,
@@ -841,8 +829,8 @@ mod tests {
     fn deterministic_across_runs() {
         let b = ccp_trace::benchmark_by_name("health").unwrap();
         let t = b.trace(5000, 3);
-        let s1 = run_trace(&t, &mut bc(), &PipelineConfig::paper());
-        let s2 = run_trace(&t, &mut bc(), &PipelineConfig::paper());
+        let s1 = run_source(&t, &mut bc(), &PipelineConfig::paper());
+        let s2 = run_source(&t, &mut bc(), &PipelineConfig::paper());
         assert_eq!(s1.cycles, s2.cycles);
         assert_eq!(s1.hierarchy, s2.hierarchy);
     }
@@ -852,10 +840,10 @@ mod tests {
         let b = ccp_trace::benchmark_by_name("mcf").unwrap();
         let t = b.trace(20_000, 3);
         let mut c1 = bc();
-        let s1 = run_trace(&t, &mut c1, &PipelineConfig::paper());
+        let s1 = run_source(&t, &mut c1, &PipelineConfig::paper());
         let mut c2 = bc();
         c2.set_latencies(c2.latencies().halved_miss_penalty());
-        let s2 = run_trace(&t, &mut c2, &PipelineConfig::paper());
+        let s2 = run_source(&t, &mut c2, &PipelineConfig::paper());
         assert!(
             s2.cycles < s1.cycles,
             "halving miss penalty must help: {} vs {}",
@@ -868,7 +856,7 @@ mod tests {
     fn cpi_stack_accounts_every_cycle() {
         let b = ccp_trace::benchmark_by_name("mst").unwrap();
         let t = b.trace(8000, 2);
-        let s = run_trace(&t, &mut bc(), &PipelineConfig::paper());
+        let s = run_source(&t, &mut bc(), &PipelineConfig::paper());
         assert_eq!(s.cpi_stack.total(), s.cycles, "every cycle attributed");
         assert!(s.cpi_stack.busy > 0);
     }
@@ -883,7 +871,7 @@ mod tests {
             d = h;
         }
         let t = ctx.finish();
-        let s = run_trace(&t, &mut bc(), &PipelineConfig::paper());
+        let s = run_source(&t, &mut bc(), &PipelineConfig::paper());
         assert!(
             s.cpi_stack.memory_fraction() > 0.8,
             "pointer-chase of cold lines is memory bound: {:?}",
@@ -901,7 +889,7 @@ mod tests {
             d = ctx.div(d, H::NONE); // 20-cycle serial divides
         }
         let t = ctx.finish();
-        let s = run_trace(&t, &mut bc(), &PipelineConfig::paper());
+        let s = run_source(&t, &mut bc(), &PipelineConfig::paper());
         assert!(
             s.cpi_stack.core > s.cpi_stack.memory,
             "divide chain is core bound: {:?}",
@@ -923,9 +911,9 @@ mod tests {
         };
         let t = build();
         let mut cfg = PipelineConfig::paper();
-        let wide = run_trace(&t, &mut bc(), &cfg);
+        let wide = run_source(&t, &mut bc(), &cfg);
         cfg.mshrs = 1;
-        let narrow = run_trace(&t, &mut bc(), &cfg);
+        let narrow = run_source(&t, &mut bc(), &cfg);
         assert!(
             narrow.cycles > wide.cycles + 100,
             "1 MSHR must serialize independent misses: {} vs {}",
@@ -947,7 +935,7 @@ mod tests {
             ];
             for mut d in designs {
                 let name = d.name();
-                let s = run_trace(&t, d.as_mut(), &cfg);
+                let s = run_source(&t, d.as_mut(), &cfg);
                 assert_eq!(
                     s.instructions,
                     t.len() as u64,

@@ -3,7 +3,7 @@
 //! configuration.
 
 use ccp_cache::{CacheSim, DesignKind, TwoLevelCache};
-use ccp_pipeline::{run_trace, PipelineConfig, PredictorKind};
+use ccp_pipeline::{run_source, PipelineConfig, PredictorKind};
 use ccp_trace::{ProgramCtx, Trace, H};
 use proptest::prelude::*;
 
@@ -91,7 +91,7 @@ proptest! {
     #[test]
     fn structural_bounds(trace in trace_strategy()) {
         let mut c = bc();
-        let s = run_trace(&trace, &mut c, &PipelineConfig::paper());
+        let s = run_source(&trace, &mut c, &PipelineConfig::paper());
         prop_assert_eq!(s.instructions, trace.len() as u64);
         prop_assert!(s.ipc() <= 4.0 + 1e-9);
         prop_assert!(s.cycles >= (trace.len() as u64).div_ceil(4));
@@ -119,7 +119,7 @@ proptest! {
         } else {
             Box::new(bc())
         };
-        let s = run_trace(&trace, cache.as_mut(), &cfg);
+        let s = run_source(&trace, cache.as_mut(), &cfg);
         prop_assert_eq!(s.instructions, trace.len() as u64);
         prop_assert_eq!(s.cpi_stack.total(), s.cycles);
         prop_assert!(s.miss_cycles <= s.cycles);
@@ -129,8 +129,8 @@ proptest! {
     /// The pipeline is a function: identical runs give identical stats.
     #[test]
     fn determinism(trace in trace_strategy()) {
-        let s1 = run_trace(&trace, &mut bc(), &PipelineConfig::paper());
-        let s2 = run_trace(&trace, &mut bc(), &PipelineConfig::paper());
+        let s1 = run_source(&trace, &mut bc(), &PipelineConfig::paper());
+        let s2 = run_source(&trace, &mut bc(), &PipelineConfig::paper());
         prop_assert_eq!(s1.cycles, s2.cycles);
         prop_assert_eq!(s1.hierarchy, s2.hierarchy);
         prop_assert_eq!(s1.cpi_stack, s2.cpi_stack);
@@ -140,10 +140,10 @@ proptest! {
     /// prefetching, so timing is monotone in the latency parameters).
     #[test]
     fn monotone_in_miss_penalty(trace in trace_strategy()) {
-        let slow = run_trace(&trace, &mut bc(), &PipelineConfig::paper());
+        let slow = run_source(&trace, &mut bc(), &PipelineConfig::paper());
         let mut fast_cache = bc();
         fast_cache.set_latencies(fast_cache.latencies().halved_miss_penalty());
-        let fast = run_trace(&trace, &mut fast_cache, &PipelineConfig::paper());
+        let fast = run_source(&trace, &mut fast_cache, &PipelineConfig::paper());
         prop_assert!(
             fast.cycles <= slow.cycles,
             "halved penalties took longer: {} vs {}",
@@ -156,13 +156,13 @@ proptest! {
     /// trace and cache design.
     #[test]
     fn wider_is_not_slower(trace in trace_strategy()) {
-        let wide = run_trace(&trace, &mut bc(), &PipelineConfig::paper());
+        let wide = run_source(&trace, &mut bc(), &PipelineConfig::paper());
         let mut narrow_cfg = PipelineConfig::paper();
         narrow_cfg.fetch_width = 1;
         narrow_cfg.dispatch_width = 1;
         narrow_cfg.issue_width = 1;
         narrow_cfg.commit_width = 1;
-        let narrow = run_trace(&trace, &mut bc(), &narrow_cfg);
+        let narrow = run_source(&trace, &mut bc(), &narrow_cfg);
         prop_assert!(
             wide.cycles <= narrow.cycles,
             "4-wide slower than 1-wide: {} vs {}",
@@ -176,7 +176,7 @@ proptest! {
     #[test]
     fn memory_state_matches_functional_replay(trace in trace_strategy()) {
         let mut c = bc();
-        run_trace(&trace, &mut c, &PipelineConfig::paper());
+        run_source(&trace, &mut c, &PipelineConfig::paper());
         let mut functional = trace.initial_mem.clone();
         for i in &trace.insts {
             if let ccp_trace::Op::Store { addr, value } = i.op {

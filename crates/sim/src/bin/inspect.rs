@@ -13,9 +13,10 @@
 //! EXIT CODE: 0 ok · 1 write failure · 2 usage error
 
 use ccp_cache::DesignKind;
+use ccp_schemes::SchemeKind;
 use ccp_sim::checkpoint::stats_to_json;
 use ccp_sim::json::{write_atomic, Json};
-use ccp_sim::sweep::run_cell;
+use ccp_sim::sweep::run_cell_source_scheme;
 use ccp_trace::benchmark_by_name;
 
 const USAGE: &str = "usage: inspect <benchmark> [--budget N] [--seed S] [--json FILE]";
@@ -70,7 +71,7 @@ fn main() {
     );
     let mut cells: Vec<(&'static str, Json)> = Vec::new();
     for d in DesignKind::ALL {
-        let s = run_cell(&trace, d, false);
+        let s = run_cell_source_scheme(&trace, d, SchemeKind::Cpp, false);
         let h = s.hierarchy;
         println!("\n== {} ==", d.name());
         println!(

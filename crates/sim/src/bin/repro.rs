@@ -21,7 +21,7 @@ use ccp_errors::{SimError, SimResult};
 use ccp_sim::experiments as exp;
 use ccp_sim::extensions as ext;
 use ccp_sim::json::{normalized_figure_json, Json};
-use ccp_sim::sweep::{run_sweep_on, Sweep, SweepConfig};
+use ccp_sim::sweep::{run_sweep, Sweep, SweepConfig};
 use ccp_trace::{all_benchmarks, benchmark_by_name, Benchmark};
 
 /// A typed bad-usage error: `class() == "spec"` maps to exit code 2.
@@ -59,7 +59,34 @@ struct Args {
     dispatch: Option<ccp_compress::LaneDispatch>,
 }
 
-fn parse_args() -> SimResult<Args> {
+/// Figures 3 and 9–15, in paper order: what `all` (and no figure at all)
+/// stands for.
+const ALL_FIGURES: [&str; 8] = [
+    "fig3", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
+];
+
+/// Every extension table: what `ext` stands for.
+const EXT_TABLES: [&str; 7] = ["exta", "extb", "extc", "extd", "exte", "extf", "extg"];
+
+/// Expands the `all` and `ext` aliases in place, so a figure named beside
+/// them still runs, in the order given.
+fn expand_figures(named: Vec<String>) -> Vec<String> {
+    let named = if named.is_empty() {
+        vec!["all".to_string()]
+    } else {
+        named
+    };
+    named
+        .into_iter()
+        .flat_map(|f| match f.as_str() {
+            "all" => ALL_FIGURES.map(String::from).to_vec(),
+            "ext" => EXT_TABLES.map(String::from).to_vec(),
+            _ => vec![f],
+        })
+        .collect()
+}
+
+fn parse_args(mut it: impl Iterator<Item = String>) -> SimResult<Args> {
     let mut budget = 400_000usize;
     let mut seed = 1u64;
     let mut threads = 0usize;
@@ -73,7 +100,6 @@ fn parse_args() -> SimResult<Args> {
     let mut schemes = ccp_schemes::SchemeKind::ALL.to_vec();
     let mut dispatch = None;
     let value = |flag: &str, v: Option<String>| v.ok_or_else(|| spec_err(flag, "needs a value"));
-    let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
             "--budget" => {
@@ -142,26 +168,12 @@ fn parse_args() -> SimResult<Args> {
             }
         }
     }
-    if figures.is_empty() || figures.iter().any(|f| f == "all") {
-        figures = [
-            "fig3", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    }
-    if figures.iter().any(|f| f == "ext") {
-        figures.retain(|f| f != "ext");
-        for f in ["exta", "extb", "extc", "extd", "exte", "extf", "extg"] {
-            figures.push(f.to_string());
-        }
-    }
     Ok(Args {
         budget,
         seed,
         threads,
         benchmarks,
-        figures,
+        figures: expand_figures(figures),
         json_path,
         bars,
         min_speedup,
@@ -209,7 +221,7 @@ usage: repro [--budget N] [--seed S] [--threads T] [--benchmarks a,b,..] [--json
            it as JSON to --out (default SCHEMES_report.json)";
 
 fn main() {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error [{}]: {e}", e.class());
@@ -229,11 +241,12 @@ fn main() {
     let needs_halved = args.figures.iter().any(|f| f == "fig14");
 
     let mut cfg = SweepConfig::new(args.budget, args.seed);
+    cfg.workloads = args.benchmarks.iter().map(|b| b.full_name()).collect();
     cfg.threads = args.threads;
 
-    // A sweep failure (bad workload, invariant violation) is a typed
-    // SimError: report it on stderr and exit non-zero instead of panicking.
-    let run_or_die = |cfg: &SweepConfig| match run_sweep_on(&args.benchmarks, cfg) {
+    // A sweep failure (bad workload, a crashed cell) is a typed SimError:
+    // report it on stderr and exit non-zero instead of panicking.
+    let run_or_die = |cfg: &SweepConfig| match run_sweep(cfg) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("error [{}]: {e}", e.class());
@@ -529,5 +542,35 @@ fn main() {
             std::process::exit(1);
         }
         eprintln!("wrote JSON results to {}", path.display());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn figures(argv: &[&str]) -> Vec<String> {
+        parse_args(argv.iter().map(|a| a.to_string()))
+            .expect("valid arguments")
+            .figures
+    }
+
+    #[test]
+    fn all_and_ext_expand_in_place() {
+        let all = ALL_FIGURES.to_vec();
+        let ext = EXT_TABLES.to_vec();
+        assert_eq!(figures(&[]), all);
+        assert_eq!(figures(&["--budget", "20000", "all"]), all);
+        assert_eq!(figures(&["ext"]), ext);
+        assert_eq!(figures(&["all", "ext"]), [&all[..], &ext[..]].concat());
+        assert_eq!(
+            figures(&["all", "workgen"]),
+            [&all[..], &["workgen"]].concat()
+        );
+        assert_eq!(
+            figures(&["fig3", "all", "fig9"]),
+            [&["fig3"], &all[..], &["fig9"]].concat()
+        );
+        assert_eq!(figures(&["ext", "fig3"]), [&ext[..], &["fig3"]].concat());
     }
 }

@@ -24,7 +24,7 @@
 
 use ccp_cache::DesignKind;
 use ccp_compress::profile::ValueProfile;
-use ccp_pipeline::{run_trace, PipelineConfig};
+use ccp_pipeline::{run_source, PipelineConfig};
 use ccp_sim::sweep::Workload;
 use ccp_sim::{build_design, chaos, fastsim};
 use ccp_trace::{all_benchmarks, benchmark_by_name, profile_source_values, Trace, TraceSource};
@@ -313,7 +313,7 @@ fn main() {
                 DesignKind::Cpp
             };
             let mut cache = build_design(design);
-            let s = run_trace(&t, cache.as_mut(), &PipelineConfig::paper());
+            let s = run_source(&t, cache.as_mut(), &PipelineConfig::paper());
             println!(
                 "{} on {}: {} cycles (IPC {:.3}), L1 miss {:.2}%, traffic {} half-words",
                 t.name,

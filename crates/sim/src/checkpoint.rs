@@ -352,13 +352,14 @@ pub fn stats_from_json(j: &Json) -> SimResult<RunStats> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::run_cell_source;
-    use ccp_trace::{benchmark_by_name, BenchSource, TraceSource};
+    use crate::sweep::run_cell_source_scheme;
+    use ccp_schemes::SchemeKind;
+    use ccp_trace::{benchmark_by_name, BenchSource};
 
     fn sample_stats() -> RunStats {
         let b = benchmark_by_name("health").unwrap();
         let src = BenchSource::new(b, 1_500, 3);
-        run_cell_source(&src as &dyn TraceSource, DesignKind::Cpp, false)
+        run_cell_source_scheme(&src, DesignKind::Cpp, SchemeKind::Cpp, false)
     }
 
     fn temp_path(tag: &str) -> PathBuf {

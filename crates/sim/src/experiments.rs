@@ -390,13 +390,6 @@ pub fn compressibility_sweep(
     let fractions: Vec<f64> = (0..points)
         .map(|i| top * i as f64 / (points - 1) as f64)
         .collect();
-    let threads = if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(4)
-    } else {
-        threads
-    };
     crate::sweep::parallel_map(&fractions, threads, |&small| {
         let mut spec = *base;
         spec.value.small_fraction = small;
@@ -455,17 +448,13 @@ pub fn render_compressibility_sweep(base: &WorkgenSpec, rows: &[CompressSweepPoi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::{run_sweep_on, SweepConfig};
-    use ccp_trace::benchmark_by_name;
+    use crate::sweep::{run_sweep, SweepConfig};
 
     fn small_sweep(budget: usize) -> Sweep {
-        let benches = [
-            benchmark_by_name("health").unwrap(),
-            benchmark_by_name("129.compress").unwrap(),
-        ];
         let mut cfg = SweepConfig::new(budget, 3);
+        cfg.workloads = vec!["health".into(), "129.compress".into()];
         cfg.threads = 4;
-        run_sweep_on(&benches, &cfg).expect("sweep")
+        run_sweep(&cfg).expect("sweep")
     }
 
     #[test]
@@ -527,12 +516,12 @@ mod tests {
 
     #[test]
     fn figure14_fractions_in_range() {
-        let benches = [benchmark_by_name("mcf").unwrap()];
         let mut cfg = SweepConfig::new(5_000, 3);
+        cfg.workloads = vec!["mcf".into()];
         cfg.threads = 4;
-        let normal = run_sweep_on(&benches, &cfg).expect("sweep");
+        let normal = run_sweep(&cfg).expect("sweep");
         cfg.halved_miss_penalty = true;
-        let halved = run_sweep_on(&benches, &cfg).expect("sweep");
+        let halved = run_sweep(&cfg).expect("sweep");
         let fig = figure14(&normal, &halved);
         for (_, vals) in &fig.rows {
             for &v in vals {

@@ -9,12 +9,13 @@
 //! * [`cpi_stacks`] — per-design cycle attribution (busy / front-end /
 //!   memory / core), showing *where* CPP buys its time back.
 
-use crate::build_design;
 use crate::report::{f2, pct, render_table};
+use crate::{build_design, build_design_scheme};
 use ccp_cache::{CacheSim, DesignKind, HierarchyConfig, StrideHierarchy, VictimHierarchy};
 use ccp_compress::fvc::FrequentValueTable;
 use ccp_compress::{bus_halfwords, is_compressible};
-use ccp_pipeline::{run_inorder, run_trace, CpiStack, PipelineConfig, RunStats};
+use ccp_pipeline::{run_inorder, run_source, CpiStack, PipelineConfig, RunStats};
+use ccp_schemes::SchemeKind;
 use ccp_trace::{all_benchmarks, Benchmark, Trace};
 use serde::Serialize;
 
@@ -38,7 +39,7 @@ pub struct StrideRow {
 }
 
 fn run_design(trace: &Trace, mut cache: Box<dyn CacheSim>) -> RunStats {
-    run_trace(trace, cache.as_mut(), &PipelineConfig::paper())
+    run_source(trace, cache.as_mut(), &PipelineConfig::paper())
 }
 
 /// Compares the three prefetching policies (next-line buffer, stride RPT,
@@ -314,7 +315,7 @@ pub fn conflict_comparison(benchmarks: &[Benchmark], budget: usize, seed: u64) -
             let cpp = run_design(&trace, build_design(DesignKind::Cpp));
             let mut cwb_cfg = HierarchyConfig::paper(DesignKind::Cpp);
             cwb_cfg.compress_writebacks = true;
-            let cwb = run_design(&trace, crate::build_design_with(cwb_cfg));
+            let cwb = run_design(&trace, build_design_scheme(cwb_cfg, SchemeKind::Cpp));
             let base_c = bc.cycles as f64;
             let base_t = bc.hierarchy.memory_traffic_halfwords().max(1) as f64;
             ConflictRow {
@@ -458,8 +459,8 @@ pub fn core_model_study(benchmarks: &[Benchmark], budget: usize, seed: u64) -> V
             let trace = b.trace(budget, seed);
             let mut bc1 = build_design(DesignKind::Bc);
             let mut cpp1 = build_design(DesignKind::Cpp);
-            let ooo = run_trace(&trace, cpp1.as_mut(), &cfg).cycles as f64
-                / run_trace(&trace, bc1.as_mut(), &cfg).cycles as f64;
+            let ooo = run_source(&trace, cpp1.as_mut(), &cfg).cycles as f64
+                / run_source(&trace, bc1.as_mut(), &cfg).cycles as f64;
             let mut bc2 = build_design(DesignKind::Bc);
             let mut cpp2 = build_design(DesignKind::Cpp);
             let inorder = run_inorder(&trace, cpp2.as_mut(), &cfg).cycles as f64
@@ -516,12 +517,12 @@ pub fn size_sensitivity(benchmark: &Benchmark, budget: usize, seed: u64) -> Vec<
                 let mut hc = HierarchyConfig::paper(design);
                 hc.l1 = CacheGeometry::new(kb * 1024, hc.l1.assoc(), 64);
                 hc.l2 = CacheGeometry::new(8 * kb * 1024, hc.l2.assoc(), 128);
-                crate::build_design_with(hc)
+                build_design_scheme(hc, SchemeKind::Cpp)
             };
             let mut bc = mk(DesignKind::Bc);
-            let sb = run_trace(&trace, bc.as_mut(), &cfg);
+            let sb = run_source(&trace, bc.as_mut(), &cfg);
             let mut cpp = mk(DesignKind::Cpp);
-            let sc = run_trace(&trace, cpp.as_mut(), &cfg);
+            let sc = run_source(&trace, cpp.as_mut(), &cfg);
             SensitivityRow {
                 l1_kb: kb,
                 bc_cycles: sb.cycles,
@@ -710,15 +711,14 @@ mod tests {
 
     #[test]
     fn compressed_writebacks_reduce_traffic_on_store_heavy_work() {
-        use ccp_pipeline::run_trace as rt;
         let b = benchmark_by_name("300.twolf").unwrap();
         let trace = b.trace(30_000, 3);
         let mut plain = build_design(DesignKind::Cpp);
-        let s1 = rt(&trace, plain.as_mut(), &PipelineConfig::paper());
+        let s1 = run_source(&trace, plain.as_mut(), &PipelineConfig::paper());
         let mut cfg = HierarchyConfig::paper(DesignKind::Cpp);
         cfg.compress_writebacks = true;
-        let mut cwb = crate::build_design_with(cfg);
-        let s2 = rt(&trace, cwb.as_mut(), &PipelineConfig::paper());
+        let mut cwb = build_design_scheme(cfg, SchemeKind::Cpp);
+        let s2 = run_source(&trace, cwb.as_mut(), &PipelineConfig::paper());
         assert_eq!(s1.cycles, s2.cycles, "the knob only changes bus accounting");
         assert!(
             s2.hierarchy.mem_bus.out_halfwords < s1.hierarchy.mem_bus.out_halfwords,

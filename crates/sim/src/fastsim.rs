@@ -189,7 +189,7 @@ mod tests {
         let mut f = build_design(DesignKind::Bc);
         let fs = run_functional(&t, f.as_mut(), 0);
         let mut p = build_design(DesignKind::Bc);
-        let ps = ccp_pipeline::run_trace(&t, p.as_mut(), &ccp_pipeline::PipelineConfig::paper());
+        let ps = ccp_pipeline::run_source(&t, p.as_mut(), &ccp_pipeline::PipelineConfig::paper());
         let fm = fs.hierarchy.l1.misses() as f64;
         let pm = ps.hierarchy.l1.misses() as f64;
         assert!(

@@ -165,8 +165,7 @@ impl JobCtl<'_> {
 /// A [`TraceSource`] wrapper adding the per-job guard rails: instruction
 /// counting (for progress), a hard streamed-instruction limit (watchdog),
 /// and cooperative cancellation. The flags are atomics so the wrapper can
-/// be shared read-only with the pipeline exactly like the sweep's
-/// `WatchdogSource`.
+/// be shared read-only with the pipeline like any other source.
 struct GuardedSource<'a> {
     inner: &'a dyn TraceSource,
     ctl: &'a JobCtl<'a>,
@@ -331,7 +330,6 @@ fn run_fault_probe(spec: &JobSpec, workload: &Workload, fault: &str) -> SimResul
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::run_cell_source;
 
     fn quick(workload: &str, design: &str) -> JobSpec {
         let mut s = JobSpec::new(workload, design);
@@ -347,7 +345,7 @@ mod tests {
         // Same computation as a sweep cell over the same source.
         let w = Workload::by_name("health").unwrap();
         let src = w.source(2_000, 7);
-        let cell = run_cell_source(src.as_ref(), DesignKind::Cpp, false);
+        let cell = run_cell_source_scheme(src.as_ref(), DesignKind::Cpp, SchemeKind::Cpp, false);
         assert_eq!(stats.cycles, cell.cycles);
         assert_eq!(stats.instructions, cell.instructions);
     }

@@ -49,16 +49,11 @@ use ccp_schemes::{BdiScheme, FpcScheme, SchemeKind};
 /// Instantiates the hierarchy for any of the paper's five designs in its
 /// §4.1 configuration, under the paper's compression scheme.
 pub fn build_design(kind: DesignKind) -> Box<dyn CacheSim> {
-    build_design_with(HierarchyConfig::paper(kind))
+    build_design_scheme(HierarchyConfig::paper(kind), SchemeKind::Cpp)
 }
 
-/// Instantiates a hierarchy from an explicit configuration (ablations),
-/// under the paper's compression scheme.
-pub fn build_design_with(cfg: HierarchyConfig) -> Box<dyn CacheSim> {
-    build_design_scheme(cfg, SchemeKind::Cpp)
-}
-
-/// Instantiates a hierarchy from a configuration and a compression scheme.
+/// Instantiates a hierarchy from a configuration (the paper's §4.1 one or
+/// an ablation of it) and a compression scheme.
 ///
 /// The scheme is resolved to a concrete type *here*, once, at construction:
 /// each arm boxes a fully monomorphized hierarchy, so the replay hot path
@@ -93,7 +88,7 @@ mod tests {
     fn factory_respects_custom_config() {
         let mut cfg = HierarchyConfig::paper(DesignKind::Cpp);
         cfg.evict_whole_affiliated_line = true;
-        let d = build_design_with(cfg);
+        let d = build_design_scheme(cfg, SchemeKind::Cpp);
         assert_eq!(d.name(), "CPP");
     }
 }

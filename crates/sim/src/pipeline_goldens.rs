@@ -24,7 +24,7 @@ use crate::json::{write_atomic, Json};
 use crate::sweep::run_cell_source_scheme;
 use ccp_cache::DesignKind;
 use ccp_errors::{SimError, SimResult};
-use ccp_pipeline::{run_trace, PipelineConfig, PredictorKind, RunStats};
+use ccp_pipeline::{run_source, PipelineConfig, PredictorKind, RunStats};
 use ccp_schemes::SchemeKind;
 use ccp_trace::{benchmark_by_name, Benchmark, ProgramCtx, Trace, H};
 use std::fmt::Write as _;
@@ -237,7 +237,7 @@ pub fn corner_table() -> String {
         for (name, cfg) in &configs {
             for design in CORNER_DESIGNS {
                 let mut cache = crate::build_design(design);
-                let st = run_trace(&trace, cache.as_mut(), cfg);
+                let st = run_source(&trace, cache.as_mut(), cfg);
                 let _ = writeln!(
                     s,
                     "{} {name} {} {} {:016x}",

@@ -6,7 +6,8 @@
 //! uninterrupted run — regardless of where the cut fell or how many
 //! worker threads either run used.
 
-use ccp_sim::sweep::{run_sweep_resilient, CellStatus, ResilienceConfig};
+use ccp_cache::DesignKind;
+use ccp_sim::sweep::{run_sweep, run_sweep_resilient, CellStatus, ResilienceConfig};
 use ccp_sim::SweepConfig;
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -180,6 +181,39 @@ fn watchdog_flags_runaway_cells_as_failed() {
         match &o.status {
             CellStatus::Failed(e) => assert_eq!(e.class(), "watchdog"),
             s => panic!("expected watchdog failure, got {s:?}"),
+        }
+    }
+}
+
+/// The two public sweep entry points share one scheduler and differ only
+/// in the per-cell guard rails, which must never change a result: on a
+/// mixed grid every cell's `RunStats` agrees field for field.
+#[test]
+fn plain_and_resilient_sweeps_agree_on_every_cell() {
+    let mut config = SweepConfig::new(2_000, 7);
+    config.workloads = vec![
+        "health".into(),
+        "130.li".into(),
+        "workgen:addr=zipf,small=0.6".into(),
+    ];
+    config.threads = 2;
+    let plain = run_sweep(&config).expect("plain sweep");
+    let resilient =
+        run_sweep_resilient(&config, &ResilienceConfig::default()).expect("resilient sweep");
+    assert_eq!(plain.benchmarks, resilient.workloads);
+    assert_eq!(plain.designs, DesignKind::ALL.to_vec());
+    for w in &plain.benchmarks {
+        for d in DesignKind::ALL {
+            let outcome = resilient.outcome(w, d).expect("cell scheduled");
+            match &outcome.status {
+                CellStatus::Ok(s) => assert_eq!(
+                    format!("{:?}", plain.cell(w, d)),
+                    format!("{s:?}"),
+                    "{w}/{}",
+                    d.name()
+                ),
+                s => panic!("{w}/{}: expected ok, got {s:?}", d.name()),
+            }
         }
     }
 }

@@ -34,8 +34,8 @@ fn main() {
 
         let mut bc = build_design(DesignKind::Bc);
         let mut cpp = build_design(DesignKind::Cpp);
-        let ooo = run_trace(&trace, cpp.as_mut(), &cfg).cycles as f64
-            / run_trace(&trace, bc.as_mut(), &cfg).cycles as f64;
+        let ooo = run_source(&trace, cpp.as_mut(), &cfg).cycles as f64
+            / run_source(&trace, bc.as_mut(), &cfg).cycles as f64;
 
         let mut bc2 = build_design(DesignKind::Bc);
         let mut cpp2 = build_design(DesignKind::Cpp);

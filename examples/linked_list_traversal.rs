@@ -116,7 +116,7 @@ fn main() {
     println!("{:6} {:>10} {:>8}", "design", "cycles", "rel");
     for kind in DesignKind::ALL {
         let mut cache = build_design(kind);
-        let s = run_trace(&trace, cache.as_mut(), &cfg);
+        let s = run_source(&trace, cache.as_mut(), &cfg);
         if kind == DesignKind::Bc {
             base = s.cycles;
         }

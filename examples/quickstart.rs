@@ -26,7 +26,7 @@ fn main() {
     let mut results = Vec::new();
     for kind in DesignKind::ALL {
         let mut cache = build_design(kind);
-        let stats = run_trace(&trace, cache.as_mut(), &cfg);
+        let stats = run_source(&trace, cache.as_mut(), &cfg);
         results.push((kind, stats));
     }
 

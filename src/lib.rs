@@ -36,11 +36,11 @@
 //! use ccp::prelude::*;
 //!
 //! // Build the paper's CPP hierarchy and run a workload trace through the
-//! // out-of-order pipeline.
+//! // out-of-order pipeline (a trace is one kind of `TraceSource`).
 //! let bench = ccp::trace::benchmark_by_name("olden.health").unwrap();
 //! let trace = bench.trace(20_000, 42);
 //! let mut cpp = CppHierarchy::paper();
-//! let stats = run_trace(&trace, &mut cpp, &PipelineConfig::paper());
+//! let stats = run_source(&trace, &mut cpp, &PipelineConfig::paper());
 //! assert_eq!(stats.instructions, trace.len() as u64);
 //! assert!(stats.hierarchy.prefetches_issued > 0, "partial lines prefetched");
 //! ```
@@ -69,11 +69,12 @@ pub mod prelude {
     pub use ccp_cpp::CppHierarchy;
     pub use ccp_errors::{SimError, SimResult};
     pub use ccp_mem::MainMemory;
-    pub use ccp_pipeline::{run_trace, PipelineConfig, RunStats};
+    pub use ccp_pipeline::{run_source, PipelineConfig, RunStats};
+    pub use ccp_schemes::SchemeKind;
     pub use ccp_served::{BenchConfig, Client, ServerConfig};
     pub use ccp_sim::{
-        build_design, run_job, run_sweep, run_sweep_resilient, JobSpec, ResilienceConfig,
-        SweepConfig,
+        build_design, build_design_scheme, run_job, run_sweep, run_sweep_resilient, JobSpec,
+        ResilienceConfig, SweepConfig,
     };
     pub use ccp_trace::{all_benchmarks, benchmark_by_name, Trace, TraceSource};
     pub use ccp_workgen::{SynthSource, WorkgenSpec};
@@ -119,7 +120,7 @@ mod tests {
         let source = SynthSource::new(spec, 1, 500);
         assert_eq!(source.stream().count(), 500);
         let mut cpp = CppHierarchy::paper();
-        let stats = crate::pipeline::run_source(&source, &mut cpp, &PipelineConfig::paper());
+        let stats = run_source(&source, &mut cpp, &PipelineConfig::paper());
         assert_eq!(stats.instructions, 500);
     }
 }

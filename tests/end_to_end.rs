@@ -3,16 +3,12 @@
 //! comparative claims on real (small-budget) runs.
 
 use ccp::prelude::*;
-use ccp::sim::sweep::{run_sweep_on, SweepConfig};
 
 fn sweep(names: &[&str], budget: usize) -> ccp::sim::Sweep {
-    let benches: Vec<_> = names
-        .iter()
-        .map(|n| benchmark_by_name(n).expect("benchmark"))
-        .collect();
     let mut cfg = SweepConfig::new(budget, 11);
+    cfg.workloads = names.iter().map(|n| n.to_string()).collect();
     cfg.threads = 4;
-    run_sweep_on(&benches, &cfg).expect("sweep")
+    run_sweep(&cfg).expect("sweep")
 }
 
 #[test]
@@ -120,7 +116,7 @@ fn all_designs_agree_on_architectural_state() {
     let mut finals: Vec<(String, MainMemory)> = Vec::new();
     for kind in DesignKind::ALL {
         let mut cache = build_design(kind);
-        run_trace(&trace, cache.as_mut(), &cfg);
+        run_source(&trace, cache.as_mut(), &cfg);
         finals.push((kind.name().to_string(), cache.mem().clone()));
     }
     let (ref_name, ref_mem) = &finals[0];
@@ -144,7 +140,7 @@ fn cpp_invariants_hold_after_full_workload_runs() {
         let bench = benchmark_by_name(name).expect("benchmark");
         let trace = bench.trace(15_000, 3);
         let mut cpp = CppHierarchy::paper();
-        run_trace(&trace, &mut cpp, &cfg);
+        run_source(&trace, &mut cpp, &cfg);
         cpp.check_invariants()
             .unwrap_or_else(|e| panic!("{name}: {e}"));
     }
@@ -163,12 +159,12 @@ fn figure_pipeline_is_reproducible_end_to_end() {
 #[test]
 fn importance_decreases_under_cpp_for_pointer_chases() {
     // Figure 14's qualitative claim on a strongly chase-bound workload.
-    let benches = [benchmark_by_name("treeadd").unwrap()];
     let mut cfg = SweepConfig::new(40_000, 11);
+    cfg.workloads = vec!["treeadd".into()];
     cfg.threads = 4;
-    let normal = run_sweep_on(&benches, &cfg).expect("sweep");
+    let normal = run_sweep(&cfg).expect("sweep");
     cfg.halved_miss_penalty = true;
-    let halved = run_sweep_on(&benches, &cfg).expect("sweep");
+    let halved = run_sweep(&cfg).expect("sweep");
     let fig = ccp::sim::experiments::figure14(&normal, &halved);
     let bc_col = fig.designs.iter().position(|d| d == "BC").unwrap();
     let cpp_col = fig.designs.iter().position(|d| d == "CPP").unwrap();

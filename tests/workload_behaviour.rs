@@ -73,7 +73,7 @@ fn branch_predictability_is_program_like() {
         let b = benchmark_by_name(name).unwrap();
         let t = b.trace(100_000, 1);
         let mut c = build_design(DesignKind::Bc);
-        let s = run_trace(&t, c.as_mut(), &cfg);
+        let s = run_source(&t, c.as_mut(), &cfg);
         let rate = s.branch_mispredicts as f64 / s.branches.max(1) as f64;
         assert!(
             (0.001..0.45).contains(&rate),
@@ -91,7 +91,7 @@ fn icache_behaviour_is_loop_dominated() {
         let b = benchmark_by_name(name).unwrap();
         let t = b.trace(60_000, 1);
         let mut c = build_design(DesignKind::Bc);
-        let s = run_trace(&t, c.as_mut(), &cfg);
+        let s = run_source(&t, c.as_mut(), &cfg);
         assert!(
             s.icache_misses < 200,
             "{name}: {} I-misses — code layout is not loopy",
@@ -105,7 +105,7 @@ fn load_sources_histogram_is_consistent() {
     let b = benchmark_by_name("health").unwrap();
     let t = b.trace(60_000, 1);
     let mut c = build_design(DesignKind::Cpp);
-    let s = run_trace(&t, c.as_mut(), &PipelineConfig::paper());
+    let s = run_source(&t, c.as_mut(), &PipelineConfig::paper());
     // Histogram covers exactly the non-forwarded loads.
     assert_eq!(s.load_sources.total() + s.forwarded_loads, s.loads);
     // On CPP with a compressible workload some loads come from the
