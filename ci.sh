@@ -23,12 +23,8 @@ cargo test -q
 
 SCRATCH="$(mktemp -d)"
 SERVED_PID=""
-W1_PID=""
-W2_PID=""
-C1_PID=""
-C2_PID=""
 OV_PID=""
-trap 'for p in $SERVED_PID $W1_PID $W2_PID $C1_PID $C2_PID $OV_PID; do kill -9 "$p" 2>/dev/null || true; done; rm -rf "$SCRATCH"' EXIT
+trap 'for p in $SERVED_PID $OV_PID; do kill -9 "$p" 2>/dev/null || true; done; rm -rf "$SCRATCH"' EXIT
 
 echo "== examples: every facade example runs to completion"
 # The examples are the facade's usage docs; each must exit 0.
@@ -84,8 +80,8 @@ EOF
 rm -rf "$SCRATCH/seeded"
 
 echo "== ccp-lint: a seeded lock cycle must fail with the inferred ring"
-mkdir -p "$SCRATCH/seeded/crates/fabric/src"
-cat > "$SCRATCH/seeded/crates/fabric/src/violation.rs" <<'EOF'
+mkdir -p "$SCRATCH/seeded/crates/served/src"
+cat > "$SCRATCH/seeded/crates/served/src/violation.rs" <<'EOF'
 fn one(c: &Ctx) {
     let g = c.grid.lock_unpoisoned();
     take_store(c);
@@ -155,7 +151,7 @@ fi
 
 echo "== compare-schemes smoke: scheme axis reports and stays cache-distinct"
 # Tiny grid, two schemes: the study must write its report and prove the
-# content addresses never collide across schemes (DESIGN.md §13).
+# content addresses never collide across schemes (DESIGN.md §11).
 ./target/release/repro compare-schemes --budget 3000 --benchmarks health,mst \
     --schemes CPP,BDI --out "$SCRATCH/SCHEMES_report.json" > "$SCRATCH/schemes.txt"
 grep -q "cache keys distinct across schemes: yes" "$SCRATCH/schemes.txt" || {
@@ -186,21 +182,33 @@ cmp "$SCRATCH/resumed.txt" "$SCRATCH/fresh.txt"
 cmp "$SCRATCH/resumed.json" "$SCRATCH/fresh.json"
 
 echo "== serve smoke: served results == direct runs, graceful drain"
-./target/release/ccp-served --workers 4 --cache-bytes 65536 \
-    > "$SCRATCH/served.out" 2> "$SCRATCH/served.err" &
-SERVED_PID=$!
-i=0
-until grep -q "listening on" "$SCRATCH/served.out" 2>/dev/null; do
-    i=$((i + 1))
-    [ "$i" -le 100 ] || { echo "ccp-served did not come up"; exit 1; }
-    sleep 0.1
-done
-ADDR="$(sed -n 's/^ccp-served listening on //p' "$SCRATCH/served.out")"
+STORE="$SCRATCH/store"
+start_served() {  # $1 = output basename; sets SERVED_PID and ADDR
+    ./target/release/ccp-served --workers 4 --cache-bytes 65536 --store "$STORE" \
+        > "$SCRATCH/$1.out" 2> "$SCRATCH/$1.err" &
+    SERVED_PID=$!
+    i=0
+    until grep -q "listening on" "$SCRATCH/$1.out" 2>/dev/null; do
+        i=$((i + 1))
+        [ "$i" -le 100 ] || { echo "ccp-served ($1) did not come up"; exit 1; }
+        sleep 0.1
+    done
+    ADDR="$(sed -n 's/^ccp-served listening on //p' "$SCRATCH/$1.out")"
+}
+stop_served() {  # SIGTERM drains and exits 0
+    kill -TERM "$SERVED_PID"
+    set +e
+    wait "$SERVED_PID"
+    status=$?
+    set -e
+    SERVED_PID=""
+    [ "$status" -eq 0 ] || { echo "ccp-served exit $status after SIGTERM"; exit 1; }
+}
+start_served served
 
 # One benchmark job and one workgen job: the served stats must be
-# field-identical to direct ccp-sim runs of the same cells. (Comma-free
-# spec: the sweep CLI splits --workloads on commas.)
-WGSPEC="workgen:addr=zipf"
+# field-identical to direct ccp-sim runs of the same cells.
+WGSPEC="workgen:addr=zipf,small=0.6"
 ./target/release/ccp-client --addr "$ADDR" submit --workload health --design CPP \
     --budget 2000 --seed 7 --json "$SCRATCH/served-bench.json" > /dev/null
 ./target/release/ccp-client --addr "$ADDR" submit --workload "$WGSPEC" --design BC \
@@ -239,148 +247,21 @@ grep -q "\[panic\]" "$SCRATCH/fault.err" || {
     --jobs 32 --skew 1.0 --budget 1000 --min-throughput 100 --min-hit-rate 0.9
 
 # SIGTERM drains and exits 0 (no torn output: every line above parsed).
-kill -TERM "$SERVED_PID"
-set +e
-wait "$SERVED_PID"
-status=$?
-set -e
-SERVED_PID=""
-[ "$status" -eq 0 ] || { echo "ccp-served exit $status after SIGTERM"; exit 1; }
+stop_served
 
-echo "== fabric: distributed sweep is byte-identical to the local driver"
-FABSTORE="$SCRATCH/store"
-start_worker() {  # $1 = output basename; prints nothing, sets WORKER_ADDR
-    ./target/release/ccp-served --workers 2 --store "$FABSTORE" \
-        > "$SCRATCH/$1.out" 2> "$SCRATCH/$1.err" &
-    WORKER_PID=$!
-    i=0
-    until grep -q "listening on" "$SCRATCH/$1.out" 2>/dev/null; do
-        i=$((i + 1))
-        [ "$i" -le 100 ] || { echo "worker $1 did not come up"; exit 1; }
-        sleep 0.1
-    done
-    WORKER_ADDR="$(sed -n 's/^ccp-served listening on //p' "$SCRATCH/$1.out")"
-}
-start_worker w1; W1_PID=$WORKER_PID; W1_ADDR=$WORKER_ADDR
-start_worker w2; W2_PID=$WORKER_PID; W2_ADDR=$WORKER_ADDR
-
-FAB_ARGS="--budget 2000 --seed 7 --workloads health,mst,treeadd --designs BC,CPP"
-./target/release/ccp-coord sweep --workers "$W1_ADDR,$W2_ADDR" $FAB_ARGS \
-    --store "$FABSTORE" --json "$SCRATCH/fab.json" \
-    > "$SCRATCH/fab.txt" 2> "$SCRATCH/fab.log"
-./target/release/ccp-sim sweep $FAB_ARGS \
-    --json "$SCRATCH/fab-local.json" > "$SCRATCH/fab-local.txt"
-cmp "$SCRATCH/fab.txt" "$SCRATCH/fab-local.txt"
-cmp "$SCRATCH/fab.json" "$SCRATCH/fab-local.json"
-
-echo "== fabric: a repeat run is answered from the disk tier"
-# A fresh coordinator process has an empty RAM tier, so every one of the
-# 6 cells must come back as a verified disk hit (>= 90% required; we get
-# 100%) without a single dispatch to the workers.
-ccpz_count="$(ls "$FABSTORE"/*.ccpz 2>/dev/null | wc -l)"
-[ "$ccpz_count" -ge 6 ] || { echo "expected >= 6 .ccpz entries, got $ccpz_count"; exit 1; }
-./target/release/ccp-coord sweep --workers "$W1_ADDR,$W2_ADDR" $FAB_ARGS \
-    --store "$FABSTORE" --json "$SCRATCH/fab2.json" \
-    --summary-json "$SCRATCH/fab2-sum.json" > "$SCRATCH/fab2.txt" 2> /dev/null
-cmp "$SCRATCH/fab2.json" "$SCRATCH/fab-local.json"
-grep -q '"store_disk_hits":6' "$SCRATCH/fab2-sum.json" || {
-    echo "repeat run was not served from the disk tier:"
-    cat "$SCRATCH/fab2-sum.json"; exit 1; }
-grep -q '"store_misses":0' "$SCRATCH/fab2-sum.json" || {
-    echo "repeat run missed the store:"; cat "$SCRATCH/fab2-sum.json"; exit 1; }
-
-echo "== fabric: killing a worker mid-run still completes the grid"
-# Fresh grid (different seed, no store) so cells actually dispatch. The
-# budget makes the 28-cell grid run for seconds; w1 is killed as soon as
-# its stats report a simulation started, which is guaranteed mid-grid.
-KILL_ARGS="--budget 400000 --seed 11 --designs BC,CPP"
-./target/release/ccp-coord sweep --workers "$W1_ADDR,$W2_ADDR" $KILL_ARGS \
-    --retries 6 --strikes 2 --backoff-ms 10 \
-    --json "$SCRATCH/kill.json" > "$SCRATCH/kill.txt" 2> "$SCRATCH/kill.log" &
-COORD_PID=$!
-i=0
-until ./target/release/ccp-client --addr "$W1_ADDR" stats 2>/dev/null \
-        | grep -q "sims run [1-9]"; do
-    i=$((i + 1))
-    [ "$i" -le 200 ] || { echo "w1 never started simulating"; exit 1; }
-    sleep 0.05
-done
-kill -9 "$W1_PID" 2>/dev/null || true
-set +e
-wait "$COORD_PID"
-status=$?
-set -e
-W1_PID=""
-[ "$status" -eq 0 ] || {
-    echo "coordinator exit $status after worker kill:"; cat "$SCRATCH/kill.log"; exit 1; }
-# The survivor must have absorbed the dead worker's cells: the fabric
-# summary records at least one worker loss and the report is still
-# byte-identical to the local driver.
-grep -q "lost=[1-9]" "$SCRATCH/kill.log" || {
-    echo "worker kill did not register as a loss:"; cat "$SCRATCH/kill.log"; exit 1; }
-# Results must match the local driver modulo the attempts column (the
-# retried cell legitimately records attempts > 1; everything else —
-# status, cycles, every stat field — is byte-identical).
-./target/release/ccp-sim sweep $KILL_ARGS \
-    --json "$SCRATCH/kill-local.json" > "$SCRATCH/kill-local.txt"
-for f in kill kill-local; do
-    sed 's/"attempts":[0-9]*/"attempts":_/g' "$SCRATCH/$f.json" > "$SCRATCH/$f.norm"
-done
-cmp "$SCRATCH/kill.norm" "$SCRATCH/kill-local.norm"
-
-echo "== chaos: seeded fault schedules cannot change a single result byte"
-# The surviving worker still holds the kill-gate store; fresh workers and
-# a fresh grid seed keep the chaos runs honest (cells actually dispatch).
-kill -9 "$W2_PID" 2>/dev/null || true
-wait "$W2_PID" 2>/dev/null || true
-W2_PID=""
-FABSTORE="$SCRATCH/chaos-store"
-start_worker cw1; W1_PID=$WORKER_PID; CW1_ADDR=$WORKER_ADDR
-start_worker cw2; W2_PID=$WORKER_PID; CW2_ADDR=$WORKER_ADDR
-
-start_chaos() {  # $1 = basename, $2 = upstream, $3 = schedule, $4 = seed
-    ./target/release/ccp-chaos --listen 127.0.0.1:0 --upstream "$2" \
-        --schedule "$3" --seed "$4" --quiet \
-        > "$SCRATCH/$1.out" 2> "$SCRATCH/$1.err" &
-    CHAOS_PID=$!
-    i=0
-    until grep -q "listening on" "$SCRATCH/$1.out" 2>/dev/null; do
-        i=$((i + 1))
-        [ "$i" -le 100 ] || { echo "chaos proxy $1 did not come up"; exit 1; }
-        sleep 0.1
-    done
-    CHAOS_ADDR="$(sed -n 's/^ccp-chaos listening on //p' "$SCRATCH/$1.out")"
-}
-
-CHAOS_ARGS="--budget 2000 --seed 19 --workloads health,mst,treeadd --designs BC,CPP"
-./target/release/ccp-sim sweep $CHAOS_ARGS \
-    --json "$SCRATCH/chaos-local.json" > "$SCRATCH/chaos-local.txt"
-sed 's/"attempts":[0-9]*/"attempts":_/g' "$SCRATCH/chaos-local.json" \
-    > "$SCRATCH/chaos-local.norm"
-
-# Three fault classes, each fully determined by (schedule, seed): byte
-# corruption, stalls with speculative re-dispatch armed, and abrupt
-# disconnects mixed with connection refusal. `none` entries in each cycle
-# give retries a clean path to converge on.
-run_chaos_schedule() {  # $1 = tag, $2 = schedule, $3 = seed, $4.. = extra args
-    tag=$1; schedule=$2; seed=$3; shift 3
-    start_chaos "$tag-p1" "$CW1_ADDR" "$schedule" "$seed"; C1_PID=$CHAOS_PID; P1=$CHAOS_ADDR
-    start_chaos "$tag-p2" "$CW2_ADDR" "$schedule" "$seed"; C2_PID=$CHAOS_PID; P2=$CHAOS_ADDR
-    ./target/release/ccp-coord sweep --workers "$P1,$P2" $CHAOS_ARGS \
-        --retries 8 --strikes 10 --backoff-ms 5 --timeout-ms 20000 "$@" \
-        --json "$SCRATCH/$tag.json" > "$SCRATCH/$tag.txt" 2> "$SCRATCH/$tag.log" || {
-        echo "chaotic sweep $tag failed:"; cat "$SCRATCH/$tag.log"; exit 1; }
-    sed 's/"attempts":[0-9]*/"attempts":_/g' "$SCRATCH/$tag.json" > "$SCRATCH/$tag.norm"
-    cmp "$SCRATCH/$tag.norm" "$SCRATCH/chaos-local.norm" || {
-        echo "schedule '$schedule' changed a result byte"; exit 1; }
-    kill -TERM "$C1_PID" "$C2_PID" 2>/dev/null || true
-    wait "$C1_PID" 2>/dev/null || true
-    wait "$C2_PID" 2>/dev/null || true
-    C1_PID=""; C2_PID=""
-}
-run_chaos_schedule corrupt "corrupt,none,none" 190
-run_chaos_schedule stall "stall:400,none,none" 7 --speculate 1 --speculate-floor-ms 100
-run_chaos_schedule disco "disconnect:64,none,refuse,none" 13
+# A server restarted on the same store answers a repeat submit from the
+# disk tier: its RAM cache is empty, so `cached` can only come from disk.
+start_served served-restart
+./target/release/ccp-client --addr "$ADDR" submit --workload health --design CPP \
+    --budget 2000 --seed 7 > "$SCRATCH/restart.txt"
+grep -q " cached:" "$SCRATCH/restart.txt" || {
+    echo "restarted server did not answer from the disk tier:"
+    cat "$SCRATCH/restart.txt"; exit 1; }
+./target/release/ccp-client --addr "$ADDR" stats > "$SCRATCH/restart-stats.txt"
+grep -q "sims run 0 " "$SCRATCH/restart-stats.txt" || {
+    echo "restarted server re-simulated a stored job:"
+    cat "$SCRATCH/restart-stats.txt"; exit 1; }
+stop_served
 
 echo "== overload: a bounded queue sheds typed overloads, retried to done"
 ./target/release/ccp-served --workers 1 --max-queue 1 --cache-bytes 65536 \

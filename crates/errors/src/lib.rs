@@ -95,23 +95,14 @@ pub enum SimError {
     },
     /// The server shed the request because its queue is full. Unlike
     /// [`SimError::Shutdown`] the server is healthy — the caller should
-    /// back off (with jitter) and retry, without counting a strike
-    /// against the worker.
+    /// back off (with jitter) and retry, rather than treat the shed as a
+    /// fault.
     Overloaded {
         /// The server's description of the pressure (queue depth, bound).
         detail: String,
     },
-    /// A remote worker died, hung up, or otherwise stopped answering while
-    /// it held a unit of work. The work itself is presumed fine — the
-    /// fabric coordinator retries it on another worker.
-    WorkerLost {
-        /// The worker address that was lost.
-        worker: String,
-        /// What the loss looked like (connection reset, bad response, ...).
-        detail: String,
-    },
-    /// An operation exceeded its deadline (a remote call that never
-    /// answered, a heartbeat that never came back).
+    /// An operation exceeded its deadline (a served job past its
+    /// `deadline_ms`, a socket read that never answered).
     Timeout {
         /// The operation that timed out.
         context: String,
@@ -210,14 +201,6 @@ impl SimError {
         }
     }
 
-    /// A worker that stopped answering while it held work.
-    pub fn worker_lost(worker: impl Into<String>, detail: impl Into<String>) -> Self {
-        SimError::WorkerLost {
-            worker: worker.into(),
-            detail: detail.into(),
-        }
-    }
-
     /// A deadline exceeded by the operation at `context`.
     pub fn timeout(context: impl Into<String>, detail: impl Into<String>) -> Self {
         SimError::Timeout {
@@ -282,7 +265,6 @@ impl SimError {
             SimError::Canceled { .. } => "canceled",
             SimError::Shutdown { .. } => "shutdown",
             SimError::Overloaded { .. } => "overloaded",
-            SimError::WorkerLost { .. } => "worker-lost",
             SimError::Timeout { .. } => "timeout",
         }
     }
@@ -316,27 +298,23 @@ impl SimError {
             "canceled" => SimError::canceled(message),
             "shutdown" => SimError::shutdown(message),
             "overloaded" => SimError::overloaded(message),
-            "worker-lost" => SimError::worker_lost("remote", message),
             "timeout" => SimError::timeout("remote", message),
             _ => SimError::protocol(message),
         }
     }
 
     /// Whether retrying the failed operation could plausibly succeed.
-    /// I/O hiccups, lost workers, and timeouts qualify — the environment
-    /// caused them, not the input. Every other class is deterministic for
-    /// a fixed seed, so a retry would reproduce it exactly.
+    /// I/O hiccups (a peer hanging up included) and timeouts qualify —
+    /// the environment caused them, not the input. Every other class is
+    /// deterministic for a fixed seed, so a retry would reproduce it
+    /// exactly.
     ///
     /// [`SimError::Overloaded`] is retryable too, but deliberately *not*
     /// transient here: a shed means the server is healthy and asking the
     /// caller to back off, so it carries its own backoff contract instead
-    /// of riding the generic fault-retry path (which counts strikes
-    /// against the worker).
+    /// of riding the generic fault-retry path.
     pub fn is_transient(&self) -> bool {
-        matches!(
-            self,
-            SimError::Io { .. } | SimError::WorkerLost { .. } | SimError::Timeout { .. }
-        )
+        matches!(self, SimError::Io { .. } | SimError::Timeout { .. })
     }
 }
 
@@ -365,9 +343,6 @@ impl fmt::Display for SimError {
             SimError::Canceled { context } => write!(f, "canceled: {context}"),
             SimError::Shutdown { detail } => write!(f, "server shutting down: {detail}"),
             SimError::Overloaded { detail } => write!(f, "server overloaded: {detail}"),
-            SimError::WorkerLost { worker, detail } => {
-                write!(f, "worker {worker} lost: {detail}")
-            }
             SimError::Timeout { context, detail } => {
                 write!(f, "timeout in {context}: {detail}")
             }
@@ -405,10 +380,6 @@ mod tests {
                 "server overloaded",
             ),
             (
-                SimError::worker_lost("127.0.0.1:7700", "connection reset"),
-                "worker 127.0.0.1:7700 lost",
-            ),
-            (
                 SimError::timeout("submit_wait", "no response in 5000ms"),
                 "timeout in submit_wait",
             ),
@@ -422,7 +393,6 @@ mod tests {
     fn environmental_classes_are_transient() {
         let io = SimError::io("/tmp/x", &std::io::Error::other("disk"));
         assert!(io.is_transient());
-        assert!(SimError::worker_lost("w0", "reset").is_transient());
         assert!(SimError::timeout("submit", "deadline").is_transient());
         assert!(!SimError::spec("x").is_transient());
         assert!(!SimError::pipeline("x").is_transient());
@@ -464,7 +434,6 @@ mod tests {
         assert_eq!(SimError::canceled("x").class(), "canceled");
         assert_eq!(SimError::shutdown("x").class(), "shutdown");
         assert_eq!(SimError::overloaded("x").class(), "overloaded");
-        assert_eq!(SimError::worker_lost("w", "x").class(), "worker-lost");
         assert_eq!(SimError::timeout("c", "x").class(), "timeout");
     }
 
@@ -478,7 +447,6 @@ mod tests {
             SimError::shutdown("draining"),
             SimError::overloaded("queue full (4/4)"),
             SimError::protocol("truncated line"),
-            SimError::worker_lost("127.0.0.1:7700", "connection reset"),
             SimError::timeout("submit_wait", "deadline exceeded"),
         ];
         for e in cases {
@@ -502,5 +470,15 @@ mod tests {
         // A shed is retryable, but via its own backoff path — see the
         // is_transient doc comment.
         assert!(!SimError::overloaded("x").is_transient());
+    }
+
+    /// `SimError::overloaded` has its own class so callers can treat
+    /// backpressure differently from faults: `Client::submit_wait_shed_retry`
+    /// keys its backoff on this class.
+    #[test]
+    fn overloaded_class_is_distinct_from_every_fault_class() {
+        let e = SimError::overloaded("queue full (3/2)");
+        assert_eq!(e.class(), "overloaded");
+        assert!(!e.is_transient());
     }
 }

@@ -443,6 +443,13 @@ pub trait Rule {
     fn describe(&self) -> &'static str;
     /// Whether the rule runs on this workspace-relative path.
     fn applies(&self, path: &str) -> bool;
+    /// Workspace paths (directory prefixes or files) that
+    /// [`Rule::applies`] names, whether it scopes the rule to them or
+    /// carves them out. Every one must exist in the linted workspace, so
+    /// deleting a crate cannot leave a rule silently scoped to nothing.
+    fn scope(&self) -> &'static [&'static str] {
+        &[]
+    }
     /// Scans one analyzed file and returns raw findings (suppressions are
     /// applied by the engine).
     fn check(&self, file: &SourceFile) -> Vec<Finding>;

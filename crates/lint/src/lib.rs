@@ -9,7 +9,7 @@
 //! cache/cancellation mutex with one sanctioned nesting order (PR 3),
 //! `catch_unwind`-isolated job paths that panics must not cross,
 //! deterministic sim cores with no wall-clock reads, and bounded socket
-//! reads in the serving stack (the chaos-hardening PR). This crate scans
+//! reads in the serving stack. This crate scans
 //! the workspace with its own minimal Rust lexer ([`lexer`]) and a small
 //! rule engine ([`engine`]) carrying per-file rules ([`rules`]) that pin
 //! those conventions down, the way a training/inference stack accretes
@@ -25,7 +25,7 @@
 //! The crate is dependency-free (it must be able to lint every other
 //! crate without depending on any of them) and offline, consistent with
 //! the `crates/compat` approach. See `DESIGN.md` §9 for the rule
-//! catalogue, §14 for the whole-program pipeline, and the
+//! catalogue, §12 for the whole-program pipeline, and the
 //! `// ccp-lint: allow(rule)` suppression syntax.
 //!
 //! [`SimError`]: ../ccp_errors/enum.SimError.html
@@ -47,3 +47,47 @@ pub use engine::{
 pub use passes::{all_passes, Pass};
 pub use report::{check_fixtures, render_fixtures, render_human, render_json, write_report};
 pub use rules::all_rules;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::path::Path;
+
+    /// A rule or pass scoped to a path that no longer exists checks
+    /// nothing and says nothing; deleting a crate must fail here instead.
+    #[test]
+    fn every_scoped_path_exists_in_this_workspace() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut scoped: Vec<(&str, &str)> = rules::GLOBAL_EXCLUDES
+            .iter()
+            .map(|p| ("global exclusion", *p))
+            .collect();
+        for rule in all_rules() {
+            scoped.extend(rule.scope().iter().map(|p| (rule.name(), *p)));
+        }
+        for pass in all_passes() {
+            scoped.extend(pass.scope().iter().map(|p| (pass.name(), *p)));
+        }
+        for (check, path) in &scoped {
+            assert!(
+                root.join(path).exists(),
+                "{check} is scoped to {path}, which does not exist in this workspace"
+            );
+        }
+        for check in [
+            "atomic-json-writes",
+            "no-wallclock-in-sim",
+            "no-lossy-cast-in-hot-path",
+            "no-unbounded-reads",
+            "no-dyn-scheme-in-hot-path",
+            "no-panic-in-service-path",
+            "deterministic-core-transitive",
+            "lock-graph-acyclic",
+        ] {
+            assert!(
+                scoped.iter().any(|(c, _)| *c == check),
+                "{check} names no paths: its scope escaped this guard"
+            );
+        }
+    }
+}

@@ -79,6 +79,10 @@ impl Pass for DeterministicCoreTransitive {
          nondeterminism"
     }
 
+    fn scope(&self) -> &'static [&'static str] {
+        CORE_PREFIXES
+    }
+
     fn check(&self, ws: &Workspace) -> Vec<Finding> {
         let entries: Vec<usize> = (0..ws.symbols.fns.len())
             .filter(|&f| is_entry(ws, f))

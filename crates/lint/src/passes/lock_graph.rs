@@ -5,7 +5,7 @@
 //! cannot see the real deadlocks: a cycle assembled across two functions
 //! (or two crates) through ordinary calls. This pass *infers* the global
 //! lock-acquisition graph instead. For every function in the
-//! lock-bearing crates (`served`, `fabric`, `store`) it records which
+//! lock-bearing crates (`served`, `store`) it records which
 //! locks the function acquires directly (receiver of `.lock()` /
 //! `.lock_unpoisoned()`, with guard lifetimes tracked the way R4 did:
 //! block-scoped for `let`-bound guards, statement-scoped for
@@ -16,10 +16,9 @@
 //! re-entrant acquisition — is denied, with each edge's witness call
 //! path in the message.
 //!
-//! The declared hierarchies (`state → queue`, `grid → store`) are no
-//! longer inputs: they are *theorems* this pass re-derives (those edges
-//! exist and sit in an acyclic graph) rather than axioms a maintainer
-//! must keep in sync.
+//! The declared hierarchy (`state → queue`) is no longer an input: it is
+//! a *theorem* this pass re-derives (the edge exists and sits in an
+//! acyclic graph) rather than an axiom a maintainer must keep in sync.
 
 use crate::callgraph::Workspace;
 use crate::engine::{Finding, Severity, SourceFile};
@@ -28,11 +27,7 @@ use crate::passes::Pass;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Crates whose mutexes participate in the global lock graph.
-const SCOPE: &[&str] = &[
-    "crates/served/src/",
-    "crates/fabric/src/",
-    "crates/store/src/",
-];
+const SCOPE: &[&str] = &["crates/served/src/", "crates/store/src/"];
 
 /// The lock-graph acyclicity pass. See the module docs.
 pub struct LockGraphAcyclic;
@@ -308,8 +303,12 @@ impl Pass for LockGraphAcyclic {
         Severity::Deny
     }
     fn describe(&self) -> &'static str {
-        "the inferred global lock-acquisition graph over served/fabric/store (direct \
+        "the inferred global lock-acquisition graph over served/store (direct \
          nesting plus locks taken by callees while a lock is held) must stay acyclic"
+    }
+
+    fn scope(&self) -> &'static [&'static str] {
+        SCOPE
     }
 
     fn check(&self, ws: &Workspace) -> Vec<Finding> {
@@ -489,7 +488,7 @@ mod tests {
     #[test]
     fn reentrant_acquisition_through_a_call_is_a_self_edge() {
         let hits = findings(&[(
-            "crates/fabric/src/coord.rs",
+            "crates/served/src/server.rs",
             "fn outer(c: &C) { let g = c.grid.lock_unpoisoned(); helper(c); }\n\
              fn helper(c: &C) { c.grid.lock_unpoisoned().push(1); }\n",
         )]);
@@ -515,7 +514,7 @@ mod tests {
     #[test]
     fn direct_inverted_nesting_in_two_functions_is_a_cycle() {
         let hits = findings(&[(
-            "crates/fabric/src/coord.rs",
+            "crates/store/src/tiered.rs",
             "fn one(c: &C) { let g = c.grid.lock_unpoisoned(); let s = c.store.lock_unpoisoned(); }\n\
              fn two(c: &C) { let s = c.store.lock_unpoisoned(); let g = c.grid.lock_unpoisoned(); }\n",
         )]);

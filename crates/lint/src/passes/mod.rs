@@ -26,6 +26,11 @@ pub trait Pass {
     fn severity(&self) -> Severity;
     /// One-line description for `--list-rules` and documentation.
     fn describe(&self) -> &'static str;
+    /// Workspace path prefixes the pass anchors on (entry points, lock
+    /// scope). Like [`crate::engine::Rule::scope`], each must exist.
+    fn scope(&self) -> &'static [&'static str] {
+        &[]
+    }
     /// Checks the workspace and returns raw findings (suppressions are
     /// applied by the engine, keyed on each finding's file and line).
     fn check(&self, ws: &Workspace) -> Vec<Finding>;

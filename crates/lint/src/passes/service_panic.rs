@@ -3,9 +3,9 @@
 //! The per-file R2 of PR 4 scanned whole crates (`served`, `sim`,
 //! `errors`) for panic-capable calls, which both over-approximated
 //! (driver-only code in `sim` was flagged) and under-approximated
-//! (panics in `fabric` reachable from the coordinator were invisible).
-//! This pass follows the call graph instead: from the serving entry
-//! points — the `ccp-served` / `ccp-client` / `ccp-coord` binaries'
+//! (panics in other crates reachable from a serving binary were
+//! invisible). This pass follows the call graph instead: from the
+//! serving entry points — the `ccp-served` / `ccp-client` binaries'
 //! `main` and the public API of `crates/served` — every reachable
 //! function is scanned for `.unwrap()`/`.expect()`/`panic!`-family
 //! sinks. Call edges lexically inside a `catch_unwind(…)` argument list
@@ -26,23 +26,23 @@ pub const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplement
 /// The serving-path panic pass. See the module docs.
 pub struct NoPanicInServicePath;
 
-/// Whether a function is a serving entry point: `main` of a `served` or
-/// `fabric` binary, or public API of the `served` library.
+/// The serving library, whose public API is an entry point.
+const LIB: &str = "crates/served/src/";
+/// The serving binaries, whose `main` is an entry point.
+const BINS: &str = "crates/served/src/bin/";
+
+/// Whether a function is a serving entry point: `main` of a `served`
+/// binary, or public API of the `served` library.
 fn is_entry(ws: &Workspace, f: usize) -> bool {
     let d = &ws.symbols.fns[f];
     if d.in_test {
         return false;
     }
     let path = ws.files[d.file].path.as_str();
-    if d.name == "main"
-        && (path.starts_with("crates/served/src/bin/")
-            || path.starts_with("crates/fabric/src/bin/"))
-    {
-        return true;
+    if path.starts_with(BINS) {
+        return d.name == "main";
     }
-    d.is_pub
-        && path.starts_with("crates/served/src/")
-        && !path.starts_with("crates/served/src/bin/")
+    d.is_pub && path.starts_with(LIB)
 }
 
 impl Pass for NoPanicInServicePath {
@@ -54,8 +54,11 @@ impl Pass for NoPanicInServicePath {
     }
     fn describe(&self) -> &'static str {
         "ban .unwrap()/.expect()/panic!/unreachable! in code reachable from serving entry \
-         points (served/fabric binaries, served public API); catch_unwind edges are not \
+         points (served binaries, served public API); catch_unwind edges are not \
          followed"
+    }
+    fn scope(&self) -> &'static [&'static str] {
+        &[LIB, BINS]
     }
 
     fn check(&self, ws: &Workspace) -> Vec<Finding> {
@@ -154,16 +157,16 @@ mod tests {
     fn panics_cross_crates_from_binary_mains() {
         let hits = findings(&[
             (
-                "crates/fabric/src/bin/ccp_coord.rs",
-                "fn main() { ccp_fabric::run(); }\n",
+                "crates/served/src/bin/ccp_served.rs",
+                "fn main() { ccp_sim::run(); }\n",
             ),
             (
-                "crates/fabric/src/lib.rs",
+                "crates/sim/src/lib.rs",
                 "pub fn run() { step(); }\nfn step() { panic!(\"boom\"); }\n",
             ),
         ]);
         assert_eq!(hits.len(), 1, "{hits:?}");
-        assert!(hits[0].path.ends_with("crates/fabric/src/lib.rs"));
+        assert!(hits[0].path.ends_with("crates/sim/src/lib.rs"));
         assert!(hits[0].message.contains("main → run → step → `panic`"));
     }
 

@@ -31,8 +31,10 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
 }
 
 /// Paths every rule ignores even when its own scope matches.
+pub(crate) const GLOBAL_EXCLUDES: &[&str] = &["crates/compat/", "crates/lint/tests/fixtures/"];
+
 fn globally_excluded(path: &str) -> bool {
-    path.starts_with("crates/compat/") || path.starts_with("crates/lint/tests/fixtures/")
+    under(path, GLOBAL_EXCLUDES)
 }
 
 /// True when `path` lies under any of `dirs`.
@@ -158,7 +160,10 @@ impl Rule for AtomicJsonWrites {
     }
     fn applies(&self, path: &str) -> bool {
         // json.rs hosts write_atomic itself — the one sanctioned call site.
-        !globally_excluded(path) && path != "crates/sim/src/json.rs"
+        !globally_excluded(path) && !self.scope().contains(&path)
+    }
+    fn scope(&self) -> &'static [&'static str] {
+        &["crates/sim/src/json.rs"]
     }
 
     fn check(&self, file: &SourceFile) -> Vec<Finding> {
@@ -245,16 +250,15 @@ impl Rule for NoWallclockInSim {
          (compress/cache/cpp/workgen)"
     }
     fn applies(&self, path: &str) -> bool {
-        !globally_excluded(path)
-            && under(
-                path,
-                &[
-                    "crates/compress/",
-                    "crates/cache/",
-                    "crates/cpp/",
-                    "crates/workgen/",
-                ],
-            )
+        !globally_excluded(path) && under(path, self.scope())
+    }
+    fn scope(&self) -> &'static [&'static str] {
+        &[
+            "crates/compress/",
+            "crates/cache/",
+            "crates/cpp/",
+            "crates/workgen/",
+        ]
     }
 
     fn check(&self, file: &SourceFile) -> Vec<Finding> {
@@ -309,15 +313,14 @@ impl Rule for NoLossyCastInHotPath {
          compression predicates or justify"
     }
     fn applies(&self, path: &str) -> bool {
-        !globally_excluded(path)
-            && under(
-                path,
-                &[
-                    "crates/compress/src/",
-                    "crates/cpp/src/",
-                    "crates/schemes/src/",
-                ],
-            )
+        !globally_excluded(path) && under(path, self.scope())
+    }
+    fn scope(&self) -> &'static [&'static str] {
+        &[
+            "crates/compress/src/",
+            "crates/cpp/src/",
+            "crates/schemes/src/",
+        ]
     }
 
     fn check(&self, file: &SourceFile) -> Vec<Finding> {
@@ -441,10 +444,9 @@ impl Rule for NoNarrowCounters {
 // R8: no-unbounded-reads
 // ---------------------------------------------------------------------------
 
-/// R8 — socket reads in the serving stack (`served`, `fabric`, `chaos`)
-/// must be bounded. The chaos-hardening PR's soak gate asserts the whole
-/// stack survives a peer that stalls mid-frame; that only holds if every
-/// `TcpStream` read path either sets a read timeout (the poll-slice
+/// R8 — socket reads in the serving stack (`served`) must be bounded.
+/// The server must survive a peer that stalls mid-frame; that only holds
+/// if every `TcpStream` read path either sets a read timeout (the poll-slice
 /// idiom: short `set_read_timeout`, loop on `WouldBlock`/`TimedOut`
 /// checking shutdown/deadline flags) or goes non-blocking. A file that
 /// mentions `TcpStream` and performs read calls without ever calling
@@ -475,19 +477,14 @@ impl Rule for NoUnboundedReads {
         Severity::Deny
     }
     fn describe(&self) -> &'static str {
-        "TcpStream read paths in served/fabric/chaos must bound reads via \
+        "TcpStream read paths in served must bound reads via \
          set_read_timeout or set_nonblocking (a stalled peer must never hang a thread)"
     }
     fn applies(&self, path: &str) -> bool {
-        !globally_excluded(path)
-            && under(
-                path,
-                &[
-                    "crates/served/src/",
-                    "crates/fabric/src/",
-                    "crates/chaos/src/",
-                ],
-            )
+        !globally_excluded(path) && under(path, self.scope())
+    }
+    fn scope(&self) -> &'static [&'static str] {
+        &["crates/served/src/"]
     }
 
     fn check(&self, file: &SourceFile) -> Vec<Finding> {
@@ -558,15 +555,14 @@ impl Rule for NoDynSchemeInHotPath {
          construction; a trait object adds an indirect call per replayed word"
     }
     fn applies(&self, path: &str) -> bool {
-        !globally_excluded(path)
-            && under(
-                path,
-                &[
-                    "crates/compress/src/",
-                    "crates/cpp/src/",
-                    "crates/cache/src/",
-                ],
-            )
+        !globally_excluded(path) && under(path, self.scope())
+    }
+    fn scope(&self) -> &'static [&'static str] {
+        &[
+            "crates/compress/src/",
+            "crates/cpp/src/",
+            "crates/cache/src/",
+        ]
     }
 
     fn check(&self, file: &SourceFile) -> Vec<Finding> {
@@ -781,7 +777,7 @@ fn serve(mut s: TcpStream) {
     fn r8_accepts_bounded_reads_and_non_socket_files() {
         // One set_read_timeout anywhere in the file bounds every read.
         let ok = run(
-            "crates/chaos/src/proxy.rs",
+            "crates/served/src/client.rs",
             "fn pump(s: TcpStream) { s.set_read_timeout(Some(POLL)); \
              let mut b = [0u8; 8]; s.read(&mut b); }",
         );
@@ -795,7 +791,7 @@ fn serve(mut s: TcpStream) {
         assert!(nb.iter().all(|f| f.rule != "no-unbounded-reads"), "{nb:?}");
         // Reads in a file that never touches TcpStream (e.g. disk I/O) pass.
         let disk = run(
-            "crates/fabric/src/coord.rs",
+            "crates/served/src/cache.rs",
             "fn load(mut f: File) { let mut s = String::new(); f.read_to_string(&mut s); }",
         );
         assert!(

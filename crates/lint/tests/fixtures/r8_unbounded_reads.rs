@@ -1,5 +1,5 @@
-// ccp-lint-fixture: crates/chaos/src/fixture.rs
-//! R8 `no-unbounded-reads`: a served/fabric/chaos file that handles a
+// ccp-lint-fixture: crates/served/src/fixture_r8.rs
+//! R8 `no-unbounded-reads`: a served file that handles a
 //! `TcpStream` and reads from it without ever bounding the read (no
 //! `set_read_timeout`, no `set_nonblocking`) is denied at every read
 //! call — a peer that stalls mid-frame would hang the thread forever.

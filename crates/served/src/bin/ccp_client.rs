@@ -184,11 +184,7 @@ fn submit(addr: &str, mut args: Vec<String>) {
     ensure_empty(&args);
 
     let mut client = connect(addr);
-    let ctl = SubmitCtl {
-        deadline_ms,
-        ..SubmitCtl::default()
-    };
-    match client.submit_wait_ctl(&spec, &ctl) {
+    match client.submit_wait_ctl(&spec, &SubmitCtl { deadline_ms }) {
         Ok(outcome) => {
             let cycles = outcome.stats.get("cycles").and_then(|v| v.as_u64());
             let insts = outcome.stats.get("instructions").and_then(|v| v.as_u64());

@@ -19,20 +19,15 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// Read-timeout slice used by [`Client::submit_wait_ctl`] when it has a
-/// cancel token or overall timeout to poll between response lines.
-const POLL_SLICE: Duration = Duration::from_millis(100);
-
 /// Deterministic jittered backoff for retrying typed `overloaded` sheds:
 /// exponential in `attempt` (capped), plus a jitter term that is a pure
-/// function of `(salt, attempt)` — same inputs, same backoff, so a chaos
-/// run under a fixed seed replays byte-for-byte, but distinct callers
-/// (distinct salts) still decorrelate their retries.
+/// function of `(salt, attempt)` — same inputs, same backoff, so a run
+/// under a fixed seed replays its retry timing exactly, but distinct
+/// callers (distinct salts) still decorrelate their retries.
 pub fn jittered_backoff_ms(base_ms: u64, attempt: u32, salt: u64) -> u64 {
     if base_ms == 0 {
         return 0;
@@ -69,19 +64,11 @@ pub struct JobOutcome {
 
 /// Delivery controls for [`Client::submit_wait_ctl`].
 #[derive(Debug, Clone, Copy, Default)]
-pub struct SubmitCtl<'a> {
+pub struct SubmitCtl {
     /// Server-side deadline in milliseconds (0 = none). Travels on the
     /// `submit` line; the server cancels the job once it elapses and
     /// never completes it into the cache or store.
     pub deadline_ms: u64,
-    /// Cooperative abandon flag, polled between response lines. When it
-    /// flips, a best-effort `cancel` is sent and the wait returns a
-    /// `canceled` error — the fabric uses this to call off the losing
-    /// side of a speculative dispatch.
-    pub cancel: Option<&'a AtomicBool>,
-    /// Overall client-side wait bound; elapsing surfaces as a transient
-    /// `timeout` (the caller's retry logic treats the worker as stalled).
-    pub overall_timeout: Option<Duration>,
 }
 
 impl Client {
@@ -106,9 +93,8 @@ impl Client {
     }
 
     /// Caps how long [`Client::recv`] blocks for a line. `None` restores
-    /// the default (block forever). Elapsing surfaces as
-    /// [`SimError::Timeout`], which is transient, so fabric retry logic
-    /// treats a stalled worker the same as a lost one.
+    /// the default (block forever). Elapsing surfaces as the transient
+    /// [`SimError::Timeout`], so a stalled server cannot hang the caller.
     pub fn set_read_timeout(&mut self, timeout: Option<Duration>) -> SimResult<()> {
         self.reader
             .get_ref()
@@ -128,29 +114,13 @@ impl Client {
         })?;
         if n == 0 {
             // Clean EOF is a *dead connection*, not a protocol violation
-            // and not a timeout: the peer hung up in an orderly way. The
-            // typed class lets callers (the fabric executor in
-            // particular) treat it as a worker fault without string
-            // matching, while a stall still surfaces as `timeout` above.
-            return Err(SimError::worker_lost(
+            // and not a timeout: the peer hung up in an orderly way.
+            return Err(SimError::io(
                 "peer",
-                "connection closed (clean EOF)",
+                &std::io::Error::new(ErrorKind::UnexpectedEof, "connection closed (clean EOF)"),
             ));
         }
         Response::parse(line.trim())
-    }
-
-    /// Introduces this connection and returns the server's advertised
-    /// `(protocol version, worker count)`.
-    pub fn hello(&mut self, peer: &str) -> SimResult<(u64, u64)> {
-        self.send(&Request::Hello { peer: peer.into() })?;
-        loop {
-            match self.recv()? {
-                Response::Welcome { proto, workers } => return Ok((proto, workers)),
-                Response::ProtocolError { error } => return Err(SimError::protocol(error)),
-                _ => {}
-            }
-        }
     }
 
     /// Submits `spec` and blocks until its terminal response, consuming
@@ -160,12 +130,8 @@ impl Client {
         self.submit_wait_ctl(spec, &SubmitCtl::default())
     }
 
-    /// [`Client::submit_wait`] with delivery controls: a server-side
-    /// deadline, a cooperative cancel token, and an overall client-side
-    /// timeout. When a cancel token or overall timeout is present the
-    /// socket read timeout is re-armed to short [`POLL_SLICE`]s so both
-    /// are observed between response lines (a caller-set read timeout is
-    /// clobbered in that mode).
+    /// [`Client::submit_wait`] with delivery controls ([`SubmitCtl`]: a
+    /// server-side deadline).
     ///
     /// Every accepted key is checked against the locally computed
     /// [`JobSpec::cache_key`], and every result's `sum` integrity field
@@ -178,42 +144,11 @@ impl Client {
             deadline_ms: ctl.deadline_ms,
         })?;
         let want_key = format!("{:016x}", spec.cache_key());
-        let started = Instant::now();
-        let polling = ctl.cancel.is_some() || ctl.overall_timeout.is_some();
-        if polling {
-            self.set_read_timeout(Some(POLL_SLICE))?;
-        }
         let mut job = 0u64;
         let mut key = String::new();
         let mut progress_events = 0u64;
         loop {
-            let resp = match self.recv() {
-                Err(e) if polling && e.class() == "timeout" => {
-                    if let Some(cancel) = ctl.cancel {
-                        if cancel.load(Ordering::SeqCst) {
-                            // Best-effort: release the server-side slot.
-                            if job != 0 {
-                                let _ = self.cancel(job);
-                            }
-                            return Err(SimError::canceled(format!(
-                                "submission abandoned by caller ({})",
-                                spec.context()
-                            )));
-                        }
-                    }
-                    if let Some(limit) = ctl.overall_timeout {
-                        if started.elapsed() >= limit {
-                            return Err(SimError::timeout(
-                                spec.context(),
-                                format!("no terminal response in {}ms", limit.as_millis()),
-                            ));
-                        }
-                    }
-                    continue;
-                }
-                other => other?,
-            };
-            match resp {
+            match self.recv()? {
                 Response::Accepted { job: id, key: k } => {
                     if k != want_key {
                         return Err(SimError::protocol(format!(

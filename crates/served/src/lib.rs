@@ -35,5 +35,5 @@ pub use cache::{CacheCounters, Lookup, ResultCache};
 pub use client::{
     jittered_backoff_ms, run_bench, BenchConfig, BenchReport, Client, JobOutcome, SubmitCtl,
 };
-pub use protocol::{Request, Response, StatsSnapshot, PROTO_VERSION};
+pub use protocol::{Request, Response, StatsSnapshot};
 pub use server::{start, ServerConfig, ServerHandle};

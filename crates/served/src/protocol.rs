@@ -10,9 +10,7 @@
 //! |-----------|--------|---------|
 //! | → | `submit` | a [`JobSpec`]: `workload`, `design`, optional `budget`/`seed`/`halved`/`warmup`/`fault`; optional `deadline_ms` |
 //! | → | `cancel` | `job` id |
-//! | → | `hello` | `peer` label (coordinator/worker registration) |
 //! | → | `stats`, `ping`, `shutdown` | — |
-//! | ← | `welcome` | `proto` version, `workers` pool size |
 //! | ← | `accepted` | `job` id, cache `key` (hex) |
 //! | ← | `progress` | `job`, `done`, `total` instructions |
 //! | ← | `result` | `job`, `cached` flag, full `stats` object, `sum` integrity hex |
@@ -59,20 +57,9 @@ pub enum Request {
     Stats,
     /// Liveness probe.
     Ping,
-    /// Identify this connection (the fabric coordinator registers itself
-    /// before dispatching cells). The server replies with `welcome`.
-    Hello {
-        /// A free-form label for the peer (e.g. `ccp-coord`).
-        peer: String,
-    },
     /// Ask the server to drain and exit (same path as SIGTERM).
     Shutdown,
 }
-
-/// Protocol version reported in `welcome` responses. Version 2 added
-/// `deadline_ms` on `submit`, the `overloaded` shed response, and the
-/// `sum` integrity field on `result`.
-pub const PROTO_VERSION: u64 = 2;
 
 /// A server → client message.
 #[derive(Debug, Clone, PartialEq)]
@@ -103,7 +90,7 @@ pub enum Response {
         /// The `RunStats` rendered as JSON (same shape as `ccp-sim --json`).
         stats: Json,
         /// FNV-1a hash of the canonical `stats` text, as fixed-width hex.
-        /// Empty when the response came from a pre-v2 server; clients
+        /// Empty when an older server omitted it; clients
         /// verify it when present and reject mismatches as protocol
         /// errors (a corrupted-in-transit payload).
         sum: String,
@@ -120,14 +107,6 @@ pub enum Response {
     },
     /// Counter snapshot.
     Stats(StatsSnapshot),
-    /// Reply to `hello`: the server's protocol version and worker pool
-    /// size, so a coordinator can size its dispatch.
-    Welcome {
-        /// Protocol version ([`PROTO_VERSION`]).
-        proto: u64,
-        /// Worker threads in this server's pool.
-        workers: u64,
-    },
     /// Reply to `ping`.
     Pong,
     /// The server is draining: sent as the reply to `shutdown`, and to any
@@ -309,10 +288,6 @@ impl Request {
             ]),
             Request::Stats => Json::obj([("type", Json::Str("stats".into()))]),
             Request::Ping => Json::obj([("type", Json::Str("ping".into()))]),
-            Request::Hello { peer } => Json::obj([
-                ("type", Json::Str("hello".into())),
-                ("peer", Json::Str(peer.clone())),
-            ]),
             Request::Shutdown => Json::obj([("type", Json::Str("shutdown".into()))]),
         }
     }
@@ -337,9 +312,6 @@ impl Request {
             }),
             "stats" => Ok(Request::Stats),
             "ping" => Ok(Request::Ping),
-            "hello" => Ok(Request::Hello {
-                peer: get_str(&v, "peer")?,
-            }),
             "shutdown" => Ok(Request::Shutdown),
             other => Err(SimError::protocol(format!(
                 "unknown request type {other:?}"
@@ -406,11 +378,6 @@ impl Response {
                 ("deadline_expired", Json::Num(s.deadline_expired as f64)),
                 ("disk_quarantined", Json::Num(s.disk_quarantined as f64)),
             ]),
-            Response::Welcome { proto, workers } => Json::obj([
-                ("type", Json::Str("welcome".into())),
-                ("proto", Json::Num(*proto as f64)),
-                ("workers", Json::Num(*workers as f64)),
-            ]),
             Response::Pong => Json::obj([("type", Json::Str("pong".into()))]),
             Response::ShuttingDown { detail } => Json::obj([
                 ("type", Json::Str("shutting_down".into())),
@@ -456,7 +423,7 @@ impl Response {
                     .get("stats")
                     .cloned()
                     .ok_or_else(|| SimError::protocol("result without \"stats\""))?,
-                // Absent from pre-v2 servers: empty means "unverifiable".
+                // Absent from older servers: empty means "unverifiable".
                 sum: opt_str(&v, "sum")?,
             }),
             "job_error" => Ok(Response::JobError {
@@ -476,8 +443,8 @@ impl Response {
                 evictions: get_u64(&v, "evictions")?,
                 entries: get_u64(&v, "entries")?,
                 queue_depth: get_u64(&v, "queue_depth")?,
-                // Added after v0 of the protocol: parsed tolerantly so a
-                // new client still reads an old server's snapshot.
+                // Added after the first protocol cut: parsed tolerantly so
+                // a new client still reads an old server's snapshot.
                 in_flight: opt_u64(&v, "in_flight", 0)?,
                 cache_bytes: opt_u64(&v, "cache_bytes", 0)?,
                 disk_hits: opt_u64(&v, "disk_hits", 0)?,
@@ -485,16 +452,12 @@ impl Response {
                 disk_writes: opt_u64(&v, "disk_writes", 0)?,
                 workers: get_u64(&v, "workers")?,
                 draining: opt_bool(&v, "draining", false)?,
-                // Added in protocol v2, same tolerance.
+                // Added with deadlines and sheds, same tolerance.
                 accept_errors: opt_u64(&v, "accept_errors", 0)?,
                 shed: opt_u64(&v, "shed", 0)?,
                 deadline_expired: opt_u64(&v, "deadline_expired", 0)?,
                 disk_quarantined: opt_u64(&v, "disk_quarantined", 0)?,
             })),
-            "welcome" => Ok(Response::Welcome {
-                proto: get_u64(&v, "proto")?,
-                workers: get_u64(&v, "workers")?,
-            }),
             "pong" => Ok(Response::Pong),
             "shutting_down" => Ok(Response::ShuttingDown {
                 detail: get_str(&v, "detail")?,
@@ -537,9 +500,6 @@ mod tests {
             Request::Cancel { job: 9 },
             Request::Stats,
             Request::Ping,
-            Request::Hello {
-                peer: "ccp-coord".into(),
-            },
             Request::Shutdown,
         ] {
             let line = req.to_line();
@@ -599,10 +559,6 @@ mod tests {
                 disk_quarantined: 4,
                 ..Default::default()
             }),
-            Response::Welcome {
-                proto: PROTO_VERSION,
-                workers: 4,
-            },
             Response::Pong,
             Response::ShuttingDown {
                 detail: "draining 2 jobs".into(),
@@ -620,7 +576,7 @@ mod tests {
 
     #[test]
     fn old_stats_lines_parse_without_new_fields() {
-        // A pre-fabric server omits in_flight/cache_bytes/disk_*: the
+        // An older server omits in_flight/cache_bytes/disk_*: the
         // snapshot must still parse, with those counters defaulting to 0.
         let line = r#"{"type":"stats","submitted":1,"completed":1,"failed":0,"canceled":0,"sims_run":1,"hits":0,"joined":0,"misses":1,"evictions":0,"entries":1,"queue_depth":0,"workers":4,"draining":false}"#;
         match Response::parse(line).expect("parse") {
@@ -636,7 +592,7 @@ mod tests {
 
     #[test]
     fn old_result_lines_parse_without_sum() {
-        // A pre-v2 server omits the integrity sum: the result still
+        // An older server omits the integrity sum: the result still
         // parses, with an empty (unverifiable) sum.
         let line = r#"{"type":"result","job":3,"cached":false,"stats":{"cycles":9}}"#;
         match Response::parse(line).expect("parse") {

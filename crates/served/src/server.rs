@@ -28,7 +28,7 @@
 //! [`job_error`]: crate::protocol::Response::JobError
 
 use crate::cache::{Lookup, ResultCache};
-use crate::protocol::{Request, Response, StatsSnapshot, PROTO_VERSION};
+use crate::protocol::{Request, Response, StatsSnapshot};
 use crate::sync::{CondvarExt, LockExt};
 use ccp_errors::{SimError, SimResult};
 use ccp_sim::checkpoint::stats_to_json;
@@ -60,11 +60,11 @@ pub struct ServerConfig {
     /// [`ccp_store::entry_cost`]).
     pub cache_bytes: usize,
     /// Directory for the cold disk tier of the result store. `None`
-    /// disables disk spill (RAM cache only — the pre-fabric behaviour).
+    /// disables disk spill (RAM cache only).
     pub store_dir: Option<PathBuf>,
     /// Bound on the job queue. A submit that would push the queue past
     /// this limit is shed with a typed `overloaded` response instead of
-    /// being accepted. `0` means unbounded (the pre-v2 behaviour).
+    /// being accepted. `0` means unbounded.
     pub max_queue: usize,
     /// Per-connection socket read timeout in milliseconds. This is the
     /// poll interval at which an idle reader re-checks the drain flag,
@@ -584,15 +584,6 @@ fn handle_request(line: &str, tx: &Sender<String>, shared: &Arc<Shared>) {
     match req {
         Request::Ping => {
             let _ = tx.send(Response::Pong.to_line());
-        }
-        Request::Hello { peer: _ } => {
-            let _ = tx.send(
-                Response::Welcome {
-                    proto: PROTO_VERSION,
-                    workers: shared.workers as u64,
-                }
-                .to_line(),
-            );
         }
         Request::Stats => {
             let _ = tx.send(Response::Stats(shared.snapshot()).to_line());

@@ -1,11 +1,15 @@
 //! End-to-end tests against an in-process `ccp-served` instance: protocol
 //! round-trips over real TCP, result-cache semantics (including the
-//! single-flight dedup property), crash isolation, cancellation, and
-//! graceful drain.
+//! single-flight dedup property), crash isolation, cancellation, graceful
+//! drain, deadlines, typed overload sheds, and the disk tier outliving a
+//! server restart.
 
-use ccp_served::{run_bench, start, BenchConfig, Client, Request, Response, ServerConfig};
+use ccp_served::{
+    run_bench, start, BenchConfig, Client, Request, Response, ServerConfig, SubmitCtl,
+};
 use ccp_sim::{run_job, JobSpec};
 use proptest::prelude::*;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
@@ -16,6 +20,27 @@ fn serve(workers: usize) -> ccp_served::ServerHandle {
         ..ServerConfig::default()
     })
     .expect("start server")
+}
+
+/// A unique scratch path under the system temp dir.
+fn scratch(tag: &str) -> PathBuf {
+    static N: AtomicU64 = AtomicU64::new(0);
+    std::env::temp_dir().join(format!(
+        "ccp-serve-{}-{tag}-{}",
+        std::process::id(),
+        N.fetch_add(1, Ordering::Relaxed)
+    ))
+}
+
+/// `.ccpz` entries in a store directory (0 when it does not exist).
+fn ccpz_count(dir: &std::path::Path) -> usize {
+    std::fs::read_dir(dir)
+        .map(|d| {
+            d.filter_map(|e| e.ok())
+                .filter(|e| e.path().extension().is_some_and(|x| x == "ccpz"))
+                .count()
+        })
+        .unwrap_or(0)
 }
 
 fn quick(workload: &str, design: &str, seed: u64) -> JobSpec {
@@ -366,4 +391,174 @@ fn bench_mode_reports_high_hit_rate_on_zipf_mix() {
     );
     server.shutdown();
     server.wait();
+}
+
+#[test]
+fn deadline_expired_jobs_are_cancelled_and_never_cached() {
+    let store = scratch("deadline-store");
+    let server = start(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 1,
+        store_dir: Some(store.clone()),
+        ..ServerConfig::default()
+    })
+    .expect("start server");
+    let addr = server.addr().to_string();
+    let mut spec = JobSpec::new("health", "CPP");
+    spec.budget = 2_000_000; // runs for much longer than the deadline
+
+    let mut client = Client::connect(&addr).expect("connect");
+    let err = client
+        .submit_wait_ctl(&spec, &SubmitCtl { deadline_ms: 5 })
+        .expect_err("a 5 ms deadline must expire before a 2M-instruction job finishes");
+    assert_eq!(
+        err.class(),
+        "timeout",
+        "expired deadline reports as timeout: {err}"
+    );
+
+    let stats = client.stats().expect("stats");
+    assert!(
+        stats.deadline_expired >= 1,
+        "server must count the expiry: {stats:?}"
+    );
+
+    // The contract: "cancelled, never completed". Nothing may have
+    // reached the RAM cache or the disk tier.
+    assert_eq!(
+        ccpz_count(&store),
+        0,
+        "an expired job must never spill to the store"
+    );
+
+    let again = client
+        .submit_wait_ctl(&spec, &SubmitCtl::default())
+        .expect("the same spec without a deadline completes");
+    assert!(
+        !again.cached,
+        "re-submission must recompute: the expired run may not have populated the cache"
+    );
+
+    let _ = std::fs::remove_dir_all(&store);
+    server.shutdown();
+    server.wait();
+}
+
+#[test]
+fn bounded_queue_sheds_typed_overloads_that_shed_retry_absorbs() {
+    let server = start(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 1,
+        max_queue: 1,
+        ..ServerConfig::default()
+    })
+    .expect("start server");
+    let addr = server.addr().to_string();
+
+    // Occupy the single worker with a long job, then fill the one queue
+    // slot; the third distinct submission must be shed, typed.
+    let submit_async = |spec: JobSpec| -> Client {
+        let mut c = Client::connect(&addr).expect("connect");
+        c.send(&Request::Submit {
+            spec,
+            deadline_ms: 0,
+        })
+        .expect("send");
+        match c.recv().expect("recv") {
+            Response::Accepted { .. } => c,
+            other => panic!("expected accepted, got {other:?}"),
+        }
+    };
+    let mut slow = JobSpec::new("health", "CPP");
+    slow.budget = 2_000_000;
+    let _holder = submit_async(slow);
+    let _queued = submit_async(JobSpec::new("mst", "BC"));
+
+    let shed_spec = JobSpec::new("treeadd", "BC");
+    let mut shed_client = Client::connect(&addr).expect("connect");
+    let err = shed_client
+        .submit_wait(&shed_spec)
+        .expect_err("the queue is full; this submit must be shed");
+    assert_eq!(err.class(), "overloaded", "shed is typed: {err}");
+    assert!(
+        !err.is_transient(),
+        "overloaded is backpressure, not a fault — callers must back off, not blind-retry"
+    );
+
+    let stats = shed_client.stats().expect("stats");
+    assert!(stats.shed >= 1, "server counts the shed: {stats:?}");
+
+    // Shed-aware retry (jittered-deterministic backoff) rides out the
+    // backpressure and completes once capacity frees up.
+    let done = shed_client
+        .submit_wait_shed_retry(&shed_spec, &SubmitCtl::default(), 1_000, 2, 0x5EED)
+        .expect("shed retry absorbs the overload");
+    assert!(
+        done.stats
+            .get("cycles")
+            .and_then(|v| v.as_u64())
+            .unwrap_or(0)
+            > 0
+    );
+
+    server.shutdown();
+    server.wait();
+}
+
+#[test]
+fn restarted_server_answers_repeat_submits_from_the_disk_tier() {
+    let store = scratch("restart-store");
+    let serve_on_store = || {
+        start(ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 2,
+            store_dir: Some(store.clone()),
+            ..ServerConfig::default()
+        })
+        .expect("start server")
+    };
+    let specs = [quick("health", "CPP", 13), quick("mst", "BC", 13)];
+
+    // The first server computes every job and spills it to disk.
+    let first = serve_on_store();
+    let mut client = Client::connect(&first.addr().to_string()).expect("connect");
+    let computed: Vec<_> = specs
+        .iter()
+        .map(|s| client.submit_wait(s).expect("submit"))
+        .collect();
+    assert!(computed.iter().all(|o| !o.cached), "a cold store computes");
+    first.shutdown();
+    first.wait();
+    assert_eq!(
+        ccpz_count(&store),
+        specs.len(),
+        "every result spilled as a content-addressed file"
+    );
+
+    // A fresh process on the same directory: empty RAM cache, so every
+    // repeat must come back from disk without running a simulation.
+    let second = serve_on_store();
+    let mut client = Client::connect(&second.addr().to_string()).expect("connect");
+    for (spec, before) in specs.iter().zip(&computed) {
+        let again = client.submit_wait(spec).expect("resubmit");
+        assert!(again.cached, "{}: answered from the store", spec.context());
+        assert_eq!(again.key, before.key);
+        assert_eq!(
+            again.stats, before.stats,
+            "disk hits return identical stats"
+        );
+    }
+    let stats = client.stats().expect("stats");
+    assert!(
+        stats.disk_hits >= specs.len() as u64,
+        "repeats are disk hits: {stats:?}"
+    );
+    assert_eq!(
+        stats.sims_run, 0,
+        "no simulation after a restart: {stats:?}"
+    );
+
+    second.shutdown();
+    second.wait();
+    let _ = std::fs::remove_dir_all(&store);
 }

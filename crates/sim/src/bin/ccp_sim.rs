@@ -8,7 +8,8 @@
 //!   --seed S            workload generation seed         (default 1)
 //!   --threads T         worker threads                   (default: all cores)
 //!   --workloads L       comma-separated benchmark names and/or workgen:
-//!                       specs                            (default: all 14)
+//!                       specs; a spec keeps its own key=value
+//!                       commas                           (default: all 14)
 //!   --designs L         comma-separated design subset    (default: all 5)
 //!   --halved            halve the miss penalties (Figure 14 variant)
 //!   --scheme S          compression scheme CPP|BDI|FPC   (default CPP)
@@ -29,7 +30,7 @@
 //! finished cells are skipped and the final report is byte-identical to an
 //! uninterrupted run.
 
-use ccp_sim::sweep::{run_sweep_resilient, CellStatus, ResilienceConfig};
+use ccp_sim::sweep::{run_sweep_resilient, CellStatus, ResilienceConfig, Workload};
 use ccp_sim::SweepConfig;
 
 const HELP: &str = "ccp-sim — hardened, resumable sweep driver
@@ -90,11 +91,7 @@ fn parse_args() -> Args {
                     .unwrap_or_else(|e| usage(&format!("bad --threads: {e}")));
             }
             "--workloads" => {
-                config.workloads = need(&mut it, "--workloads")
-                    .split(',')
-                    .map(|s| s.trim().to_string())
-                    .filter(|s| !s.is_empty())
-                    .collect();
+                config.workloads = Workload::parse_list(&need(&mut it, "--workloads"));
             }
             "--designs" => {
                 config.designs = need(&mut it, "--designs")

@@ -47,6 +47,28 @@ impl Workload {
         }
     }
 
+    /// Splits a comma-separated workload list (the `--workloads` option)
+    /// into names. A `workgen:` spec separates its own keys with commas
+    /// too, so a `key=value` token that follows a spec joins that spec:
+    /// `health,workgen:addr=chase,nodes=512,mst` is three workloads.
+    pub fn parse_list(list: &str) -> Vec<String> {
+        let mut names: Vec<String> = Vec::new();
+        for token in list.split(',').map(str::trim).filter(|t| !t.is_empty()) {
+            match names.last_mut() {
+                Some(spec)
+                    if spec.starts_with("workgen:")
+                        && token.contains('=')
+                        && !token.starts_with("workgen:") =>
+                {
+                    spec.push(',');
+                    spec.push_str(token);
+                }
+                _ => names.push(token.to_string()),
+            }
+        }
+        names
+    }
+
     /// The name cells are keyed by: paper spelling for benchmarks, the
     /// canonical spec string for synthetics.
     pub fn full_name(&self) -> String {
@@ -358,10 +380,10 @@ pub struct ResilientSweep {
 }
 
 impl ResilientSweep {
-    /// Assembles a sweep from externally produced outcomes (the fabric
-    /// coordinator shards cells across remote workers and merges them back
-    /// through this constructor, so its report/JSON bytes are rendered by
-    /// exactly the same code as a local `run_sweep_resilient`).
+    /// Assembles a sweep from externally produced outcomes, so a caller
+    /// that runs cells its own way (the benchmark harness times each one)
+    /// renders its report and JSON bytes with exactly the same code as a
+    /// local `run_sweep_resilient`.
     pub fn from_outcomes(
         config: SweepConfig,
         workloads: Vec<String>,
@@ -835,6 +857,29 @@ mod tests {
         assert!(w.full_name().starts_with("workgen:addr=zipf"));
         assert!(Workload::by_name("nonesuch").is_err());
         assert!(Workload::by_name("workgen:addr=bogus").is_err());
+    }
+
+    #[test]
+    fn workload_lists_keep_multi_key_specs_whole() {
+        assert_eq!(
+            Workload::parse_list("health,workgen:addr=chase,nodes=512,mst"),
+            ["health", "workgen:addr=chase,nodes=512", "mst"]
+        );
+        assert_eq!(
+            Workload::parse_list(" workgen:addr=zipf, small=0.6 ,workgen:addr=seq,,treeadd "),
+            ["workgen:addr=zipf,small=0.6", "workgen:addr=seq", "treeadd"]
+        );
+        // A key with no spec before it stays a (non-resolving) name.
+        assert_eq!(Workload::parse_list("nodes=512,mst"), ["nodes=512", "mst"]);
+        for name in Workload::parse_list("health,workgen:addr=chase,nodes=512,mst") {
+            Workload::by_name(&name).expect("every parsed name resolves");
+        }
+        let chase = Workload::by_name("workgen:addr=chase,nodes=512").unwrap();
+        assert!(
+            chase.full_name().contains("nodes=512"),
+            "{}",
+            chase.full_name()
+        );
     }
 
     #[test]

@@ -1,14 +1,14 @@
 #![warn(missing_docs)]
 
-//! Two-tier content-addressed result store for the simulation fabric.
+//! Two-tier content-addressed result store for simulation results.
 //!
 //! Results are addressed by the FNV-1a key of a job's canonical text
 //! (the same key [`ccp_sim::JobSpec::cache_key`] computes). The hot tier
 //! is a byte-bounded in-RAM LRU; the cold tier is an on-disk directory of
 //! one file per key, written atomically and transparently LZ-compressed
 //! (the ZipCache shape: compress what you keep, verify what you load).
-//! Both the `ccp-served` workers and the `ccp-coord` coordinator share
-//! this crate, so a result computed anywhere is reusable everywhere.
+//! `ccp-served` spills its result cache to the [`disk`] tier, so a
+//! result outlives the server process that computed it.
 //!
 //! * [`lz`] — the dependency-free LZSS byte compressor,
 //! * [`disk`] — the cold tier and the `CCPZ` entry format,

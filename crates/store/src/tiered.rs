@@ -46,9 +46,7 @@ struct HotEntry {
 
 /// A byte-bounded RAM cache over an optional disk tier.
 ///
-/// Methods take `&mut self`; concurrent users wrap the store in a mutex
-/// (the fabric coordinator names that field `store`, below `grid` in its
-/// lock hierarchy).
+/// Methods take `&mut self`; concurrent users wrap the store in a mutex.
 pub struct TieredStore {
     ram_budget: usize,
     bytes: usize,

@@ -26,9 +26,7 @@
 //! * [`served`] — simulation-as-a-service: the NDJSON-over-TCP job
 //!   server with single-flight result caching, and its client/loadgen,
 //! * [`store`] — the two-tier content-addressed result store (RAM LRU
-//!   over a compressed on-disk tier),
-//! * [`fabric`] — the distributed sweep fabric: `ccp-coord` shards
-//!   sweep grids across `ccp-served` workers with crash-safe resume.
+//!   over a compressed on-disk tier).
 //!
 //! ## Quickstart
 //!
@@ -49,7 +47,6 @@ pub use ccp_cache as cache;
 pub use ccp_compress as compress;
 pub use ccp_cpp as cpp;
 pub use ccp_errors as errors;
-pub use ccp_fabric as fabric;
 pub use ccp_mem as mem;
 pub use ccp_pipeline as pipeline;
 pub use ccp_schemes as schemes;
