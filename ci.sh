@@ -162,21 +162,21 @@ grep -q '"cache_keys_scheme_distinct":true' "$SCRATCH/SCHEMES_report.json" || {
     echo "SCHEMES_report.json disagrees with the report text"; exit 1; }
 
 echo "== chaos smoke: fault injection is detected, no false positives"
-./target/release/trace-tool chaos --workload health --workload mst --budget 8000
+./target/release/repro chaos --workload health --workload mst --budget 8000
 
 echo "== resume round-trip: interrupted + resumed sweep == uninterrupted"
 SWEEP_ARGS="--budget 2000 --seed 7 --workloads health,mst --designs BC,CPP"
 # Phase 1: "crash" after 2 of 4 cells (exit 3 = incomplete, by design).
 set +e
-./target/release/ccp-sim sweep $SWEEP_ARGS --max-cells 2 \
+./target/release/repro sweep $SWEEP_ARGS --max-cells 2 \
     --checkpoint "$SCRATCH/ck.jsonl" > "$SCRATCH/interrupted.txt"
 status=$?
 set -e
 [ "$status" -eq 3 ] || { echo "expected exit 3 (incomplete), got $status"; exit 1; }
 # Phase 2: resume finishes the grid; phase 3: an uninterrupted reference.
-./target/release/ccp-sim sweep $SWEEP_ARGS --resume "$SCRATCH/ck.jsonl" \
+./target/release/repro sweep $SWEEP_ARGS --resume "$SCRATCH/ck.jsonl" \
     --json "$SCRATCH/resumed.json" > "$SCRATCH/resumed.txt"
-./target/release/ccp-sim sweep $SWEEP_ARGS \
+./target/release/repro sweep $SWEEP_ARGS \
     --json "$SCRATCH/fresh.json" > "$SCRATCH/fresh.txt"
 cmp "$SCRATCH/resumed.txt" "$SCRATCH/fresh.txt"
 cmp "$SCRATCH/resumed.json" "$SCRATCH/fresh.json"
@@ -207,15 +207,15 @@ stop_served() {  # SIGTERM drains and exits 0
 start_served served
 
 # One benchmark job and one workgen job: the served stats must be
-# field-identical to direct ccp-sim runs of the same cells.
+# field-identical to direct `repro sweep` runs of the same cells.
 WGSPEC="workgen:addr=zipf,small=0.6"
 ./target/release/ccp-client --addr "$ADDR" submit --workload health --design CPP \
     --budget 2000 --seed 7 --json "$SCRATCH/served-bench.json" > /dev/null
 ./target/release/ccp-client --addr "$ADDR" submit --workload "$WGSPEC" --design BC \
     --budget 2000 --seed 7 --json "$SCRATCH/served-wg.json" > /dev/null
-./target/release/ccp-sim sweep --budget 2000 --seed 7 --workloads health \
+./target/release/repro sweep --budget 2000 --seed 7 --workloads health \
     --designs CPP --json "$SCRATCH/direct-bench.json" > /dev/null
-./target/release/ccp-sim sweep --budget 2000 --seed 7 --workloads "$WGSPEC" \
+./target/release/repro sweep --budget 2000 --seed 7 --workloads "$WGSPEC" \
     --designs BC --json "$SCRATCH/direct-wg.json" > /dev/null
 for pair in "served-bench direct-bench" "served-wg direct-wg"; do
     served_file="$SCRATCH/$(echo "$pair" | cut -d' ' -f1).json"

@@ -51,14 +51,6 @@ impl LaneDispatch {
             LaneDispatch::Scalar => "scalar",
         }
     }
-
-    /// Parses a dispatch id, case-insensitively.
-    pub fn from_name(name: &str) -> Option<LaneDispatch> {
-        let name = name.trim();
-        [LaneDispatch::Swar, LaneDispatch::Scalar]
-            .into_iter()
-            .find(|d| d.name().eq_ignore_ascii_case(name))
-    }
 }
 
 /// Process-wide kernel selector. Both kernels compute the same masks (the
@@ -331,11 +323,5 @@ mod tests {
         set_line_dispatch(LaneDispatch::Swar);
         assert_eq!(line_dispatch(), LaneDispatch::Swar);
         set_line_dispatch(before);
-        assert_eq!(
-            LaneDispatch::from_name("SCALAR"),
-            Some(LaneDispatch::Scalar)
-        );
-        assert_eq!(LaneDispatch::from_name(" swar "), Some(LaneDispatch::Swar));
-        assert_eq!(LaneDispatch::from_name("avx9"), None);
     }
 }

@@ -16,7 +16,7 @@
 //!   agreement, `tag ^ 0x1` pairing rules, and compress/decompress
 //!   round-trips of every word held in a compressed half-slot.
 //!
-//! The chaos harness (`trace-tool chaos`) runs a clean workload, asserts
+//! The chaos harness (`repro chaos`) runs a clean workload, asserts
 //! the checker reports nothing (no false positives), then injects each
 //! fault class and asserts the checker reports it (no false negatives).
 

@@ -15,7 +15,7 @@
 //!       --deadline-ms MS server-side deadline: an expired job is
 //!                        cancelled, never cached    (default 0 = none)
 //!       --json FILE      write the stats object (atomic; same shape as a
-//!                        `ccp-sim sweep --json` cell)
+//!                        `repro sweep --json` cell)
 //!   bench     closed-loop zipf load generator
 //!       --conns N        concurrent connections            (default 4)
 //!       --requests N     total submissions                 (default 400)

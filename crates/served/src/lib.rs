@@ -6,7 +6,7 @@
 //! service: clients submit jobs (benchmark names or `workgen:` specs ×
 //! design × configuration) over a newline-delimited JSON TCP protocol, a
 //! bounded worker pool runs them through the same guarded core as
-//! `ccp-sim sweep` cells, and a content-addressed result cache with
+//! `repro sweep` cells, and a content-addressed result cache with
 //! single-flight deduplication makes repeated and concurrent-identical
 //! submissions nearly free. `ccp-client` is the matching CLI: one-shot
 //! submissions, server control, and a zipf load generator.

@@ -1,32 +1,636 @@
-//! `repro` — regenerates every table and figure of the paper.
+//! `repro` — the simulator's one binary. Without a subcommand it
+//! regenerates the paper's tables and figures; its subcommands run
+//! resumable sweeps, per-design dumps of one benchmark, the
+//! fault-injection harness, and `.ccpt` trace files.
 //!
 //! ```text
-//! repro [OPTIONS] [FIGURES...]
-//!
-//! FIGURES: fig3 fig9 fig10 fig11 fig12 fig13 fig14 fig15 all   (default: all)
-//!          exta (stride) extb (FVC) extc (CPI stacks) extd (conflict)
-//!          exte (transitions) extf (in-order core) extg (size sweep) ext
-//!          workgen (compressibility sweep over a synthetic workload)
-//!          compare-schemes (CPP vs BDI vs FPC cross-scheme study)
-//!
-//! OPTIONS:
-//!   --budget N     instructions per benchmark        (default 400000)
-//!   --seed S       workload generation seed          (default 1)
-//!   --threads T    worker threads                    (default: all cores)
-//!   --benchmarks L comma-separated benchmark subset  (default: all 14)
-//!   --json FILE    additionally write results as JSON
+//! repro [OPTIONS] [FIGURES...]     fig3 fig9..fig15 all · exta..extg ext · workgen
+//!                                  · difftest · perf · compare-schemes
+//! repro sweep [OPTIONS]            resumable, crash-isolated sweep grid
+//! repro inspect <benchmark>        full per-design statistics of one benchmark
+//! repro chaos [OPTIONS]            fault injection: every class must be detected
+//! repro trace gen|info|profile|run|workgen ...
 //! ```
+//!
+//! `repro --help` prints every subcommand's options ([`HELP`]). One
+//! parser ([`Args::parse`]) reads every command line, so a flag means the
+//! same thing and fails the same way everywhere. Exit codes: 0 ok · 1 run
+//! or I/O failure, failed cell or failed check · 2 usage or spec error ·
+//! 3 sweep incomplete (cells skipped).
 
+use ccp_cache::DesignKind;
+use ccp_compress::profile::ValueProfile;
 use ccp_errors::{SimError, SimResult};
-use ccp_sim::experiments as exp;
+use ccp_pipeline::{run_source, PipelineConfig};
+use ccp_schemes::SchemeKind;
+use ccp_sim::checkpoint::stats_to_json;
+use ccp_sim::experiments::{self as exp, NormalizedFigure};
 use ccp_sim::extensions as ext;
-use ccp_sim::json::{normalized_figure_json, Json};
-use ccp_sim::sweep::{run_sweep, Sweep, SweepConfig};
-use ccp_trace::{all_benchmarks, benchmark_by_name, Benchmark};
+use ccp_sim::json::{normalized_figure_json, write_atomic, Json};
+use ccp_sim::sweep::{
+    run_cell_source_scheme, run_sweep, run_sweep_resilient, CellStatus, ResilienceConfig, Sweep,
+    SweepConfig, Workload,
+};
+use ccp_sim::{build_design, chaos, fastsim};
+use ccp_trace::{
+    all_benchmarks, benchmark_by_name, profile_source_values, Benchmark, Trace, TraceSource,
+};
+use ccp_workgen::{SynthSource, WorkgenSpec};
+use std::path::{Path, PathBuf};
+use std::process::exit;
+
+/// Exit code of a run or I/O failure, a failed sweep cell or a failed
+/// check (diverged engines, an escaped fault, a speedup below its floor).
+const EXIT_FAILED: i32 = 1;
+/// Exit code of a usage or spec error: errors of class `spec` or
+/// `unknown-name`.
+const EXIT_USAGE: i32 = 2;
+/// Exit code of a sweep that stopped with cells skipped (`--max-cells`).
+const EXIT_INCOMPLETE: i32 = 3;
+
+const HELP: &str = "repro — the CPP simulator: the paper's figures, sweeps, traces, fault injection
+usage: repro [--budget N] [--seed S] [--threads T] [--benchmarks a,b,..] [--json FILE] [--bars]
+             [fig3..fig15 | exta..extg | ext | workgen | all]...
+           print the paper's figures and the extension tables (default: all;
+           budget 400000)
+       repro difftest [--budget N] [--seed S] [--benchmarks a,b,..]
+                      [--render-goldens DIR]
+           replay every benchmark through the optimized and reference CPP
+           engines under each {scalar,swar} lane dispatch; exit 1 unless
+           all stats are byte-identical; --render-goldens regenerates the
+           pinned stats fixtures in DIR
+           (crates/sim/tests/expected_stats) and the pipeline fixtures
+           beside it (expected_pipeline) after auditing a change
+       repro perf [--budget N] [--seed S] [--benchmarks a,b,..]
+                  [--out FILE] [--assert-min-speedup X]
+           time optimized vs reference replay, append a trajectory row to
+           BENCH_core.json (default; override with --out), exit 1 if the
+           geomean speedup falls below X
+       repro compare-schemes [--budget N] [--seed S] [--benchmarks a,b,..]
+                             [--schemes CPP,BDI,FPC] [--out FILE]
+           replay every benchmark under every compression scheme at two
+           hierarchy geometries; print the scheme x workload report (miss
+           counts, affiliated-hit fraction, tag-overhead bits) and write
+           it as JSON to --out (default SCHEMES_report.json)
+       repro sweep [--budget N] [--seed S] [--threads T]
+                   [--workloads a,b,..] [--designs BC,CPP,..] [--halved]
+                   [--scheme CPP|BDI|FPC] [--retries N] [--backoff-ms MS]
+                   [--watchdog N] [--max-cells N]
+                   [--checkpoint FILE | --resume FILE] [--json FILE]
+           run a workload x design grid with per-cell crash isolation
+           (budget 60000); --resume skips the cells a checkpoint holds
+       repro inspect <benchmark> [--budget N] [--seed S] [--json FILE]
+           dump every design's run statistics for one benchmark (budget 300000)
+       repro chaos [--workload NAME|SPEC]... [--all-benchmarks] [--budget N] [--seed S]
+           inject every metadata fault class and require each detected
+           (budget 20000, workload health)
+       repro trace gen <benchmark> <out.ccpt> [--budget N] [--seed S]
+       repro trace info <file.ccpt>
+       repro trace profile <file.ccpt>
+       repro trace run <file.ccpt> [--design BC|BCC|HAC|BCP|CPP]
+       repro trace workgen [--spec STR] [--addr seq|stride|uniform|zipf|chase]
+                   [--small-value F] [--pointer F] [--entropy F] [--mem F]
+                   [--store-ratio F] [--branch F] [--falu F] [--footprint W]
+                   [--stride W] [--zipf-skew K] [--nodes N] [--seed S] [--budget N]
+           write, describe, profile or time a .ccpt trace (gen budget
+           400000); workgen streams a synthetic workload (budget 1000000)
+exit codes: 0 ok · 1 run/IO failure or failed cell · 2 usage/spec error · 3 sweep incomplete";
+
+/// Flags that take no value; every other flag takes one.
+const SWITCHES: [&str; 3] = ["--bars", "--halved", "--all-benchmarks"];
+
+/// A subcommand: the words that select it, how many names (benchmark,
+/// file) follow them (`None`: any number), its default budget, the flags
+/// it takes (space-separated), and the function that runs it.
+struct Command {
+    name: &'static str,
+    names: Option<usize>,
+    budget: usize,
+    flags: &'static str,
+    run: fn(&Args) -> SimResult<()>,
+}
+
+/// The figure mode: every argument that is not a flag names a figure.
+static FIGURE_MODE: Command = Command {
+    name: "",
+    names: None,
+    budget: 400_000,
+    flags: "--budget --seed --threads --benchmarks --json --bars --assert-min-speedup --out \
+            --render-goldens --schemes",
+    run: figures,
+};
+
+static COMMANDS: [Command; 8] = [
+    Command {
+        name: "sweep",
+        names: Some(0),
+        budget: 60_000,
+        flags: "--budget --seed --threads --workloads --designs --halved --scheme --retries \
+                --backoff-ms --watchdog --max-cells --checkpoint --resume --json",
+        run: sweep,
+    },
+    Command {
+        name: "inspect",
+        names: Some(1),
+        budget: 300_000,
+        flags: "--budget --seed --json",
+        run: inspect,
+    },
+    Command {
+        name: "chaos",
+        names: Some(0),
+        budget: 20_000,
+        flags: "--budget --seed --workload --all-benchmarks",
+        run: chaos,
+    },
+    Command {
+        name: "trace gen",
+        names: Some(2),
+        budget: 400_000,
+        flags: "--budget --seed",
+        run: trace_gen,
+    },
+    Command {
+        name: "trace info",
+        names: Some(1),
+        budget: 0,
+        flags: "",
+        run: trace_info,
+    },
+    Command {
+        name: "trace profile",
+        names: Some(1),
+        budget: 0,
+        flags: "",
+        run: trace_profile,
+    },
+    Command {
+        name: "trace run",
+        names: Some(1),
+        budget: 0,
+        flags: "--design",
+        run: trace_run,
+    },
+    Command {
+        name: "trace workgen",
+        names: Some(0),
+        budget: 1_000_000,
+        flags: "--budget --seed --spec --addr --small-value --pointer --entropy --mem \
+                --store-ratio --branch --falu --footprint --stride --zipf-skew --nodes",
+        run: trace_workgen,
+    },
+];
 
 /// A typed bad-usage error: `class() == "spec"` maps to exit code 2.
 fn spec_err(arg: &str, detail: impl std::fmt::Display) -> SimError {
     SimError::spec(format!("{arg}: {detail}"))
+}
+
+/// Parses `value` of `flag` as a number.
+fn num<T: std::str::FromStr>(flag: &str, value: &str) -> SimResult<T>
+where
+    T::Err: std::fmt::Display,
+{
+    value.parse().map_err(|e| spec_err(flag, e))
+}
+
+/// One command line, parsed by the parser every subcommand shares.
+struct Args {
+    command: &'static Command,
+    /// Arguments that are not flags, after the subcommand's own words.
+    names: Vec<String>,
+    /// Flags in command-line order; a switch's value is empty.
+    flags: Vec<(&'static str, String)>,
+    budget: usize,
+    seed: u64,
+    /// Worker threads (0 = all cores).
+    threads: usize,
+    json: Option<PathBuf>,
+    /// `--benchmarks` / `--workloads` lists, `--workload` repeats and
+    /// `--all-benchmarks`, applied in order; empty = the subcommand's
+    /// default set.
+    workloads: Vec<String>,
+}
+
+impl Args {
+    /// Picks the subcommand from the leading words, then reads the flags
+    /// it takes. An unknown subcommand, an unknown flag, a flag without
+    /// its value, a bad number or the wrong count of names is a spec
+    /// error; `--help` prints [`HELP`] and exits 0.
+    fn parse(argv: impl IntoIterator<Item = String>) -> SimResult<Args> {
+        let mut argv = argv.into_iter().peekable();
+        let lead = argv.peek().cloned().unwrap_or_default();
+        let command = if lead == "trace" {
+            argv.next();
+            let sub = argv.next().unwrap_or_default();
+            COMMANDS
+                .iter()
+                .find(|c| c.name.strip_prefix("trace ") == Some(sub.as_str()))
+                .ok_or_else(|| {
+                    spec_err(
+                        "repro trace",
+                        format!(
+                            "unknown subcommand {sub:?} (valid: gen, info, profile, run, workgen)"
+                        ),
+                    )
+                })?
+        } else if let Some(c) = COMMANDS.iter().find(|c| c.name == lead) {
+            argv.next();
+            c
+        } else {
+            &FIGURE_MODE
+        };
+
+        let mut names = Vec::new();
+        let mut flags = Vec::new();
+        while let Some(a) = argv.next() {
+            if a == "--help" || a == "-h" {
+                println!("{HELP}");
+                exit(0);
+            }
+            if !a.starts_with('-') {
+                names.push(a);
+                continue;
+            }
+            let Some(flag) = command.flags.split_whitespace().find(|f| *f == a) else {
+                return Err(spec_err(
+                    &a,
+                    format!("not an option of {} (try --help)", command.title()),
+                ));
+            };
+            let value = if SWITCHES.contains(&flag) {
+                String::new()
+            } else {
+                argv.next().ok_or_else(|| spec_err(flag, "needs a value"))?
+            };
+            flags.push((flag, value));
+        }
+        if let Some(n) = command.names.filter(|&n| n != names.len()) {
+            return Err(spec_err(
+                &command.title(),
+                format!("takes {n} name(s), got {names:?} (try --help)"),
+            ));
+        }
+
+        let mut args = Args {
+            command,
+            names,
+            flags,
+            budget: command.budget,
+            seed: 1,
+            threads: 0,
+            json: None,
+            workloads: Vec::new(),
+        };
+        for (flag, v) in &args.flags {
+            match *flag {
+                "--budget" => args.budget = num(flag, v)?,
+                "--seed" => args.seed = num(flag, v)?,
+                "--threads" => args.threads = num(flag, v)?,
+                "--json" => args.json = Some(v.into()),
+                "--benchmarks" | "--workloads" => args.workloads = Workload::parse_list(v),
+                "--workload" => args.workloads.push(v.clone()),
+                "--all-benchmarks" => {
+                    args.workloads = all_benchmarks().iter().map(|b| b.full_name()).collect();
+                }
+                _ => {}
+            }
+        }
+        Ok(args)
+    }
+
+    /// The value of the last `flag` on the command line.
+    fn value(&self, flag: &str) -> Option<&str> {
+        self.flags
+            .iter()
+            .rev()
+            .find(|(f, _)| *f == flag)
+            .map(|(_, v)| v.as_str())
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.value(flag).is_some()
+    }
+}
+
+impl Command {
+    fn title(&self) -> String {
+        format!("repro {}", self.name).trim_end().to_string()
+    }
+}
+
+/// Reports `e` and exits with its code: 2 for a usage or spec error, 1
+/// for anything else.
+fn die(e: &SimError) -> ! {
+    eprintln!("error [{}]: {e}", e.class());
+    exit(match e.class() {
+        "spec" | "unknown-name" => EXIT_USAGE,
+        _ => EXIT_FAILED,
+    })
+}
+
+fn main() {
+    if let Err(e) = Args::parse(std::env::args().skip(1)).and_then(|a| (a.command.run)(&a)) {
+        die(&e);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Figure mode
+// ---------------------------------------------------------------------------
+
+/// What the figure mode computes once for every figure it prints.
+struct Ctx<'a> {
+    args: &'a Args,
+    benchmarks: Vec<Benchmark>,
+    /// The extension tables' benchmarks: their representative subset,
+    /// unless `--benchmarks` narrowed the run.
+    ext_benches: Vec<Benchmark>,
+    schemes: Vec<SchemeKind>,
+    min_speedup: Option<f64>,
+    sweep: Option<Sweep>,
+    halved: Option<Sweep>,
+}
+
+impl Ctx<'_> {
+    /// The precomputed sweep (`halved`: the halved-miss-penalty one) a
+    /// figure reads. [`figures`] derives what to precompute from the same
+    /// figure list, so a `None` here is a bookkeeping bug in this file,
+    /// reported as a typed invariant error.
+    fn sweep(&self, halved: bool) -> SimResult<&Sweep> {
+        let sweep = if halved { &self.halved } else { &self.sweep };
+        sweep
+            .as_ref()
+            .ok_or_else(|| SimError::invariant("repro", "no sweep precomputed for this figure"))
+    }
+}
+
+/// Prints one figure, table or study, then the blank line that closes
+/// it, and returns the JSON it contributes to `--json`, if any.
+type Figure = fn(&Ctx) -> SimResult<Option<Json>>;
+
+/// Every name the figure mode takes, in paper order. `all` stands for the
+/// `fig*` entries and `ext` for the `ext*` ones.
+static FIGURES: [(&str, Figure); 19] = [
+    ("fig3", fig3),
+    ("fig9", |_| {
+        println!("{}\n", exp::figure9());
+        Ok(None)
+    }),
+    ("fig10", |c| normalized(c, exp::figure10(c.sweep(false)?))),
+    ("fig11", |c| normalized(c, exp::figure11(c.sweep(false)?))),
+    ("fig12", |c| normalized(c, exp::figure12(c.sweep(false)?))),
+    ("fig13", |c| normalized(c, exp::figure13(c.sweep(false)?))),
+    ("fig14", |c| {
+        normalized(c, exp::figure14(c.sweep(false)?, c.sweep(true)?))
+    }),
+    ("fig15", fig15),
+    ("exta", |c| {
+        eprintln!("running stride-prefetch comparison (4 designs per benchmark)...");
+        let rows = ext::stride_comparison(&c.ext_benches, c.args.budget, c.args.seed);
+        println!("{}\n", ext::render_stride(&rows));
+        Ok(None)
+    }),
+    ("extb", |c| {
+        let rows = ext::fvc_comparison(&c.ext_benches, c.args.budget, c.args.seed);
+        println!("{}\n", ext::render_fvc(&rows));
+        Ok(None)
+    }),
+    ("extc", |c| {
+        eprintln!("running CPI-stack attribution (5 designs per benchmark)...");
+        let rows = ext::cpi_stacks(&c.ext_benches, c.args.budget, c.args.seed);
+        println!("{}\n", ext::render_cpi(&rows));
+        Ok(None)
+    }),
+    ("extd", |c| {
+        eprintln!("running conflict-miss remedy comparison (5 runs per benchmark)...");
+        let rows = ext::conflict_comparison(&c.ext_benches, c.args.budget, c.args.seed);
+        println!("{}\n", ext::render_conflict(&rows));
+        Ok(None)
+    }),
+    ("exte", |c| {
+        let rows = ext::transition_study(&c.benchmarks, c.args.budget, c.args.seed);
+        println!("{}\n", ext::render_transitions(&rows));
+        Ok(None)
+    }),
+    ("extf", |c| {
+        eprintln!("running core-model study (4 runs per benchmark)...");
+        let rows = ext::core_model_study(&c.ext_benches, c.args.budget, c.args.seed);
+        println!("{}\n", ext::render_core_model(&rows));
+        Ok(None)
+    }),
+    ("extg", |c| {
+        eprintln!("running cache-size sensitivity sweep (8 runs)...");
+        let bench = &c.benchmarks[0];
+        let rows = ext::size_sensitivity(bench, c.args.budget, c.args.seed);
+        println!("{}\n", ext::render_sensitivity(&bench.full_name(), &rows));
+        Ok(None)
+    }),
+    ("workgen", compressibility_sweep),
+    ("difftest", difftest),
+    ("perf", perf),
+    ("compare-schemes", compare_schemes),
+];
+
+/// Resolves figure names to [`FIGURES`] entries, expanding `all` and
+/// `ext` in place so a figure named beside them still runs in the order
+/// given. No name means `all`; an unknown name is a spec error.
+fn figure_list(names: &[String]) -> SimResult<Vec<&'static (&'static str, Figure)>> {
+    let all = ["all".to_string()];
+    let names = if names.is_empty() { &all[..] } else { names };
+    let mut list = Vec::new();
+    for name in names {
+        let before = list.len();
+        list.extend(FIGURES.iter().filter(|(f, _)| match name.as_str() {
+            "all" => f.starts_with("fig"),
+            "ext" => f.starts_with("ext"),
+            _ => f == name,
+        }));
+        if list.len() == before {
+            let valid: Vec<&str> = FIGURES.iter().map(|(f, _)| *f).collect();
+            return Err(spec_err(
+                name,
+                format!(
+                    "unknown figure (valid: all, ext, {}); the subcommands sweep, inspect, \
+                     chaos and trace must come first",
+                    valid.join(", ")
+                ),
+            ));
+        }
+    }
+    Ok(list)
+}
+
+/// The figure mode: runs the sweeps the named figures read, then prints
+/// each figure in order.
+fn figures(args: &Args) -> SimResult<()> {
+    let list = figure_list(&args.names)?;
+    let benchmarks = if args.workloads.is_empty() {
+        all_benchmarks()
+    } else {
+        args.workloads
+            .iter()
+            .map(|n| benchmark_by_name(n).ok_or_else(|| SimError::unknown("benchmark", n)))
+            .collect::<SimResult<Vec<_>>>()?
+    };
+    let schemes = match args.value("--schemes") {
+        Some(list) => list
+            .split(',')
+            .map(|n| SchemeKind::from_name(n).ok_or_else(|| SimError::unknown("scheme", n.trim())))
+            .collect::<SimResult<Vec<_>>>()?,
+        None => SchemeKind::ALL.to_vec(),
+    };
+    let min_speedup = args
+        .value("--assert-min-speedup")
+        .map(|v| num("--assert-min-speedup", v))
+        .transpose()?;
+    let needs = |names: &[&str]| list.iter().any(|(f, _)| names.contains(f));
+    let needs_sweep = needs(&["fig10", "fig11", "fig12", "fig13", "fig14", "fig15"]);
+    let needs_halved = needs(&["fig14"]);
+
+    let mut cfg = SweepConfig::new(args.budget, args.seed);
+    cfg.workloads = benchmarks.iter().map(|b| b.full_name()).collect();
+    cfg.threads = args.threads;
+    let sweep = if needs_sweep {
+        eprintln!(
+            "running sweep: {} benchmarks x {} designs, {} instructions each...",
+            benchmarks.len(),
+            cfg.designs.len(),
+            args.budget
+        );
+        Some(run_sweep(&cfg)?)
+    } else {
+        None
+    };
+    let halved = if needs_halved {
+        eprintln!("running halved-miss-penalty sweep (Figure 14)...");
+        let mut hcfg = cfg.clone();
+        hcfg.halved_miss_penalty = true;
+        Some(run_sweep(&hcfg)?)
+    } else {
+        None
+    };
+
+    let ext_benches = if benchmarks.len() == all_benchmarks().len() {
+        ext::extension_benchmarks()
+    } else {
+        benchmarks.clone()
+    };
+    let ctx = Ctx {
+        args,
+        benchmarks,
+        ext_benches,
+        schemes,
+        min_speedup,
+        sweep,
+        halved,
+    };
+    let mut json_out: Vec<(&'static str, Json)> = Vec::new();
+    for (name, figure) in list {
+        if let Some(json) = figure(&ctx)? {
+            json_out.push((name, json));
+        }
+    }
+
+    if let Some(path) = &args.json {
+        // Atomic temp-then-rename write: a crash here can't leave a torn
+        // half-written results file for downstream tooling to choke on.
+        write_atomic(path, &Json::obj(json_out).to_string())?;
+        eprintln!("wrote JSON results to {}", path.display());
+    }
+    Ok(())
+}
+
+/// Figures 10–14: a table normalized to BC, with `--bars` its bar chart.
+fn normalized(c: &Ctx, fig: NormalizedFigure) -> SimResult<Option<Json>> {
+    println!("{}", fig.render());
+    if c.args.has("--bars") {
+        println!("{}", fig.render_bars());
+    }
+    println!();
+    Ok(Some(normalized_figure_json(&fig)))
+}
+
+fn fig3(c: &Ctx) -> SimResult<Option<Json>> {
+    let rows = exp::figure3(c.args.budget, c.args.seed);
+    println!("{}\n", exp::render_figure3(&rows));
+    Ok(Some(Json::Arr(
+        rows.iter()
+            .map(|r| {
+                Json::obj([
+                    ("benchmark", Json::from(r.benchmark.clone())),
+                    ("small", Json::from(r.small)),
+                    ("pointer", Json::from(r.pointer)),
+                    ("compressible", Json::from(r.compressible)),
+                ])
+            })
+            .collect(),
+    )))
+}
+
+fn fig15(c: &Ctx) -> SimResult<Option<Json>> {
+    let rows = exp::figure15(c.sweep(false)?);
+    println!("{}\n", exp::render_figure15(&rows));
+    Ok(Some(Json::Arr(
+        rows.iter()
+            .map(|r| {
+                Json::obj([
+                    ("benchmark", Json::from(r.benchmark.clone())),
+                    ("hac", Json::from(r.hac)),
+                    ("cpp", Json::from(r.cpp)),
+                    ("increase", Json::from(r.increase)),
+                ])
+            })
+            .collect(),
+    )))
+}
+
+/// `workgen`: CPP vs BC as the small-value fraction of one synthetic
+/// address stream sweeps from 0 to 1.
+fn compressibility_sweep(c: &Ctx) -> SimResult<Option<Json>> {
+    eprintln!("running compressibility sweep (11 synthetic points, BC+CPP each)...");
+    let base = WorkgenSpec::parse("addr=uniform,ptr=0.0")?;
+    let rows =
+        exp::compressibility_sweep(&base, 11, c.args.budget as u64, c.args.seed, c.args.threads);
+    println!("{}\n", exp::render_compressibility_sweep(&base, &rows));
+    Ok(Some(Json::Arr(
+        rows.iter()
+            .map(|r| {
+                Json::obj([
+                    ("small_fraction", Json::from(r.small_fraction)),
+                    ("measured_compressible", Json::from(r.measured_compressible)),
+                    ("bc_traffic", Json::from(r.bc_traffic as f64)),
+                    ("cpp_traffic", Json::from(r.cpp_traffic as f64)),
+                    ("normalized_traffic", Json::from(r.normalized_traffic)),
+                    ("normalized_l1_misses", Json::from(r.normalized_l1_misses)),
+                ])
+            })
+            .collect(),
+    )))
+}
+
+/// `difftest`: optimized vs reference CPP engine under each lane
+/// dispatch; with `--render-goldens DIR`, rewrites the pinned fixtures.
+fn difftest(c: &Ctx) -> SimResult<Option<Json>> {
+    if let Some(dir) = c.args.value("--render-goldens") {
+        for p in ccp_sim::difftest::render_goldens(Path::new(dir))? {
+            eprintln!("wrote {}", p.display());
+        }
+        return Ok(None);
+    }
+    eprintln!(
+        "running differential conformance: {} benchmarks x 2 engines x {{scalar,swar}}, {} instructions each...",
+        c.benchmarks.len(),
+        c.args.budget
+    );
+    let outcomes = ccp_sim::difftest::run_difftest(&c.benchmarks, c.args.budget, c.args.seed);
+    println!("{}", ccp_sim::difftest::render_difftest(&outcomes));
+    if outcomes.iter().any(|o| !o.matches()) {
+        eprintln!("error [conformance]: optimized and reference CPP engines diverged");
+        exit(EXIT_FAILED);
+    }
+    println!();
+    Ok(None)
 }
 
 /// Short git revision for BENCH_core.json provenance; `"unknown"` when
@@ -43,522 +647,403 @@ fn git_rev() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-#[derive(Debug)]
-struct Args {
-    budget: usize,
-    seed: u64,
-    threads: usize,
-    benchmarks: Vec<Benchmark>,
-    figures: Vec<String>,
-    json_path: Option<std::path::PathBuf>,
-    bars: bool,
-    min_speedup: Option<f64>,
-    out_path: Option<std::path::PathBuf>,
-    goldens_dir: Option<std::path::PathBuf>,
-    schemes: Vec<ccp_schemes::SchemeKind>,
-    dispatch: Option<ccp_compress::LaneDispatch>,
+/// `perf`: times optimized vs reference replay and appends a row to the
+/// BENCH_core.json trajectory.
+fn perf(c: &Ctx) -> SimResult<Option<Json>> {
+    eprintln!(
+        "running core hot-path benchmark: {} benchmarks x 2 engines, {} instructions each...",
+        c.benchmarks.len(),
+        c.args.budget
+    );
+    let report = ccp_sim::perf::run_perf(&c.benchmarks, c.args.budget, c.args.seed);
+    println!("{}", ccp_sim::perf::render_perf(&report));
+    let out = PathBuf::from(c.args.value("--out").unwrap_or("BENCH_core.json"));
+    let entry =
+        ccp_sim::perf::perf_entry_json(&report, &git_rev(), ccp_compress::line_dispatch().name());
+    let existing = std::fs::read_to_string(&out).ok();
+    write_atomic(
+        &out,
+        &ccp_sim::perf::append_trajectory(existing.as_deref(), entry).to_string(),
+    )?;
+    eprintln!("appended trajectory entry to {}", out.display());
+    if let Some(min) = c.min_speedup {
+        let got = report.geomean_speedup();
+        if got < min {
+            eprintln!("error [perf]: geomean speedup {got:.2}x below required {min:.2}x");
+            exit(EXIT_FAILED);
+        }
+        eprintln!("geomean speedup {got:.2}x >= required {min:.2}x");
+    }
+    println!();
+    Ok(None)
 }
 
-/// Figures 3 and 9–15, in paper order: what `all` (and no figure at all)
-/// stands for.
-const ALL_FIGURES: [&str; 8] = [
-    "fig3", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
-];
-
-/// Every extension table: what `ext` stands for.
-const EXT_TABLES: [&str; 7] = ["exta", "extb", "extc", "extd", "exte", "extf", "extg"];
-
-/// Expands the `all` and `ext` aliases in place, so a figure named beside
-/// them still runs, in the order given.
-fn expand_figures(named: Vec<String>) -> Vec<String> {
-    let named = if named.is_empty() {
-        vec!["all".to_string()]
-    } else {
-        named
-    };
-    named
-        .into_iter()
-        .flat_map(|f| match f.as_str() {
-            "all" => ALL_FIGURES.map(String::from).to_vec(),
-            "ext" => EXT_TABLES.map(String::from).to_vec(),
-            _ => vec![f],
-        })
-        .collect()
+/// `compare-schemes`: the scheme × workload study at two geometries.
+fn compare_schemes(c: &Ctx) -> SimResult<Option<Json>> {
+    eprintln!(
+        "running cross-scheme study: {} benchmarks x {} schemes x 2 geometries, {} instructions each...",
+        c.benchmarks.len(),
+        c.schemes.len(),
+        c.args.budget
+    );
+    let mut cfg = ccp_sim::schemes_study::StudyConfig::new(
+        c.args.budget,
+        c.args.seed,
+        c.benchmarks.iter().map(|b| b.full_name()).collect(),
+    );
+    cfg.schemes = c.schemes.clone();
+    let study = ccp_sim::schemes_study::run_study(&cfg)?;
+    println!("{}", study.render_report());
+    let out = PathBuf::from(c.args.value("--out").unwrap_or("SCHEMES_report.json"));
+    write_atomic(&out, &study.to_json().to_string())?;
+    eprintln!("wrote {}", out.display());
+    if !study.cache_keys_scheme_distinct() {
+        eprintln!("error [conformance]: schemes share a cache key — content addressing broken");
+        exit(EXIT_FAILED);
+    }
+    println!();
+    Ok(None)
 }
 
-fn parse_args(mut it: impl Iterator<Item = String>) -> SimResult<Args> {
-    let mut budget = 400_000usize;
-    let mut seed = 1u64;
-    let mut threads = 0usize;
-    let mut benchmarks = all_benchmarks();
-    let mut figures: Vec<String> = Vec::new();
-    let mut json_path = None;
-    let mut bars = false;
-    let mut min_speedup = None;
-    let mut out_path = None;
-    let mut goldens_dir = None;
-    let mut schemes = ccp_schemes::SchemeKind::ALL.to_vec();
-    let mut dispatch = None;
-    let value = |flag: &str, v: Option<String>| v.ok_or_else(|| spec_err(flag, "needs a value"));
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--budget" => {
-                budget = value(&a, it.next())?.parse().map_err(|e| spec_err(&a, e))?;
-            }
-            "--seed" => {
-                seed = value(&a, it.next())?.parse().map_err(|e| spec_err(&a, e))?;
-            }
-            "--threads" => {
-                threads = value(&a, it.next())?.parse().map_err(|e| spec_err(&a, e))?;
-            }
-            "--benchmarks" => {
-                benchmarks = value(&a, it.next())?
+// ---------------------------------------------------------------------------
+// Subcommands
+// ---------------------------------------------------------------------------
+
+/// `sweep`: the hardened, resumable sweep driver. Interrupt it (Ctrl-C,
+/// kill, power loss) and re-run with `--resume`: finished cells are
+/// skipped and the final report is byte-identical to an uninterrupted
+/// run.
+fn sweep(args: &Args) -> SimResult<()> {
+    let mut config = SweepConfig::new(args.budget, args.seed);
+    config.threads = args.threads;
+    config.workloads = args.workloads.clone();
+    let mut resilience = ResilienceConfig::default();
+    for (flag, v) in &args.flags {
+        match *flag {
+            "--designs" => {
+                config.designs = v
                     .split(',')
-                    .map(|n| {
-                        benchmark_by_name(n.trim())
-                            .ok_or_else(|| SimError::unknown("benchmark", n.trim()))
-                    })
-                    .collect::<SimResult<Vec<_>>>()?;
+                    .map(|s| s.trim().to_string())
+                    .filter(|s| !s.is_empty())
+                    .collect();
             }
-            "--bars" => bars = true,
-            "--json" => {
-                json_path = Some(std::path::PathBuf::from(value(&a, it.next())?));
+            "--halved" => config.halved_miss_penalty = true,
+            "--scheme" => {
+                config.scheme = SchemeKind::from_name(v)
+                    .ok_or_else(|| SimError::unknown("scheme", v))?
+                    .name()
+                    .to_string();
             }
-            "--assert-min-speedup" => {
-                min_speedup = Some(value(&a, it.next())?.parse().map_err(|e| spec_err(&a, e))?);
+            "--retries" => resilience.retries = num(flag, v)?,
+            "--backoff-ms" => resilience.backoff_ms = num(flag, v)?,
+            "--watchdog" => resilience.watchdog_limit = num(flag, v)?,
+            "--max-cells" => resilience.max_cells = Some(num(flag, v)?),
+            "--checkpoint" | "--resume" => {
+                resilience.checkpoint = Some(v.into());
+                resilience.resume = *flag == "--resume";
             }
-            "--out" => {
-                out_path = Some(std::path::PathBuf::from(value(&a, it.next())?));
-            }
-            "--render-goldens" => {
-                goldens_dir = Some(std::path::PathBuf::from(value(&a, it.next())?));
-            }
-            "--dispatch" => {
-                let v = value(&a, it.next())?;
-                dispatch = Some(
-                    ccp_compress::LaneDispatch::from_name(&v)
-                        .ok_or_else(|| SimError::unknown("dispatch", &v))?,
-                );
-            }
-            "--schemes" => {
-                schemes = value(&a, it.next())?
-                    .split(',')
-                    .map(|n| {
-                        ccp_schemes::SchemeKind::from_name(n)
-                            .ok_or_else(|| SimError::unknown("scheme", n.trim()))
-                    })
-                    .collect::<SimResult<Vec<_>>>()?;
-            }
-            "--help" | "-h" => {
-                println!("{HELP}");
-                std::process::exit(0);
-            }
-            f if f.starts_with("fig")
-                || f.starts_with("ext")
-                || f == "all"
-                || f == "workgen"
-                || f == "difftest"
-                || f == "perf"
-                || f == "compare-schemes" =>
-            {
-                figures.push(f.to_string())
-            }
-            other => {
-                return Err(spec_err(other, "unknown argument (try --help)"));
-            }
+            _ => {}
         }
     }
-    Ok(Args {
-        budget,
-        seed,
-        threads,
-        benchmarks,
-        figures: expand_figures(figures),
-        json_path,
-        bars,
-        min_speedup,
-        out_path,
-        goldens_dir,
-        schemes,
-        dispatch,
-    })
-}
 
-/// Fetches the pre-computed sweep a figure arm depends on. `needs_sweep`
-/// / `needs_halved` are derived from the same figure list, so a `None`
-/// here is a bookkeeping bug in this file — reported as a typed
-/// invariant error and a non-zero exit rather than a panic.
-fn require<'a>(sweep: &'a Option<Sweep>, figure: &str) -> &'a Sweep {
-    sweep.as_ref().unwrap_or_else(|| {
-        let e = SimError::invariant("repro", format!("no sweep precomputed for {figure}"));
-        eprintln!("error [{}]: {e}", e.class());
-        std::process::exit(1);
-    })
-}
-
-const HELP: &str = "repro — regenerate the paper's tables and figures
-usage: repro [--budget N] [--seed S] [--threads T] [--benchmarks a,b,..] [--json FILE] [--bars]
-             [fig3..fig15 | exta | extb | extc | ext | workgen | all]
-       repro difftest [--budget N] [--seed S] [--benchmarks a,b,..]
-                      [--render-goldens DIR]
-           replay every benchmark through the optimized and reference CPP
-           engines under each {scalar,swar} lane dispatch; exit 1 unless
-           all stats are byte-identical; --render-goldens regenerates the
-           pinned stats fixtures in DIR
-           (crates/sim/tests/expected_stats) and the pipeline fixtures
-           beside it (expected_pipeline) after auditing a change
-       repro perf [--budget N] [--seed S] [--benchmarks a,b,..]
-                  [--out FILE] [--assert-min-speedup X] [--dispatch D]
-           time optimized vs reference replay, append a trajectory row to
-           BENCH_core.json (default; override with --out), exit 1 if the
-           geomean speedup falls below X; --dispatch scalar|swar forces
-           the line-classification kernel (default swar)
-       repro compare-schemes [--budget N] [--seed S] [--benchmarks a,b,..]
-                             [--schemes CPP,BDI,FPC] [--out FILE]
-           replay every benchmark under every compression scheme at two
-           hierarchy geometries; print the scheme x workload report (miss
-           counts, affiliated-hit fraction, tag-overhead bits) and write
-           it as JSON to --out (default SCHEMES_report.json)";
-
-fn main() {
-    let args = match parse_args(std::env::args().skip(1)) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error [{}]: {e}", e.class());
-            std::process::exit(2);
+    let sweep = run_sweep_resilient(&config, &resilience)?;
+    print!("{}", sweep.render_report());
+    for outcome in sweep.outcomes() {
+        if let CellStatus::Failed(e) = &outcome.status {
+            eprintln!(
+                "cell {}/{} failed [{}]: {e}",
+                outcome.workload,
+                outcome.design,
+                e.class()
+            );
         }
-    };
-
-    if let Some(d) = args.dispatch {
-        ccp_compress::set_line_dispatch(d);
-        eprintln!("line-classification dispatch forced to {}", d.name());
     }
+    if let Some(path) = &args.json {
+        write_atomic(path, &sweep.to_json().to_string())?;
+        eprintln!("wrote JSON outcome grid to {}", path.display());
+    }
+    if sweep.failed_count() > 0 {
+        exit(EXIT_FAILED);
+    }
+    if sweep.skipped_count() > 0 {
+        exit(EXIT_INCOMPLETE);
+    }
+    Ok(())
+}
 
-    let needs_sweep = args
-        .figures
-        .iter()
-        .any(|f| ["fig10", "fig11", "fig12", "fig13", "fig14", "fig15"].contains(&f.as_str()));
-    let needs_halved = args.figures.iter().any(|f| f == "fig14");
-
-    let mut cfg = SweepConfig::new(args.budget, args.seed);
-    cfg.workloads = args.benchmarks.iter().map(|b| b.full_name()).collect();
-    cfg.threads = args.threads;
-
-    // A sweep failure (bad workload, a crashed cell) is a typed SimError:
-    // report it on stderr and exit non-zero instead of panicking.
-    let run_or_die = |cfg: &SweepConfig| match run_sweep(cfg) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error [{}]: {e}", e.class());
-            std::process::exit(1);
-        }
-    };
-    let sweep = if needs_sweep {
-        eprintln!(
-            "running sweep: {} benchmarks x {} designs, {} instructions each...",
-            args.benchmarks.len(),
-            cfg.designs.len(),
-            args.budget
+/// `inspect`: every design's run statistics for one benchmark — misses,
+/// hit sources, prefetch/promotion/parking activity, bus traffic, IPC and
+/// the ready-queue statistic. `--json FILE` writes the same data as one
+/// document whose cells have the shape of a `repro sweep --json` cell.
+fn inspect(args: &Args) -> SimResult<()> {
+    let name = &args.names[0];
+    let b = benchmark_by_name(name).ok_or_else(|| SimError::unknown("benchmark", name))?;
+    let trace = b.trace(args.budget, args.seed);
+    let mix = trace.mix();
+    println!(
+        "{}: {} insts ({} loads, {} stores, {} branches)",
+        b.full_name(),
+        mix.total(),
+        mix.loads,
+        mix.stores,
+        mix.branches
+    );
+    let mut cells: Vec<(&'static str, Json)> = Vec::new();
+    for d in DesignKind::ALL {
+        let s = run_cell_source_scheme(&trace, d, SchemeKind::Cpp, false);
+        let h = s.hierarchy;
+        println!("\n== {} ==", d.name());
+        println!(
+            "  cycles {:>10}  ipc {:.3}  mispredicts {}  icache misses {}",
+            s.cycles,
+            s.ipc(),
+            s.branch_mispredicts,
+            s.icache_misses
         );
-        Some(run_or_die(&cfg))
-    } else {
-        None
-    };
-    let halved = if needs_halved {
-        eprintln!("running halved-miss-penalty sweep (Figure 14)...");
-        let mut hcfg = cfg.clone();
-        hcfg.halved_miss_penalty = true;
-        Some(run_or_die(&hcfg))
-    } else {
-        None
-    };
-
-    let mut json_out: Vec<(&'static str, Json)> = Vec::new();
-    let ext_benches = if args.benchmarks.len() == all_benchmarks().len() {
-        ext::extension_benchmarks()
-    } else {
-        args.benchmarks.clone()
-    };
-    for f in &args.figures {
-        match f.as_str() {
-            "fig3" => {
-                let rows = exp::figure3(args.budget, args.seed);
-                println!("{}", exp::render_figure3(&rows));
-                json_out.push((
-                    "fig3",
-                    Json::Arr(
-                        rows.iter()
-                            .map(|r| {
-                                Json::obj([
-                                    ("benchmark", Json::from(r.benchmark.clone())),
-                                    ("small", Json::from(r.small)),
-                                    ("pointer", Json::from(r.pointer)),
-                                    ("compressible", Json::from(r.compressible)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ));
-            }
-            "fig9" => println!("{}", exp::figure9()),
-            "fig10" => {
-                let fig = exp::figure10(require(&sweep, "fig10"));
-                println!("{}", fig.render());
-                if args.bars {
-                    println!("{}", fig.render_bars());
-                }
-                json_out.push(("fig10", normalized_figure_json(&fig)));
-            }
-            "fig11" => {
-                let fig = exp::figure11(require(&sweep, "fig11"));
-                println!("{}", fig.render());
-                if args.bars {
-                    println!("{}", fig.render_bars());
-                }
-                json_out.push(("fig11", normalized_figure_json(&fig)));
-            }
-            "fig12" => {
-                let fig = exp::figure12(require(&sweep, "fig12"));
-                println!("{}", fig.render());
-                if args.bars {
-                    println!("{}", fig.render_bars());
-                }
-                json_out.push(("fig12", normalized_figure_json(&fig)));
-            }
-            "fig13" => {
-                let fig = exp::figure13(require(&sweep, "fig13"));
-                println!("{}", fig.render());
-                if args.bars {
-                    println!("{}", fig.render_bars());
-                }
-                json_out.push(("fig13", normalized_figure_json(&fig)));
-            }
-            "fig14" => {
-                let fig = exp::figure14(
-                    require(&sweep, "fig14"),
-                    require(&halved, "fig14 (halved-penalty)"),
-                );
-                println!("{}", fig.render());
-                if args.bars {
-                    println!("{}", fig.render_bars());
-                }
-                json_out.push(("fig14", normalized_figure_json(&fig)));
-            }
-            "fig15" => {
-                let rows = exp::figure15(require(&sweep, "fig15"));
-                println!("{}", exp::render_figure15(&rows));
-                json_out.push((
-                    "fig15",
-                    Json::Arr(
-                        rows.iter()
-                            .map(|r| {
-                                Json::obj([
-                                    ("benchmark", Json::from(r.benchmark.clone())),
-                                    ("hac", Json::from(r.hac)),
-                                    ("cpp", Json::from(r.cpp)),
-                                    ("increase", Json::from(r.increase)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ));
-            }
-            "exta" => {
-                eprintln!("running stride-prefetch comparison (4 designs per benchmark)...");
-                let rows = ext::stride_comparison(&ext_benches, args.budget, args.seed);
-                println!("{}", ext::render_stride(&rows));
-            }
-            "extb" => {
-                let rows = ext::fvc_comparison(&ext_benches, args.budget, args.seed);
-                println!("{}", ext::render_fvc(&rows));
-            }
-            "extc" => {
-                eprintln!("running CPI-stack attribution (5 designs per benchmark)...");
-                let rows = ext::cpi_stacks(&ext_benches, args.budget, args.seed);
-                println!("{}", ext::render_cpi(&rows));
-            }
-            "extd" => {
-                eprintln!("running conflict-miss remedy comparison (5 runs per benchmark)...");
-                let rows = ext::conflict_comparison(&ext_benches, args.budget, args.seed);
-                println!("{}", ext::render_conflict(&rows));
-            }
-            "exte" => {
-                let rows = ext::transition_study(&args.benchmarks, args.budget, args.seed);
-                println!("{}", ext::render_transitions(&rows));
-            }
-            "extf" => {
-                eprintln!("running core-model study (4 runs per benchmark)...");
-                let rows = ext::core_model_study(&ext_benches, args.budget, args.seed);
-                println!("{}", ext::render_core_model(&rows));
-            }
-            "extg" => {
-                eprintln!("running cache-size sensitivity sweep (8 runs)...");
-                let bench = &args.benchmarks[0];
-                let rows = ext::size_sensitivity(bench, args.budget, args.seed);
-                println!("{}", ext::render_sensitivity(&bench.full_name(), &rows));
-            }
-            "difftest" => {
-                if let Some(dir) = &args.goldens_dir {
-                    match ccp_sim::difftest::render_goldens(dir) {
-                        Ok(written) => {
-                            for p in written {
-                                eprintln!("wrote {}", p.display());
-                            }
-                        }
-                        Err(e) => {
-                            eprintln!("error [{}]: {e}", e.class());
-                            std::process::exit(1);
-                        }
-                    }
-                    continue;
-                }
-                eprintln!(
-                    "running differential conformance: {} benchmarks x 2 engines x {{scalar,swar}}, {} instructions each...",
-                    args.benchmarks.len(),
-                    args.budget
-                );
-                let outcomes =
-                    ccp_sim::difftest::run_difftest(&args.benchmarks, args.budget, args.seed);
-                println!("{}", ccp_sim::difftest::render_difftest(&outcomes));
-                if outcomes.iter().any(|o| !o.matches()) {
-                    eprintln!("error [conformance]: optimized and reference CPP engines diverged");
-                    std::process::exit(1);
-                }
-            }
-            "perf" => {
-                eprintln!(
-                    "running core hot-path benchmark: {} benchmarks x 2 engines, {} instructions each...",
-                    args.benchmarks.len(),
-                    args.budget
-                );
-                let report = ccp_sim::perf::run_perf(&args.benchmarks, args.budget, args.seed);
-                println!("{}", ccp_sim::perf::render_perf(&report));
-                let out = args
-                    .out_path
-                    .clone()
-                    .unwrap_or_else(|| std::path::PathBuf::from("BENCH_core.json"));
-                let entry = ccp_sim::perf::perf_entry_json(
-                    &report,
-                    &git_rev(),
-                    ccp_compress::line_dispatch().name(),
-                );
-                let existing = std::fs::read_to_string(&out).ok();
-                let doc = ccp_sim::perf::append_trajectory(existing.as_deref(), entry).to_string();
-                if let Err(e) = ccp_sim::json::write_atomic(&out, &doc) {
-                    eprintln!("error [{}]: {e}", e.class());
-                    std::process::exit(1);
-                }
-                eprintln!("appended trajectory entry to {}", out.display());
-                if let Some(min) = args.min_speedup {
-                    let got = report.geomean_speedup();
-                    if got < min {
-                        eprintln!(
-                            "error [perf]: geomean speedup {got:.2}x below required {min:.2}x"
-                        );
-                        std::process::exit(1);
-                    }
-                    eprintln!("geomean speedup {got:.2}x >= required {min:.2}x");
-                }
-            }
-            "compare-schemes" => {
-                eprintln!(
-                    "running cross-scheme study: {} benchmarks x {} schemes x 2 geometries, {} instructions each...",
-                    args.benchmarks.len(),
-                    args.schemes.len(),
-                    args.budget
-                );
-                let mut cfg = ccp_sim::schemes_study::StudyConfig::new(
-                    args.budget,
-                    args.seed,
-                    args.benchmarks.iter().map(|b| b.full_name()).collect(),
-                );
-                cfg.schemes = args.schemes.clone();
-                let study = match ccp_sim::schemes_study::run_study(&cfg) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        eprintln!("error [{}]: {e}", e.class());
-                        std::process::exit(1);
-                    }
-                };
-                println!("{}", study.render_report());
-                let out = args
-                    .out_path
-                    .clone()
-                    .unwrap_or_else(|| std::path::PathBuf::from("SCHEMES_report.json"));
-                let doc = study.to_json().to_string();
-                if let Err(e) = ccp_sim::json::write_atomic(&out, &doc) {
-                    eprintln!("error [{}]: {e}", e.class());
-                    std::process::exit(1);
-                }
-                eprintln!("wrote {}", out.display());
-                if !study.cache_keys_scheme_distinct() {
-                    eprintln!(
-                        "error [conformance]: schemes share a cache key — content addressing broken"
-                    );
-                    std::process::exit(1);
-                }
-            }
-            "workgen" => {
-                eprintln!("running compressibility sweep (11 synthetic points, BC+CPP each)...");
-                let base = ccp_workgen::WorkgenSpec::parse("addr=uniform,ptr=0.0")
-                    .expect("base workgen spec");
-                let rows = exp::compressibility_sweep(
-                    &base,
-                    11,
-                    args.budget as u64,
-                    args.seed,
-                    args.threads,
-                );
-                println!("{}", exp::render_compressibility_sweep(&base, &rows));
-                json_out.push((
-                    "workgen",
-                    Json::Arr(
-                        rows.iter()
-                            .map(|r| {
-                                Json::obj([
-                                    ("small_fraction", Json::from(r.small_fraction)),
-                                    ("measured_compressible", Json::from(r.measured_compressible)),
-                                    ("bc_traffic", Json::from(r.bc_traffic as f64)),
-                                    ("cpp_traffic", Json::from(r.cpp_traffic as f64)),
-                                    ("normalized_traffic", Json::from(r.normalized_traffic)),
-                                    ("normalized_l1_misses", Json::from(r.normalized_l1_misses)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ));
-            }
-            other => eprintln!("skipping unknown figure {other:?}"),
-        }
-        println!();
+        println!(
+            "  L1: {} acc, {} miss ({:.2}%), {} partial, {} affil hits, {} pb hits",
+            h.l1.accesses(),
+            h.l1.misses(),
+            100.0 * h.l1.miss_rate(),
+            h.l1.partial_line_misses,
+            h.l1.affiliated_hits,
+            h.l1.prefetch_buffer_hits
+        );
+        println!(
+            "  L2: {} acc, {} miss ({:.2}%), {} partial, {} affil hits, {} pb hits",
+            h.l2.accesses(),
+            h.l2.misses(),
+            100.0 * h.l2.miss_rate(),
+            h.l2.partial_line_misses,
+            h.l2.affiliated_hits,
+            h.l2.prefetch_buffer_hits
+        );
+        println!(
+            "  mem bus: {} hw in ({} txns), {} hw out ({} txns)",
+            h.mem_bus.in_halfwords,
+            h.mem_bus.in_transactions,
+            h.mem_bus.out_halfwords,
+            h.mem_bus.out_transactions
+        );
+        println!(
+            "  prefetch: {} issued, {} discarded; {} promotions, {} parked, {} comp-evict",
+            h.prefetches_issued,
+            h.prefetches_discarded,
+            h.promotions,
+            h.parked_lines,
+            h.compressibility_evictions
+        );
+        println!(
+            "  ready-q in miss cycles: {:.2} over {} cycles; forwarded loads {}",
+            s.avg_ready_in_miss_cycles(),
+            s.miss_cycles,
+            s.forwarded_loads
+        );
+        cells.push((d.name(), stats_to_json(&s)));
     }
-
-    if let Some(path) = &args.json_path {
-        let doc = Json::obj(json_out).to_string();
-        // Atomic temp-then-rename write: a crash here can't leave a torn
-        // half-written results file for downstream tooling to choke on.
-        if let Err(e) = ccp_sim::json::write_atomic(path, &doc) {
-            eprintln!("error [{}]: {e}", e.class());
-            std::process::exit(1);
-        }
-        eprintln!("wrote JSON results to {}", path.display());
+    if let Some(path) = &args.json {
+        let doc = Json::obj([
+            ("benchmark", Json::Str(b.full_name())),
+            ("budget", Json::Num(args.budget as f64)),
+            ("seed", Json::Num(args.seed as f64)),
+            ("designs", Json::obj(cells)),
+        ]);
+        write_atomic(path, &doc.to_string())?;
     }
+    Ok(())
+}
+
+/// `chaos`: replays each workload through a CPP hierarchy, requires the
+/// exhaustive invariant checker to be silent on the clean state (no false
+/// positives), then injects every metadata-corruption class and requires
+/// each to be detected. Exit 0 only when every class on every workload is
+/// caught.
+fn chaos(args: &Args) -> SimResult<()> {
+    let default = ["health".to_string()];
+    let names = if args.workloads.is_empty() {
+        &default[..]
+    } else {
+        &args.workloads[..]
+    };
+    let mut all_passed = true;
+    for name in names {
+        let workload = Workload::by_name(name)?;
+        match chaos::run_chaos(&workload, args.budget, args.seed) {
+            Ok(report) => {
+                print!("{}", report.render());
+                all_passed &= report.passed();
+            }
+            Err(e) => {
+                eprintln!("error [{}]: {e}", e.class());
+                all_passed = false;
+            }
+        }
+    }
+    if !all_passed {
+        eprintln!("chaos: FAILED (escaped fault or false positive above)");
+        exit(EXIT_FAILED);
+    }
+    println!("chaos: every fault class detected, no false positives");
+    Ok(())
+}
+
+/// `trace gen`: writes a benchmark's trace as a `.ccpt` container.
+fn trace_gen(args: &Args) -> SimResult<()> {
+    let (name, out) = (&args.names[0], &args.names[1]);
+    let bench = benchmark_by_name(name).ok_or_else(|| SimError::unknown("benchmark", name))?;
+    let t = bench.trace(args.budget, args.seed);
+    t.save(Path::new(out)).map_err(|e| SimError::io(out, &e))?;
+    println!(
+        "wrote {} ({} instructions, {} resident pages)",
+        out,
+        t.len(),
+        t.initial_mem.resident_pages()
+    );
+    Ok(())
+}
+
+fn load(path: &str) -> SimResult<Trace> {
+    Trace::load(Path::new(path)).map_err(|e| SimError::io(path, &e))
+}
+
+/// `trace info`: a trace file's mix, memory image and validation status.
+fn trace_info(args: &Args) -> SimResult<()> {
+    let t = load(&args.names[0])?;
+    let m = t.mix();
+    println!("name:         {}", t.name);
+    println!("instructions: {}", t.len());
+    println!(
+        "mix:          {} ialu / {} falu / {} loads / {} stores / {} branches",
+        m.ialu, m.falu, m.loads, m.stores, m.branches
+    );
+    println!(
+        "memory image: {} pages ({} KB resident)",
+        t.initial_mem.resident_pages(),
+        t.initial_mem.resident_pages() * 4
+    );
+    println!(
+        "validation:   {}",
+        match t.validate() {
+            Ok(()) => "ok".to_string(),
+            Err(e) => format!("BROKEN: {e}"),
+        }
+    );
+    Ok(())
+}
+
+/// `trace profile`: the value profile of a trace file's accesses.
+fn trace_profile(args: &Args) -> SimResult<()> {
+    let t = load(&args.names[0])?;
+    let mut p = ValueProfile::new();
+    t.profile_values(|v, a| p.record(v, a));
+    println!(
+        "{}: {} accessed values — {:.1}% small, {:.1}% pointer, {:.1}% compressible",
+        t.name,
+        p.total(),
+        100.0 * p.small_fraction(),
+        100.0 * p.pointer_fraction(),
+        100.0 * p.compressible_fraction()
+    );
+    Ok(())
+}
+
+/// `trace run`: one design (default CPP) over a trace file on the
+/// out-of-order pipeline.
+fn trace_run(args: &Args) -> SimResult<()> {
+    let design = match args.value("--design") {
+        Some(d) => DesignKind::from_name(d).ok_or_else(|| SimError::unknown("design", d))?,
+        None => DesignKind::Cpp,
+    };
+    let t = load(&args.names[0])?;
+    let mut cache = build_design(design);
+    let s = run_source(&t, cache.as_mut(), &PipelineConfig::paper());
+    println!(
+        "{} on {}: {} cycles (IPC {:.3}), L1 miss {:.2}%, traffic {} half-words",
+        t.name,
+        design.name(),
+        s.cycles,
+        s.ipc(),
+        100.0 * s.hierarchy.l1.miss_rate(),
+        s.hierarchy.memory_traffic_halfwords()
+    );
+    Ok(())
+}
+
+/// `trace workgen`: streams a synthetic workload (never materializing
+/// it) and prints its instruction mix, its measured compressibility
+/// profile, and functional BC/CPP traffic. The model flags translate to
+/// the spec's `key=value` text, so `--spec` and single flags compose
+/// (later flags win), and the same flags always print the same bytes.
+fn trace_workgen(args: &Args) -> SimResult<()> {
+    let mut pairs: Vec<String> = Vec::new();
+    for (flag, v) in &args.flags {
+        // A model flag sets the spec key of its own name, but for these four.
+        let key = match *flag {
+            "--budget" | "--seed" => continue,
+            "--spec" => {
+                pairs.push(v.strip_prefix("workgen:").unwrap_or(v).to_string());
+                continue;
+            }
+            "--small-value" => "small",
+            "--pointer" => "ptr",
+            "--store-ratio" => "store",
+            "--zipf-skew" => "skew",
+            model => model.trim_start_matches('-'),
+        };
+        pairs.push(format!("{key}={v}"));
+    }
+    let spec = WorkgenSpec::parse(&pairs.join(","))?;
+    let (seed, budget) = (args.seed, args.budget as u64);
+    let source = SynthSource::new(spec, seed, budget);
+    println!("workload:     {}", source.name());
+    println!("seed/budget:  {seed} / {budget}");
+    let m = source.mix();
+    println!(
+        "mix:          {} ialu / {} falu / {} loads / {} stores / {} branches",
+        m.ialu, m.falu, m.loads, m.stores, m.branches
+    );
+    let mut p = ValueProfile::new();
+    profile_source_values(&source, |v, a| p.record(v, a));
+    println!(
+        "profile:      {} accessed values — {:.2}% small, {:.2}% pointer, {:.2}% compressible",
+        p.total(),
+        100.0 * p.small_fraction(),
+        100.0 * p.pointer_fraction(),
+        100.0 * p.compressible_fraction()
+    );
+    for design in [DesignKind::Bc, DesignKind::Cpp] {
+        let mut cache = build_design(design);
+        let s = fastsim::run_functional_source(&source, cache.as_mut(), 0);
+        println!(
+            "{:<4} (func):  L1 miss {:.3}%, L2 miss {:.3}%, traffic {} half-words",
+            design.name(),
+            100.0 * s.hierarchy.l1.miss_rate(),
+            100.0 * s.hierarchy.l2.miss_rate(),
+            s.hierarchy.memory_traffic_halfwords()
+        );
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn figures(argv: &[&str]) -> Vec<String> {
-        parse_args(argv.iter().map(|a| a.to_string()))
-            .expect("valid arguments")
-            .figures
+    fn figures(argv: &[&str]) -> Vec<&'static str> {
+        let args = Args::parse(argv.iter().map(|a| a.to_string())).expect("valid arguments");
+        figure_list(&args.names)
+            .expect("known figures")
+            .iter()
+            .map(|(name, _)| *name)
+            .collect()
     }
 
     #[test]
     fn all_and_ext_expand_in_place() {
-        let all = ALL_FIGURES.to_vec();
-        let ext = EXT_TABLES.to_vec();
+        let all = [
+            "fig3", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
+        ];
+        let ext = ["exta", "extb", "extc", "extd", "exte", "extf", "extg"];
         assert_eq!(figures(&[]), all);
         assert_eq!(figures(&["--budget", "20000", "all"]), all);
         assert_eq!(figures(&["ext"]), ext);

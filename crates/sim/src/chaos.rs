@@ -1,4 +1,4 @@
-//! The fault-injection ("chaos") harness behind `trace-tool chaos`.
+//! The fault-injection ("chaos") harness behind `repro chaos`.
 //!
 //! For a given workload the harness replays its memory operations through
 //! a fresh CPP hierarchy, then makes a two-sided detection argument:

@@ -9,7 +9,7 @@
 //! [`crate::json::write_atomic`], so a kill at any instant leaves either
 //! the previous consistent snapshot or the new one — never a torn file.
 //!
-//! `ccp-sim sweep --resume <checkpoint>` loads the completed cells, skips
+//! `repro sweep --resume <checkpoint>` loads the completed cells, skips
 //! them, and finishes the remaining grid; failed cells are not recorded
 //! and therefore re-run.
 

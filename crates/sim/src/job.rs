@@ -6,7 +6,7 @@
 //! cell gets: `catch_unwind` crash isolation, a streamed-instruction
 //! watchdog, and typed [`SimError`]s. The sweep driver's per-cell body is
 //! built from the same [`run_guarded_source`] core, so a job submitted to
-//! `ccp-served` and a cell of `ccp-sim sweep` are *the same computation*
+//! `ccp-served` and a cell of `repro sweep` are *the same computation*
 //! — which is what lets the serving layer's result cache answer for
 //! either.
 //!

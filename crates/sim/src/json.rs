@@ -4,7 +4,7 @@
 //! the experiment outputs are simple (strings, numbers, arrays, flat
 //! objects), so a small value tree with a spec-compliant writer — plus a
 //! recursive-descent reader for sweep checkpoints — keeps the `repro
-//! --json` and `ccp-sim sweep --resume` features dependency-free.
+//! --json` and `repro sweep --resume` features dependency-free.
 //!
 //! File output goes through [`write_atomic`]: contents land in a sibling
 //! temporary file first and are moved into place with `rename`, so a crash

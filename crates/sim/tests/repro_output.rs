@@ -1,24 +1,26 @@
 //! Golden-fixture check of the figures path: the stdout of
-//! `repro --budget 20000 all` (Figures 3 and 9–15) and of
-//! `repro --budget 20000 ext` (the extension tables) is pinned byte for
-//! byte in `tests/expected_repro/`. Any change to a sweep, a cell runner,
-//! a figure's arithmetic or its rendering shows up here as a diff —
-//! regenerate with
-//! `cargo run --release -p ccp-sim --bin repro -- --budget 20000 all > crates/sim/tests/expected_repro/all.txt`
-//! (and likewise `ext > ext.txt`) after auditing that the drift is
-//! intended.
+//! `repro --budget 20000 all` (Figures 3 and 9–15), of
+//! `repro --budget 20000 ext` (the extension tables) and of
+//! `repro inspect health --budget 20000` (every design's run statistics)
+//! is pinned byte for byte in `tests/expected_repro/`. Any change to a
+//! sweep, a cell runner, a figure's arithmetic or its rendering shows up
+//! here as a diff — regenerate with
+//! `cargo run --release -p ccp-sim --bin repro -- all --budget 20000 > crates/sim/tests/expected_repro/all.txt`
+//! (and likewise `ext` > `ext.txt`, `inspect health` > `inspect.txt`)
+//! after auditing that the drift is intended.
 
 use std::path::Path;
 use std::process::Command;
 
-fn check(figures: &str, fixture: &str) {
+fn check(args: &[&str], fixture: &str) {
     let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["--budget", "20000", figures])
+        .args(args)
+        .args(["--budget", "20000"])
         .output()
         .expect("repro runs");
     assert!(
         out.status.success(),
-        "repro {figures} exited {:?}: {}",
+        "repro {args:?} exited {:?}: {}",
         out.status,
         String::from_utf8_lossy(&out.stderr)
     );
@@ -28,7 +30,7 @@ fn check(figures: &str, fixture: &str) {
         .unwrap_or_else(|e| panic!("missing repro fixture {}: {e}", path.display()));
     assert!(
         out.stdout == pinned,
-        "repro --budget 20000 {figures} drifted from {}:\n{}",
+        "repro {args:?} --budget 20000 drifted from {}:\n{}",
         path.display(),
         String::from_utf8_lossy(&out.stdout)
     );
@@ -36,10 +38,15 @@ fn check(figures: &str, fixture: &str) {
 
 #[test]
 fn all_figures_match_pinned_stdout() {
-    check("all", "all.txt");
+    check(&["all"], "all.txt");
 }
 
 #[test]
 fn extension_tables_match_pinned_stdout() {
-    check("ext", "ext.txt");
+    check(&["ext"], "ext.txt");
+}
+
+#[test]
+fn inspect_matches_pinned_stdout() {
+    check(&["inspect", "health"], "inspect.txt");
 }
