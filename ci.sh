@@ -165,8 +165,10 @@ echo "== chaos smoke: fault injection is detected, no false positives"
 ./target/release/repro chaos --workload health --workload mst --budget 8000
 
 echo "== resume round-trip: interrupted + resumed sweep == uninterrupted"
-SWEEP_ARGS="--budget 2000 --seed 7 --workloads health,mst --designs BC,CPP"
-# Phase 1: "crash" after 2 of 4 cells (exit 3 = incomplete, by design).
+SWEEP_ARGS="--budget 2000 --seed 7 --workloads health,mst --designs BC,BCP,CPP"
+# Phase 1: "crash" after 2 of 6 cells (exit 3 = incomplete, by design);
+# the grid runs workload-major, so health/BCP (prefetch-buffer counters)
+# is among the cells restored from the checkpoint.
 set +e
 ./target/release/repro sweep $SWEEP_ARGS --max-cells 2 \
     --checkpoint "$SCRATCH/ck.jsonl" > "$SCRATCH/interrupted.txt"

@@ -2,29 +2,61 @@
 
 use ccp_mem::TrafficMeter;
 
-/// Counters for one cache level.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct LevelStats {
-    /// Demand read accesses.
-    pub reads: u64,
-    /// Demand write accesses.
-    pub writes: u64,
-    /// Demand reads that missed this level.
-    pub read_misses: u64,
-    /// Demand writes that missed this level.
-    pub write_misses: u64,
-    /// Accesses satisfied from a prefetch buffer (BCP; not counted as
-    /// misses, per the paper's accounting).
-    pub prefetch_buffer_hits: u64,
-    /// Accesses satisfied from an affiliated location (CPP; counted as hits
-    /// with one extra cycle at L1).
-    pub affiliated_hits: u64,
-    /// Misses where the line's tag was resident but the requested word was
-    /// not available (CPP partial lines).
-    pub partial_line_misses: u64,
-    /// Accesses satisfied from a victim buffer (the Jouppi victim-cache
-    /// extension; counted as hits with a one-cycle swap penalty).
-    pub victim_hits: u64,
+ccp_mem::counters! {
+    /// Counters for one cache level.
+    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+    pub struct LevelStats {
+        /// Demand read accesses.
+        pub reads: u64,
+        /// Demand write accesses.
+        pub writes: u64,
+        /// Demand reads that missed this level.
+        pub read_misses: u64,
+        /// Demand writes that missed this level.
+        pub write_misses: u64,
+        /// Accesses satisfied from a prefetch buffer (BCP; not counted as
+        /// misses, per the paper's accounting).
+        pub prefetch_buffer_hits: u64,
+        /// Accesses satisfied from an affiliated location (CPP; counted as hits
+        /// with one extra cycle at L1).
+        pub affiliated_hits: u64,
+        /// Misses where the line's tag was resident but the requested word was
+        /// not available (CPP partial lines).
+        pub partial_line_misses: u64,
+        /// Accesses satisfied from a victim buffer (the Jouppi victim-cache
+        /// extension; counted as hits with a one-cycle swap penalty).
+        pub victim_hits: u64,
+    }
+
+    /// Statistics for a whole two-level hierarchy.
+    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+    pub struct HierarchyStats {
+        /// L1 data-cache counters.
+        pub l1: LevelStats,
+        /// L2 cache counters.
+        pub l2: LevelStats,
+        /// L2 ↔ memory bus (the paper's "memory traffic", Figure 10).
+        pub mem_bus: TrafficMeter,
+        /// L1 ↔ L2 on-chip bus (not reported in the paper; kept for analysis).
+        pub l1_l2_bus: TrafficMeter,
+        /// Prefetches issued (BCP buffer fills / CPP affiliated-word fills).
+        pub prefetches_issued: u64,
+        /// Prefetched lines or words discarded unused.
+        pub prefetches_discarded: u64,
+        /// CPP: lines promoted from an affiliated to their primary location.
+        pub promotions: u64,
+        /// CPP: evicted lines parked (partially) in their affiliated location.
+        pub parked_lines: u64,
+        /// CPP: affiliated words evicted because a primary word grew
+        /// incompressible (§3.3 hazard).
+        pub compressibility_evictions: u64,
+        /// Tag/metadata SRAM the compression scheme spends across both levels,
+        /// in bits (Touché-style static overhead model). Stamped once at
+        /// hierarchy construction — a property of the geometry × scheme, not of
+        /// the access stream — and re-stamped by the hierarchy after stats
+        /// resets. Zero for the uncompressed baselines.
+        pub tag_overhead_bits: u64,
+    }
 }
 
 impl LevelStats {
@@ -47,48 +79,6 @@ impl LevelStats {
             self.misses() as f64 / a as f64
         }
     }
-
-    /// Adds another level's event counts into this one (shard merge).
-    pub fn absorb(&mut self, other: &LevelStats) {
-        self.reads += other.reads;
-        self.writes += other.writes;
-        self.read_misses += other.read_misses;
-        self.write_misses += other.write_misses;
-        self.prefetch_buffer_hits += other.prefetch_buffer_hits;
-        self.affiliated_hits += other.affiliated_hits;
-        self.partial_line_misses += other.partial_line_misses;
-        self.victim_hits += other.victim_hits;
-    }
-}
-
-/// Statistics for a whole two-level hierarchy.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct HierarchyStats {
-    /// L1 data-cache counters.
-    pub l1: LevelStats,
-    /// L2 cache counters.
-    pub l2: LevelStats,
-    /// L2 ↔ memory bus (the paper's "memory traffic", Figure 10).
-    pub mem_bus: TrafficMeter,
-    /// L1 ↔ L2 on-chip bus (not reported in the paper; kept for analysis).
-    pub l1_l2_bus: TrafficMeter,
-    /// Prefetches issued (BCP buffer fills / CPP affiliated-word fills).
-    pub prefetches_issued: u64,
-    /// Prefetched lines or words discarded unused.
-    pub prefetches_discarded: u64,
-    /// CPP: lines promoted from an affiliated to their primary location.
-    pub promotions: u64,
-    /// CPP: evicted lines parked (partially) in their affiliated location.
-    pub parked_lines: u64,
-    /// CPP: affiliated words evicted because a primary word grew
-    /// incompressible (§3.3 hazard).
-    pub compressibility_evictions: u64,
-    /// Tag/metadata SRAM the compression scheme spends across both levels,
-    /// in bits (Touché-style static overhead model). Stamped once at
-    /// hierarchy construction — a property of the geometry × scheme, not of
-    /// the access stream — and re-stamped by the hierarchy after stats
-    /// resets. Zero for the uncompressed baselines.
-    pub tag_overhead_bits: u64,
 }
 
 impl HierarchyStats {
@@ -121,21 +111,16 @@ impl HierarchyStats {
             self.tag_overhead_bits,
             other.tag_overhead_bits
         );
-        self.l1.absorb(&other.l1);
-        self.l2.absorb(&other.l2);
-        self.mem_bus.merge(&other.mem_bus);
-        self.l1_l2_bus.merge(&other.l1_l2_bus);
-        self.prefetches_issued += other.prefetches_issued;
-        self.prefetches_discarded += other.prefetches_discarded;
-        self.promotions += other.promotions;
-        self.parked_lines += other.parked_lines;
-        self.compressibility_evictions += other.compressibility_evictions;
+        let tag_overhead_bits = self.tag_overhead_bits;
+        ccp_mem::add_counters(self, other);
+        self.tag_overhead_bits = tag_overhead_bits;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccp_mem::Counters;
 
     #[test]
     fn miss_rate_of_idle_level_is_zero() {
@@ -167,6 +152,22 @@ mod tests {
         h.reset();
         assert_eq!(h, HierarchyStats::default());
         assert_eq!(h.memory_traffic_halfwords(), 0);
+    }
+
+    #[test]
+    fn absorb_shard_into_itself_doubles_every_event_counter() {
+        let mut h = HierarchyStats::new();
+        let mut next = 0;
+        h.visit_mut(&mut Vec::new(), &mut |_, v| {
+            next += 1;
+            *v = next;
+        });
+        let mut doubled = h;
+        doubled.absorb_shard(&h);
+        let mut expected = h;
+        expected.visit_mut(&mut Vec::new(), &mut |_, v| *v *= 2);
+        expected.tag_overhead_bits = h.tag_overhead_bits;
+        assert_eq!(doubled, expected);
     }
 
     #[test]

@@ -719,17 +719,23 @@ pub struct QueueStats {
     pub depth: u16,
 }
 pub struct FlowMeter { pub packets: u32 }
+ccp_mem::counters! {
+    /// Declared through the macro: still a counter struct.
+    #[derive(Debug, Default)]
+    pub struct XStats { pub ok: u64, pub wraps: u32 }
+}
 ";
         let hits = run("crates/served/src/metrics.rs", src);
         let r7: Vec<_> = hits
             .iter()
             .filter(|f| f.rule == "no-narrow-counters")
             .collect();
-        assert_eq!(r7.len(), 3, "{r7:?}");
+        assert_eq!(r7.len(), 4, "{r7:?}");
         assert!(r7.iter().all(|f| f.severity == Severity::Warn));
         assert_eq!(r7[0].line, 2);
         assert_eq!(r7[1].line, 4);
         assert_eq!(r7[2].line, 6);
+        assert_eq!(r7[3].line, 10);
     }
 
     #[test]

@@ -19,12 +19,16 @@
 //!
 //! [`TrafficMeter`] counts bus transfers in 16-bit half-word units so that a
 //! compressed bus (one half-word per compressible word) and a conventional
-//! bus (two half-words per word) are measured on the same scale.
+//! bus (two half-words per word) are measured on the same scale. It and
+//! every other stats struct are declared through [`counters!`], which
+//! derives the [`Counters`] visitor their codecs and merges walk.
 
 pub mod alloc;
+pub mod counters;
 pub mod traffic;
 
 pub use alloc::ChunkAllocator;
+pub use counters::{add_counters, Counters};
 pub use traffic::TrafficMeter;
 
 /// A 32-bit machine word.

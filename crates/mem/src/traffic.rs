@@ -8,17 +8,19 @@
 /// Half-words per uncompressed 32-bit word.
 pub const HALFWORDS_PER_WORD: u64 = 2;
 
-/// Counters for one bus (e.g. L2↔memory or L1↔L2).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct TrafficMeter {
-    /// Half-words moved toward the CPU (fetches / fills).
-    pub in_halfwords: u64,
-    /// Half-words moved away from the CPU (write-backs).
-    pub out_halfwords: u64,
-    /// Number of fetch transactions.
-    pub in_transactions: u64,
-    /// Number of write-back transactions.
-    pub out_transactions: u64,
+crate::counters! {
+    /// Counters for one bus (e.g. L2↔memory or L1↔L2).
+    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+    pub struct TrafficMeter {
+        /// Half-words moved toward the CPU (fetches / fills).
+        pub in_halfwords: u64,
+        /// Half-words moved away from the CPU (write-backs).
+        pub out_halfwords: u64,
+        /// Number of fetch transactions.
+        pub in_transactions: u64,
+        /// Number of write-back transactions.
+        pub out_transactions: u64,
+    }
 }
 
 impl TrafficMeter {
@@ -69,14 +71,6 @@ impl TrafficMeter {
     pub fn total_bytes(&self) -> u64 {
         self.total_halfwords() * 2
     }
-
-    /// Adds another meter's counts into this one.
-    pub fn merge(&mut self, other: &TrafficMeter) {
-        self.in_halfwords += other.in_halfwords;
-        self.out_halfwords += other.out_halfwords;
-        self.in_transactions += other.in_transactions;
-        self.out_transactions += other.out_transactions;
-    }
 }
 
 #[cfg(test)]
@@ -118,19 +112,5 @@ mod tests {
         assert_eq!(t.out_halfwords, 7);
         assert_eq!(t.out_transactions, 2);
         assert_eq!(t.total_halfwords(), 15);
-    }
-
-    #[test]
-    fn merge_adds_all_fields() {
-        let mut a = TrafficMeter::new();
-        a.fetch_words(1);
-        let mut b = TrafficMeter::new();
-        b.writeback_words(1);
-        b.fetch_halfwords(5);
-        a.merge(&b);
-        assert_eq!(a.in_halfwords, 7);
-        assert_eq!(a.out_halfwords, 2);
-        assert_eq!(a.in_transactions, 2);
-        assert_eq!(a.out_transactions, 1);
     }
 }

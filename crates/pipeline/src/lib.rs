@@ -108,23 +108,72 @@ impl Default for PipelineConfig {
     }
 }
 
-/// Attribution of every execution cycle to its dominant bottleneck — a
-/// standard "CPI stack". A cycle counts as [`CpiStack::busy`] when at least
-/// one instruction commits; otherwise it is attributed by the state of the
-/// oldest in-flight instruction (memory wait, core wait) or the empty
-/// front end.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct CpiStack {
-    /// Cycles with ≥1 commit.
-    pub busy: u64,
-    /// No commit, window empty: fetch starved (I-miss or mispredict).
-    pub frontend: u64,
-    /// No commit, oldest instruction is a load/store waiting on the data
-    /// memory hierarchy.
-    pub memory: u64,
-    /// No commit, oldest instruction waiting on operands or functional
-    /// units.
-    pub core: u64,
+ccp_mem::counters! {
+    /// Attribution of every execution cycle to its dominant bottleneck — a
+    /// standard "CPI stack". A cycle counts as [`CpiStack::busy`] when at least
+    /// one instruction commits; otherwise it is attributed by the state of the
+    /// oldest in-flight instruction (memory wait, core wait) or the empty
+    /// front end.
+    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+    pub struct CpiStack {
+        /// Cycles with ≥1 commit.
+        pub busy: u64,
+        /// No commit, window empty: fetch starved (I-miss or mispredict).
+        pub frontend: u64,
+        /// No commit, oldest instruction is a load/store waiting on the data
+        /// memory hierarchy.
+        pub memory: u64,
+        /// No commit, oldest instruction waiting on operands or functional
+        /// units.
+        pub core: u64,
+    }
+
+    /// Where demand loads were satisfied (a latency histogram keyed by hit
+    /// source rather than raw cycles, since sources map 1:1 to latencies).
+    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+    pub struct LoadSources {
+        /// L1 primary hits (1 cycle).
+        pub l1: u64,
+        /// CPP affiliated-location hits (2 cycles).
+        pub l1_affiliated: u64,
+        /// BCP/SPT prefetch-buffer hits (1 cycle).
+        pub l1_prefetch: u64,
+        /// L2 hits (10 cycles).
+        pub l2: u64,
+        /// Memory accesses (100 cycles).
+        pub memory: u64,
+    }
+
+    /// Results of one pipeline run.
+    #[derive(Debug, Default, Clone)]
+    pub struct RunStats {
+        /// Total execution cycles.
+        pub cycles: u64,
+        /// Committed instructions.
+        pub instructions: u64,
+        /// Committed loads.
+        pub loads: u64,
+        /// Committed stores.
+        pub stores: u64,
+        /// Loads satisfied by store-to-load forwarding (no cache access).
+        pub forwarded_loads: u64,
+        /// Mispredicted branches.
+        pub branch_mispredicts: u64,
+        /// Committed branches.
+        pub branches: u64,
+        /// I-cache misses.
+        pub icache_misses: u64,
+        /// Cycles during which at least one load miss was outstanding.
+        pub miss_cycles: u64,
+        /// Σ ready-queue length over those cycles (Figure 15's numerator).
+        pub ready_len_sum: u64,
+        /// Per-cycle bottleneck attribution.
+        pub cpi_stack: CpiStack,
+        /// Demand-load hit-source histogram.
+        pub load_sources: LoadSources,
+        /// Final data-hierarchy statistics.
+        pub hierarchy: HierarchyStats,
+    }
 }
 
 impl CpiStack {
@@ -143,22 +192,6 @@ impl CpiStack {
     }
 }
 
-/// Where demand loads were satisfied (a latency histogram keyed by hit
-/// source rather than raw cycles, since sources map 1:1 to latencies).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct LoadSources {
-    /// L1 primary hits (1 cycle).
-    pub l1: u64,
-    /// CPP affiliated-location hits (2 cycles).
-    pub l1_affiliated: u64,
-    /// BCP/SPT prefetch-buffer hits (1 cycle).
-    pub l1_prefetch: u64,
-    /// L2 hits (10 cycles).
-    pub l2: u64,
-    /// Memory accesses (100 cycles).
-    pub memory: u64,
-}
-
 impl LoadSources {
     /// Total demand loads that reached the hierarchy (excludes forwarded).
     pub fn total(&self) -> u64 {
@@ -174,37 +207,6 @@ impl LoadSources {
             HitSource::Memory => self.memory += 1,
         }
     }
-}
-
-/// Results of one pipeline run.
-#[derive(Debug, Default, Clone)]
-pub struct RunStats {
-    /// Total execution cycles.
-    pub cycles: u64,
-    /// Committed instructions.
-    pub instructions: u64,
-    /// Committed loads.
-    pub loads: u64,
-    /// Committed stores.
-    pub stores: u64,
-    /// Loads satisfied by store-to-load forwarding (no cache access).
-    pub forwarded_loads: u64,
-    /// Mispredicted branches.
-    pub branch_mispredicts: u64,
-    /// Committed branches.
-    pub branches: u64,
-    /// I-cache misses.
-    pub icache_misses: u64,
-    /// Cycles during which at least one load miss was outstanding.
-    pub miss_cycles: u64,
-    /// Σ ready-queue length over those cycles (Figure 15's numerator).
-    pub ready_len_sum: u64,
-    /// Per-cycle bottleneck attribution.
-    pub cpi_stack: CpiStack,
-    /// Demand-load hit-source histogram.
-    pub load_sources: LoadSources,
-    /// Final data-hierarchy statistics.
-    pub hierarchy: HierarchyStats,
 }
 
 impl RunStats {

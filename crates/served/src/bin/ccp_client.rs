@@ -34,6 +34,7 @@
 //! ```
 
 use ccp_served::{run_bench, BenchConfig, Client, SubmitCtl};
+use ccp_sim::checkpoint::stats_from_json;
 use ccp_sim::json::write_atomic;
 use ccp_sim::JobSpec;
 
@@ -186,14 +187,13 @@ fn submit(addr: &str, mut args: Vec<String>) {
     let mut client = connect(addr);
     match client.submit_wait_ctl(&spec, &SubmitCtl { deadline_ms }) {
         Ok(outcome) => {
-            let cycles = outcome.stats.get("cycles").and_then(|v| v.as_u64());
-            let insts = outcome.stats.get("instructions").and_then(|v| v.as_u64());
+            let stats = stats_from_json(&outcome.stats).unwrap_or_default();
             println!(
                 "job {} {}: cycles {} instructions {} (key {}, {} progress events)",
                 outcome.job,
                 if outcome.cached { "cached" } else { "computed" },
-                cycles.unwrap_or(0),
-                insts.unwrap_or(0),
+                stats.cycles,
+                stats.instructions,
                 outcome.key,
                 outcome.progress_events,
             );

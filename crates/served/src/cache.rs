@@ -3,15 +3,18 @@
 //! Keys are [`JobSpec::cache_key`] values — FNV-1a over the canonical
 //! spec text — so the cache answers for *any* equivalent spelling of a
 //! job. Every entry also stores the canonical string itself: on the
-//! astronomically-unlikely 64-bit collision the strings differ, the
-//! stale entry is discarded, and a counter records the event — a
+//! astronomically-unlikely 64-bit collision the strings differ, a
+//! counter records the event, and the colliding job is recomputed — a
 //! collision can cost a recomputation, never a wrong answer.
 //!
 //! Single-flight: the first miss for a key becomes the *leader* and runs
 //! the simulation; identical submissions that arrive while it is in
 //! flight are parked as waiters on the same entry and all receive the
 //! leader's result. `n` identical concurrent jobs cost exactly one
-//! simulation.
+//! simulation. Each leader holds a [`Flight`] token, and only that token
+//! completes its entry: a job that collides with an in-flight entry runs
+//! as a leader whose flight was never entered, so its result reaches
+//! neither the other flight's waiters nor the cache.
 //!
 //! Eviction is LRU over *ready* entries only (in-flight entries are
 //! pinned — evicting one would strand its waiters), driven by a
@@ -44,12 +47,19 @@ pub enum Lookup<W> {
     /// An identical job is in flight; the caller was parked as a waiter
     /// and will be handed the leader's result via [`ResultCache::complete`].
     Joined,
-    /// Nothing cached or in flight: the caller is now the leader and must
-    /// run the simulation, then call [`ResultCache::complete`]. Carries
-    /// the waiter back so leadership is encoded in the type — there is no
-    /// "miss but the waiter vanished" state to `expect` away.
-    Miss(W),
+    /// Nothing usable cached or in flight: the caller is now the leader and must
+    /// run the simulation, then call [`ResultCache::complete`] with the
+    /// [`Flight`]. Carries the waiter back so leadership is encoded in the
+    /// type — there is no "miss but the waiter vanished" state to `expect`
+    /// away.
+    Miss(W, Flight),
 }
+
+/// One leader's flight. [`ResultCache::complete`] and
+/// [`ResultCache::for_each_waiter`] act only on the entry this flight
+/// created, so a leader can never answer another flight's waiters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Flight(u64);
 
 enum Entry<W> {
     Ready {
@@ -59,6 +69,7 @@ enum Entry<W> {
     },
     InFlight {
         canonical: String,
+        flight: Flight,
         waiters: Vec<W>,
     },
 }
@@ -107,6 +118,7 @@ impl<W> ResultCache<W> {
     /// caller becomes the leader; on [`Lookup::Hit`] it is dropped.
     pub fn lookup(&mut self, key: u64, canonical: &str, waiter: W) -> Lookup<W> {
         self.tick += 1;
+        let flight = Flight(self.tick);
         match self.map.get_mut(&key) {
             Some(Entry::Ready {
                 canonical: c,
@@ -115,54 +127,59 @@ impl<W> ResultCache<W> {
             }) if c == canonical => {
                 *last_used = self.tick;
                 self.counters.hits += 1;
-                Lookup::Hit(Arc::clone(stats))
+                return Lookup::Hit(Arc::clone(stats));
             }
             Some(Entry::InFlight {
                 canonical: c,
                 waiters,
+                ..
             }) if c == canonical => {
                 waiters.push(waiter);
                 self.counters.joined += 1;
-                Lookup::Joined
+                return Lookup::Joined;
             }
-            Some(_) => {
-                // 64-bit collision: different canonical text behind the same
-                // key. Discard the stale entry and recompute — never serve it.
+            // 64-bit collision with a flight for different canonical text:
+            // that flight keeps its entry and its waiters; this job runs
+            // under a flight that is never entered, so it is not cached.
+            Some(Entry::InFlight { .. }) => {
                 self.counters.collisions += 1;
-                if let Some(Entry::Ready { canonical: c, .. }) = self.map.insert(
-                    key,
-                    Entry::InFlight {
-                        canonical: canonical.to_string(),
-                        waiters: Vec::new(),
-                    },
-                ) {
-                    self.bytes = self.bytes.saturating_sub(entry_cost(&c));
-                }
                 self.counters.misses += 1;
-                Lookup::Miss(waiter)
+                return Lookup::Miss(waiter, flight);
             }
-            None => {
-                self.map.insert(
-                    key,
-                    Entry::InFlight {
-                        canonical: canonical.to_string(),
-                        waiters: Vec::new(),
-                    },
-                );
-                self.counters.misses += 1;
-                Lookup::Miss(waiter)
+            // 64-bit collision with a ready entry: discard it and
+            // recompute — never serve it.
+            Some(Entry::Ready { canonical: c, .. }) => {
+                self.counters.collisions += 1;
+                self.bytes = self.bytes.saturating_sub(entry_cost(c));
             }
+            None => {}
         }
+        self.map.insert(
+            key,
+            Entry::InFlight {
+                canonical: canonical.to_string(),
+                flight,
+                waiters: Vec::new(),
+            },
+        );
+        self.counters.misses += 1;
+        Lookup::Miss(waiter, flight)
     }
 
-    /// The leader finished: returns every parked waiter (the caller
-    /// delivers `result` to each of them and to itself). On success the
-    /// entry becomes ready (and LRU may evict the oldest ready entry);
-    /// on failure it is removed — errors are never cached, so a
-    /// transient failure doesn't poison the key.
-    pub fn complete(&mut self, key: u64, stats: Option<&Arc<RunStats>>) -> Vec<W> {
+    /// The leader of `flight` finished: returns every waiter parked on
+    /// that flight (the caller delivers `result` to each of them and to
+    /// itself). On success the entry becomes ready (and LRU may evict the
+    /// oldest ready entry); on failure it is removed — errors are never
+    /// cached, so a transient failure doesn't poison the key. A flight
+    /// that was never entered (see [`Lookup::Miss`]) returns no waiters
+    /// and leaves the cache untouched.
+    pub fn complete(&mut self, key: u64, flight: Flight, stats: Option<&Arc<RunStats>>) -> Vec<W> {
         match self.map.remove(&key) {
-            Some(Entry::InFlight { canonical, waiters }) => {
+            Some(Entry::InFlight {
+                canonical,
+                flight: f,
+                waiters,
+            }) if f == flight => {
                 if let Some(stats) = stats {
                     self.tick += 1;
                     self.bytes += entry_cost(&canonical);
@@ -178,8 +195,7 @@ impl<W> ResultCache<W> {
                 }
                 waiters
             }
-            // A collision replaced this flight's entry; deliver to nobody
-            // extra (the replacing flight keeps its own waiters).
+            // Another flight's entry: it keeps its own waiters.
             Some(other) => {
                 self.map.insert(key, other);
                 Vec::new()
@@ -200,11 +216,16 @@ impl<W> ResultCache<W> {
         None
     }
 
-    /// Visits every waiter parked on `key` (for streaming progress to
+    /// Visits every waiter parked on `flight` (for streaming progress to
     /// joined submissions).
-    pub fn for_each_waiter(&self, key: u64, mut f: impl FnMut(&W)) {
-        if let Some(Entry::InFlight { waiters, .. }) = self.map.get(&key) {
-            waiters.iter().for_each(&mut f);
+    pub fn for_each_waiter(&self, key: u64, flight: Flight, f: impl FnMut(&W)) {
+        match self.map.get(&key) {
+            Some(Entry::InFlight {
+                flight: own,
+                waiters,
+                ..
+            }) if *own == flight => waiters.iter().for_each(f),
+            _ => {}
         }
     }
 
@@ -269,22 +290,22 @@ mod tests {
     fn miss_then_hit_then_lru_eviction() {
         let mut c: ResultCache<u32> = ResultCache::new(cap(2));
         for (k, name) in [(1, "a"), (2, "b"), (3, "c")] {
-            c.lookup(k, name, 0).assert_miss();
-            let w = c.complete(k, Some(&stats(k)));
+            let (_, f) = c.lookup(k, name, 0).assert_miss();
+            let w = c.complete(k, f, Some(&stats(k)));
             assert!(w.is_empty());
         }
         // Capacity 2: key 1 (oldest) was evicted, 2 and 3 remain.
         assert_eq!(c.entries(), 2);
         assert_eq!(c.counters().evictions, 1);
-        c.lookup(1, "a", 0).assert_miss();
-        c.complete(1, Some(&stats(1)));
+        let (_, f) = c.lookup(1, "a", 0).assert_miss();
+        c.complete(1, f, Some(&stats(1)));
         match c.lookup(3, "c", 0) {
             Lookup::Hit(s) => assert_eq!(s.cycles, 3),
             other => panic!("expected hit, got {other:?}"),
         }
         // Touching 3 made 2 the LRU entry now.
-        c.lookup(4, "d", 0).assert_miss();
-        c.complete(4, Some(&stats(4)));
+        let (_, f) = c.lookup(4, "d", 0).assert_miss();
+        c.complete(4, f, Some(&stats(4)));
         c.lookup(2, "b", 0).assert_miss();
     }
 
@@ -292,17 +313,15 @@ mod tests {
     fn single_flight_parks_waiters_and_delivers_once() {
         let mut c: ResultCache<&str> = ResultCache::new(1 << 20);
         // The miss hands the waiter back as the leader token.
-        assert!(matches!(
-            c.lookup(7, "job", "leader"),
-            Lookup::Miss("leader")
-        ));
+        let (leader, f) = c.lookup(7, "job", "leader").assert_miss();
+        assert_eq!(leader, "leader");
         assert!(matches!(c.lookup(7, "job", "w1"), Lookup::Joined));
         assert!(matches!(c.lookup(7, "job", "w2"), Lookup::Joined));
         assert_eq!(c.counters().joined, 2);
         let mut seen = 0;
-        c.for_each_waiter(7, |_| seen += 1);
+        c.for_each_waiter(7, f, |_| seen += 1);
         assert_eq!(seen, 2);
-        let waiters = c.complete(7, Some(&stats(9)));
+        let waiters = c.complete(7, f, Some(&stats(9)));
         assert_eq!(waiters, vec!["w1", "w2"]);
         match c.lookup(7, "job", "late") {
             Lookup::Hit(s) => assert_eq!(s.cycles, 9),
@@ -313,9 +332,9 @@ mod tests {
     #[test]
     fn failures_are_not_cached() {
         let mut c: ResultCache<u32> = ResultCache::new(cap(4));
-        c.lookup(5, "j", 1).assert_miss();
+        let (_, f) = c.lookup(5, "j", 1).assert_miss();
         assert!(matches!(c.lookup(5, "j", 2), Lookup::Joined));
-        let waiters = c.complete(5, None);
+        let waiters = c.complete(5, f, None);
         assert_eq!(waiters, vec![2]);
         // The error was delivered but not retained: next lookup re-runs.
         c.lookup(5, "j", 3).assert_miss();
@@ -325,23 +344,24 @@ mod tests {
     #[test]
     fn canceled_waiter_is_removed_without_disturbing_the_flight() {
         let mut c: ResultCache<u32> = ResultCache::new(cap(4));
-        c.lookup(5, "j", 1).assert_miss();
+        let (_, f) = c.lookup(5, "j", 1).assert_miss();
         assert!(matches!(c.lookup(5, "j", 2), Lookup::Joined));
         assert!(matches!(c.lookup(5, "j", 3), Lookup::Joined));
         assert_eq!(c.remove_waiter(5, |w| *w == 2), Some(2));
         assert_eq!(c.remove_waiter(5, |w| *w == 2), None);
-        assert_eq!(c.complete(5, Some(&stats(1))), vec![3]);
+        assert_eq!(c.complete(5, f, Some(&stats(1))), vec![3]);
     }
 
     #[test]
     fn collision_is_detected_and_recomputed() {
         let mut c: ResultCache<u32> = ResultCache::new(1 << 20);
-        c.lookup(5, "alpha", 1).assert_miss();
-        c.complete(5, Some(&stats(1)));
+        let (_, f) = c.lookup(5, "alpha", 1).assert_miss();
+        c.complete(5, f, Some(&stats(1)));
         // Same key, different canonical text: must NOT serve alpha's stats.
-        assert_eq!(c.lookup(5, "beta", 2).assert_miss(), 2);
+        let (w, f) = c.lookup(5, "beta", 2).assert_miss();
+        assert_eq!(w, 2);
         assert_eq!(c.counters().collisions, 1);
-        c.complete(5, Some(&stats(2)));
+        c.complete(5, f, Some(&stats(2)));
         match c.lookup(5, "beta", 3) {
             Lookup::Hit(s) => assert_eq!(s.cycles, 2),
             other => panic!("expected hit, got {other:?}"),
@@ -349,10 +369,35 @@ mod tests {
     }
 
     #[test]
+    fn colliding_flight_never_answers_the_other_flights_waiters() {
+        // Regression: a lookup colliding with an in-flight entry used to
+        // replace that flight, dropping its waiters, and the displaced
+        // leader then completed the replacement under the wrong canonical
+        // text.
+        let mut c: ResultCache<u32> = ResultCache::new(1 << 20);
+        let (_, alpha) = c.lookup(5, "alpha", 1).assert_miss();
+        assert!(matches!(c.lookup(5, "alpha", 10), Lookup::Joined));
+        let (_, beta) = c.lookup(5, "beta", 2).assert_miss();
+        assert_eq!(c.counters().collisions, 1);
+        // Beta's flight was never entered: no progress or result for 10.
+        let mut seen = 0;
+        c.for_each_waiter(5, beta, |_| seen += 1);
+        assert_eq!(seen, 0);
+        assert_eq!(c.complete(5, alpha, Some(&stats(111))), vec![10]);
+        match c.lookup(5, "beta", 3) {
+            Lookup::Miss(3, _) => {}
+            other => panic!("beta must not see alpha's result, got {other:?}"),
+        }
+        // The uncached beta leader finishing touches nothing.
+        assert!(c.complete(5, beta, Some(&stats(222))).is_empty());
+        assert!(matches!(c.lookup(5, "beta", 4), Lookup::Joined));
+    }
+
+    #[test]
     fn zero_capacity_disables_retention() {
         let mut c: ResultCache<u32> = ResultCache::new(0);
-        c.lookup(1, "a", 0).assert_miss();
-        c.complete(1, Some(&stats(1)));
+        let (_, f) = c.lookup(1, "a", 0).assert_miss();
+        c.complete(1, f, Some(&stats(1)));
         c.lookup(1, "a", 0).assert_miss();
         assert_eq!(c.entries(), 0);
         assert_eq!(c.counters().misses, 2);
@@ -367,30 +412,30 @@ mod tests {
         let budget = 3 * entry_cost("a") + entry_cost(&long) - 1;
         let mut c: ResultCache<u32> = ResultCache::new(budget);
         for (k, name) in [(1, "a"), (2, "b"), (3, "c")] {
-            c.lookup(k, name, 0).assert_miss();
-            c.complete(k, Some(&stats(k)));
+            let (_, f) = c.lookup(k, name, 0).assert_miss();
+            c.complete(k, f, Some(&stats(k)));
         }
         assert_eq!(c.entries(), 3);
         assert_eq!(c.bytes(), 3 * entry_cost("a"));
-        c.lookup(9, &long, 0).assert_miss();
-        c.complete(9, Some(&stats(9)));
+        let (_, f) = c.lookup(9, &long, 0).assert_miss();
+        c.complete(9, f, Some(&stats(9)));
         // The long entry pushed the cache over budget: the oldest short
         // entry went, and accounting reflects the remaining residents.
         assert_eq!(c.entries(), 3);
         assert_eq!(c.counters().evictions, 1);
         assert_eq!(c.bytes(), 2 * entry_cost("a") + entry_cost(&long));
         assert!(c.bytes() <= budget);
-        assert!(matches!(c.lookup(1, "a", 0), Lookup::Miss(_)), "LRU victim");
+        let (_, f) = c.lookup(1, "a", 0).assert_miss();
         // Evicting the replacement flight keeps accounting consistent.
-        c.complete(1, Some(&stats(1)));
+        c.complete(1, f, Some(&stats(1)));
         assert!(c.bytes() <= budget);
     }
 
     impl<W: std::fmt::Debug> Lookup<W> {
-        /// Asserts the miss and returns the leader token.
-        fn assert_miss(self) -> W {
+        /// Asserts the miss and returns the leader token and its flight.
+        fn assert_miss(self) -> (W, Flight) {
             match self {
-                Lookup::Miss(w) => w,
+                Lookup::Miss(w, f) => (w, f),
                 other => panic!("expected miss, got {other:?}"),
             }
         }

@@ -31,7 +31,7 @@ pub mod protocol;
 pub mod server;
 pub mod sync;
 
-pub use cache::{CacheCounters, Lookup, ResultCache};
+pub use cache::{CacheCounters, Flight, Lookup, ResultCache};
 pub use client::{
     jittered_backoff_ms, run_bench, BenchConfig, BenchReport, Client, JobOutcome, SubmitCtl,
 };

@@ -27,7 +27,7 @@
 //!
 //! [`job_error`]: crate::protocol::Response::JobError
 
-use crate::cache::{Lookup, ResultCache};
+use crate::cache::{Flight, Lookup, ResultCache};
 use crate::protocol::{Request, Response, StatsSnapshot};
 use crate::sync::{CondvarExt, LockExt};
 use ccp_errors::{SimError, SimResult};
@@ -96,6 +96,7 @@ struct Waiter {
 struct JobState {
     id: u64,
     key: u64,
+    flight: Flight,
     spec: JobSpec,
     cancel: AtomicBool,
     /// Absolute deadline from the submit's `deadline_ms`, if any. A job
@@ -381,7 +382,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                     .to_line(),
                 );
                 let inner = shared.state.lock_unpoisoned();
-                inner.cache.for_each_waiter(job.key, |w| {
+                inner.cache.for_each_waiter(job.key, job.flight, |w| {
                     let _ = w.tx.send(
                         Response::Progress {
                             job: w.job,
@@ -431,7 +432,7 @@ fn worker_loop(shared: &Arc<Shared>) {
         }
         let waiters = {
             let mut inner = shared.state.lock_unpoisoned();
-            let waiters = inner.cache.complete(job.key, stats.as_ref());
+            let waiters = inner.cache.complete(job.key, job.flight, stats.as_ref());
             inner.registry.remove(&job.id);
             for w in &waiters {
                 inner.registry.remove(&w.job);
@@ -661,7 +662,7 @@ fn submit_job(spec: JobSpec, deadline_ms: u64, tx: &Sender<String>, shared: &Arc
                 let _ = tx.send(accepted);
                 None
             }
-            Lookup::Miss(waiter) => {
+            Lookup::Miss(waiter, flight) => {
                 // Bounded-queue backpressure: only a miss (which would
                 // enqueue real work) can be shed; hits and joined flights
                 // cost no queue slot and are served even under pressure.
@@ -672,7 +673,7 @@ fn submit_job(spec: JobSpec, deadline_ms: u64, tx: &Sender<String>, shared: &Arc
                 if shared.max_queue > 0 && depth >= shared.max_queue {
                     // Withdraw the in-flight entry `lookup` just created
                     // (no waiters have joined: we still hold `state`).
-                    inner.cache.complete(key, None);
+                    inner.cache.complete(key, flight, None);
                     shared.shed.fetch_add(1, Ordering::Relaxed);
                     let _ = waiter.tx.send(
                         Response::Overloaded {
@@ -686,6 +687,7 @@ fn submit_job(spec: JobSpec, deadline_ms: u64, tx: &Sender<String>, shared: &Arc
                 let job = Arc::new(JobState {
                     id,
                     key,
+                    flight,
                     spec,
                     cancel: AtomicBool::new(false),
                     deadline,

@@ -13,11 +13,11 @@
 //! them, and finishes the remaining grid; failed cells are not recorded
 //! and therefore re-run.
 
-use crate::json::{write_atomic, Json};
+use crate::json::{counters_from_json, counters_to_json, write_atomic, Json};
 use crate::sweep::SweepConfig;
 use ccp_cache::DesignKind;
 use ccp_errors::{SimError, SimResult};
-use ccp_pipeline::{CpiStack, LoadSources, RunStats};
+use ccp_pipeline::RunStats;
 use std::path::{Path, PathBuf};
 
 const VERSION: u64 = 1;
@@ -193,166 +193,22 @@ fn cell_from_json(j: &Json) -> SimResult<CellRecord> {
 }
 
 /// Serializes full [`RunStats`] (every counter the report and figure
-/// pipelines read) to JSON. All counters are `u64 < 2^53`, so the `f64`
-/// value tree is exact.
+/// pipelines read) to JSON through the [`Counters`](ccp_mem::Counters)
+/// codec.
 pub fn stats_to_json(s: &RunStats) -> Json {
-    let traffic = |t: &ccp_mem::TrafficMeter| {
-        Json::obj([
-            ("in_halfwords", Json::from(t.in_halfwords)),
-            ("out_halfwords", Json::from(t.out_halfwords)),
-            ("in_transactions", Json::from(t.in_transactions)),
-            ("out_transactions", Json::from(t.out_transactions)),
-        ])
-    };
-    let level = |l: &ccp_cache::LevelStats| {
-        Json::obj([
-            ("reads", Json::from(l.reads)),
-            ("writes", Json::from(l.writes)),
-            ("read_misses", Json::from(l.read_misses)),
-            ("write_misses", Json::from(l.write_misses)),
-            ("prefetch_buffer_hits", Json::from(l.prefetch_buffer_hits)),
-            ("affiliated_hits", Json::from(l.affiliated_hits)),
-            ("partial_line_misses", Json::from(l.partial_line_misses)),
-            ("victim_hits", Json::from(l.victim_hits)),
-        ])
-    };
-    let h = &s.hierarchy;
-    Json::obj([
-        ("cycles", Json::from(s.cycles)),
-        ("instructions", Json::from(s.instructions)),
-        ("loads", Json::from(s.loads)),
-        ("stores", Json::from(s.stores)),
-        ("forwarded_loads", Json::from(s.forwarded_loads)),
-        ("branch_mispredicts", Json::from(s.branch_mispredicts)),
-        ("branches", Json::from(s.branches)),
-        ("icache_misses", Json::from(s.icache_misses)),
-        ("miss_cycles", Json::from(s.miss_cycles)),
-        ("ready_len_sum", Json::from(s.ready_len_sum)),
-        (
-            "cpi_stack",
-            Json::obj([
-                ("busy", Json::from(s.cpi_stack.busy)),
-                ("frontend", Json::from(s.cpi_stack.frontend)),
-                ("memory", Json::from(s.cpi_stack.memory)),
-                ("core", Json::from(s.cpi_stack.core)),
-            ]),
-        ),
-        (
-            "load_sources",
-            Json::obj([
-                ("l1", Json::from(s.load_sources.l1)),
-                ("l1_affiliated", Json::from(s.load_sources.l1_affiliated)),
-                ("l1_prefetch", Json::from(s.load_sources.l1_prefetch)),
-                ("l2", Json::from(s.load_sources.l2)),
-                ("memory", Json::from(s.load_sources.memory)),
-            ]),
-        ),
-        (
-            "hierarchy",
-            Json::obj([
-                ("l1", level(&h.l1)),
-                ("l2", level(&h.l2)),
-                ("mem_bus", traffic(&h.mem_bus)),
-                ("l1_l2_bus", traffic(&h.l1_l2_bus)),
-                ("prefetches_issued", Json::from(h.prefetches_issued)),
-                ("prefetches_discarded", Json::from(h.prefetches_discarded)),
-                ("promotions", Json::from(h.promotions)),
-                ("parked_lines", Json::from(h.parked_lines)),
-                (
-                    "compressibility_evictions",
-                    Json::from(h.compressibility_evictions),
-                ),
-                ("tag_overhead_bits", Json::from(h.tag_overhead_bits)),
-            ]),
-        ),
-    ])
+    counters_to_json(s)
 }
 
 /// Parses JSON produced by [`stats_to_json`] back to exact [`RunStats`].
 pub fn stats_from_json(j: &Json) -> SimResult<RunStats> {
-    fn u(j: &Json, key: &str) -> SimResult<u64> {
-        j.get(key).and_then(Json::as_u64).ok_or_else(|| {
-            SimError::corrupt("checkpoint stats", format!("missing counter {key:?}"))
-        })
-    }
-    fn traffic(j: &Json, key: &str) -> SimResult<ccp_mem::TrafficMeter> {
-        let t = j
-            .get(key)
-            .ok_or_else(|| SimError::corrupt("checkpoint stats", format!("missing {key:?}")))?;
-        Ok(ccp_mem::TrafficMeter {
-            in_halfwords: u(t, "in_halfwords")?,
-            out_halfwords: u(t, "out_halfwords")?,
-            in_transactions: u(t, "in_transactions")?,
-            out_transactions: u(t, "out_transactions")?,
-        })
-    }
-    fn level(j: &Json, key: &str) -> SimResult<ccp_cache::LevelStats> {
-        let l = j
-            .get(key)
-            .ok_or_else(|| SimError::corrupt("checkpoint stats", format!("missing {key:?}")))?;
-        Ok(ccp_cache::LevelStats {
-            reads: u(l, "reads")?,
-            writes: u(l, "writes")?,
-            read_misses: u(l, "read_misses")?,
-            write_misses: u(l, "write_misses")?,
-            prefetch_buffer_hits: u(l, "prefetch_buffer_hits")?,
-            affiliated_hits: u(l, "affiliated_hits")?,
-            partial_line_misses: u(l, "partial_line_misses")?,
-            victim_hits: u(l, "victim_hits")?,
-        })
-    }
-    let cpi = j
-        .get("cpi_stack")
-        .ok_or_else(|| SimError::corrupt("checkpoint stats", "missing cpi_stack"))?;
-    let ls = j
-        .get("load_sources")
-        .ok_or_else(|| SimError::corrupt("checkpoint stats", "missing load_sources"))?;
-    let h = j
-        .get("hierarchy")
-        .ok_or_else(|| SimError::corrupt("checkpoint stats", "missing hierarchy"))?;
-    Ok(RunStats {
-        cycles: u(j, "cycles")?,
-        instructions: u(j, "instructions")?,
-        loads: u(j, "loads")?,
-        stores: u(j, "stores")?,
-        forwarded_loads: u(j, "forwarded_loads")?,
-        branch_mispredicts: u(j, "branch_mispredicts")?,
-        branches: u(j, "branches")?,
-        icache_misses: u(j, "icache_misses")?,
-        miss_cycles: u(j, "miss_cycles")?,
-        ready_len_sum: u(j, "ready_len_sum")?,
-        cpi_stack: CpiStack {
-            busy: u(cpi, "busy")?,
-            frontend: u(cpi, "frontend")?,
-            memory: u(cpi, "memory")?,
-            core: u(cpi, "core")?,
-        },
-        load_sources: LoadSources {
-            l1: u(ls, "l1")?,
-            l1_affiliated: u(ls, "l1_affiliated")?,
-            l1_prefetch: u(ls, "l1_prefetch")?,
-            l2: u(ls, "l2")?,
-            memory: u(ls, "memory")?,
-        },
-        hierarchy: ccp_cache::HierarchyStats {
-            l1: level(h, "l1")?,
-            l2: level(h, "l2")?,
-            mem_bus: traffic(h, "mem_bus")?,
-            l1_l2_bus: traffic(h, "l1_l2_bus")?,
-            prefetches_issued: u(h, "prefetches_issued")?,
-            prefetches_discarded: u(h, "prefetches_discarded")?,
-            promotions: u(h, "promotions")?,
-            parked_lines: u(h, "parked_lines")?,
-            compressibility_evictions: u(h, "compressibility_evictions")?,
-            tag_overhead_bits: u(h, "tag_overhead_bits")?,
-        },
-    })
+    counters_from_json(j)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sweep::run_cell_source_scheme;
+    use ccp_mem::Counters;
     use ccp_schemes::SchemeKind;
     use ccp_trace::{benchmark_by_name, BenchSource};
 
@@ -375,12 +231,34 @@ mod tests {
         )
     }
 
+    /// `RunStats` with every counter set to a different value.
+    fn distinct_stats() -> RunStats {
+        let mut s = RunStats::default();
+        let mut next = 0;
+        s.visit_mut(&mut Vec::new(), &mut |_, v| {
+            next += 1;
+            *v = next;
+        });
+        s
+    }
+
     #[test]
     fn stats_roundtrip_is_exact() {
-        let s = sample_stats();
-        let j = stats_to_json(&s);
-        let back = stats_from_json(&Json::parse(&j.to_string()).unwrap()).unwrap();
-        assert_eq!(format!("{s:?}"), format!("{back:?}"));
+        for s in [sample_stats(), distinct_stats()] {
+            let j = stats_to_json(&s);
+            let back = stats_from_json(&Json::parse(&j.to_string()).unwrap()).unwrap();
+            assert_eq!(format!("{s:?}"), format!("{back:?}"));
+        }
+    }
+
+    #[test]
+    fn missing_counter_error_names_its_path() {
+        let s = distinct_stats();
+        let l2_reads = format!("\"reads\":{},", s.hierarchy.l2.reads);
+        let text = stats_to_json(&s).to_string().replacen(&l2_reads, "", 1);
+        let e = stats_from_json(&Json::parse(&text).unwrap()).unwrap_err();
+        assert_eq!(e.class(), "corrupt");
+        assert!(e.to_string().contains("\"hierarchy.l2.reads\""), "{e}");
     }
 
     #[test]

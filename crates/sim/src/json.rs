@@ -11,6 +11,7 @@
 //! mid-write can never leave a torn half-written report or checkpoint.
 
 use ccp_errors::{SimError, SimResult};
+use ccp_mem::Counters;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -438,6 +439,50 @@ impl From<f64> for Json {
 impl From<u64> for Json {
     fn from(n: u64) -> Self {
         Json::Num(n as f64)
+    }
+}
+
+/// Renders a counter struct as a JSON object keyed by field name, nested
+/// counter structs as nested objects. Counters are `u64 < 2^53` in
+/// practice, so the `f64` value tree is exact.
+pub fn counters_to_json(c: &dyn Counters) -> Json {
+    let mut root = Json::Obj(BTreeMap::new());
+    c.visit(&mut Vec::new(), &mut |path, v| {
+        let mut node = &mut root;
+        for name in path {
+            node = match node {
+                Json::Obj(map) => map
+                    .entry(name.to_string())
+                    .or_insert_with(|| Json::Obj(BTreeMap::new())),
+                other => other,
+            };
+        }
+        *node = Json::from(v);
+    });
+    root
+}
+
+/// Parses JSON produced by [`counters_to_json`] back to exact counters.
+/// Every counter must be present as an exact integer; a missing one is
+/// [`SimError::Corrupt`] naming its dotted path (`hierarchy.l2.reads`).
+pub fn counters_from_json<C: Counters + Default>(j: &Json) -> SimResult<C> {
+    let mut c = C::default();
+    let mut missing = None;
+    c.visit_mut(&mut Vec::new(), &mut |path, v| {
+        let node = path.iter().try_fold(j, |node, name| node.get(name));
+        match node.and_then(Json::as_u64) {
+            Some(n) => *v = n,
+            None => {
+                missing.get_or_insert_with(|| path.join("."));
+            }
+        }
+    });
+    match missing {
+        None => Ok(c),
+        Some(path) => Err(SimError::corrupt(
+            "stats",
+            format!("missing counter {path:?}"),
+        )),
     }
 }
 

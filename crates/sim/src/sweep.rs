@@ -942,15 +942,11 @@ mod tests {
             instructions: 100,
             loads: 10,
             stores: 5,
-            forwarded_loads: 0,
             branch_mispredicts: 1,
             branches: 8,
-            icache_misses: 0,
             miss_cycles: 2,
             ready_len_sum: 3,
-            cpi_stack: Default::default(),
-            load_sources: Default::default(),
-            hierarchy: Default::default(),
+            ..Default::default()
         }
     }
 

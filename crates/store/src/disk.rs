@@ -6,7 +6,8 @@
 //! can never leave a torn entry. Every load re-verifies the entry: magic,
 //! version, the key both as stored *and* recomputed from the stored
 //! canonical text, the payload checksum, and the exact decompressed
-//! length. Anything that fails verification is treated as a miss (and
+//! length; [`DiskTier::get_stats`] also requires every stats counter.
+//! Anything that fails verification is treated as a miss (and
 //! counted), never served — a corrupt or colliding entry costs a
 //! recompute, not a wrong answer.
 
@@ -205,6 +206,18 @@ impl DiskTier {
     /// (renames it aside, counted in `quarantined`) so the next put heals
     /// the live path without the corruption vanishing untraceably.
     pub fn get(&self, key: u64, canonical: &str) -> Option<Vec<u8>> {
+        self.load(key, canonical, Ok)
+    }
+
+    /// [`DiskTier::get`] with a payload decoder: an entry whose payload
+    /// fails to decode is quarantined exactly like one that fails
+    /// verification.
+    fn load<T>(
+        &self,
+        key: u64,
+        canonical: &str,
+        decode: impl FnOnce(Vec<u8>) -> SimResult<T>,
+    ) -> Option<T> {
         let path = self.path_for(key);
         let bytes = match std::fs::read(&path) {
             Ok(b) => b,
@@ -218,7 +231,7 @@ impl DiskTier {
                 return None;
             }
         };
-        match decode_entry(&bytes, key, canonical) {
+        match decode_entry(&bytes, key, canonical).and_then(decode) {
             Ok(payload) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(payload)
@@ -246,12 +259,14 @@ impl DiskTier {
         self.put(key, canonical, stats_to_json(stats).to_string().as_bytes())
     }
 
-    /// Loads a result back, verifying the entry end to end.
+    /// Loads a result back, verifying the entry end to end. A payload
+    /// that is not a complete stats document is quarantined.
     pub fn get_stats(&self, key: u64, canonical: &str) -> Option<RunStats> {
-        let payload = self.get(key, canonical)?;
-        let text = String::from_utf8(payload).ok()?;
-        let json = Json::parse(&text).ok()?;
-        stats_from_json(&json).ok()
+        self.load(key, canonical, |payload| {
+            let text = String::from_utf8(payload)
+                .map_err(|e| SimError::corrupt("store payload", e.to_string()))?;
+            stats_from_json(&Json::parse(&text)?)
+        })
     }
 
     /// Number of entry files currently on disk.
@@ -293,15 +308,11 @@ mod tests {
             instructions: 100,
             loads: 10,
             stores: 5,
-            forwarded_loads: 0,
             branch_mispredicts: 1,
             branches: 8,
-            icache_misses: 0,
             miss_cycles: 2,
             ready_len_sum: 3,
-            cpi_stack: Default::default(),
-            load_sources: Default::default(),
-            hierarchy: Default::default(),
+            ..Default::default()
         }
     }
 
@@ -396,6 +407,24 @@ mod tests {
             .unwrap();
         assert!(tier.get(key, canonical).is_some());
         assert_eq!(tier.entry_count(), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn stats_payload_missing_a_counter_is_quarantined() {
+        let dir = tmp_dir("partial");
+        let tier = DiskTier::open(&dir).unwrap();
+        let canonical = "workload=olden.health|design=BCP|budget=2000|seed=7";
+        let key = fnv1a(canonical.as_bytes());
+        let full = stats_to_json(&sample_stats(777)).to_string();
+        let partial = full.replacen("\"victim_hits\":0,", "", 1);
+        assert_ne!(partial, full);
+        let entry = encode_entry(key, canonical, partial.as_bytes());
+        std::fs::write(tier.path_for(key), &entry).unwrap();
+        assert!(tier.get_stats(key, canonical).is_none());
+        let c = tier.counters();
+        assert_eq!((c.hits, c.errors, c.misses, c.quarantined), (0, 1, 1, 1));
+        assert!(tier.quarantine_path_for(key).exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
