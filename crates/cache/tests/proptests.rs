@@ -1,10 +1,13 @@
 //! Property tests for the cache substrate: the set-associative array must
-//! agree with a brute-force reference model, and the baseline hierarchy
-//! must behave as a memory under arbitrary access patterns.
+//! agree with a brute-force reference model, and every conventional
+//! hierarchy (BC, BCC, HAC, BCP, SPT, VC) must behave as a memory and keep
+//! its demand accounting consistent under arbitrary access patterns.
 
 use ccp_cache::geometry::CacheGeometry;
 use ccp_cache::set_assoc::SetAssocCache;
-use ccp_cache::{BcpHierarchy, CacheSim, DesignKind, StrideHierarchy, TwoLevelCache};
+use ccp_cache::{
+    BcpHierarchy, CacheSim, DesignKind, StrideHierarchy, TwoLevelCache, VictimHierarchy,
+};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -54,6 +57,18 @@ impl RefModel {
     }
 }
 
+/// Every conventional design in its paper configuration.
+fn conventional_designs() -> Vec<Box<dyn CacheSim>> {
+    vec![
+        Box::new(TwoLevelCache::paper(DesignKind::Bc)),
+        Box::new(TwoLevelCache::paper(DesignKind::Bcc)),
+        Box::new(TwoLevelCache::paper(DesignKind::Hac)),
+        Box::new(BcpHierarchy::paper()),
+        Box::new(StrideHierarchy::paper()),
+        Box::new(VictimHierarchy::paper()),
+    ]
+}
+
 fn geom_strategy() -> impl Strategy<Value = CacheGeometry> {
     (0u32..3, 0u32..3, 0u32..3).prop_map(|(s, a, l)| CacheGeometry::new(1024 << s, 1 << a, 16 << l))
 }
@@ -88,19 +103,13 @@ proptest! {
         }
     }
 
-    /// Every design (including the stride extension) reads back the last
-    /// written value under arbitrary word traffic.
+    /// Every design (including the stride and victim extensions) reads
+    /// back the last written value under arbitrary word traffic.
     #[test]
     fn hierarchies_behave_as_memory(
         ops in prop::collection::vec((0u32..0x4000, any::<u32>(), any::<bool>()), 1..250),
     ) {
-        let mut designs: Vec<Box<dyn CacheSim>> = vec![
-            Box::new(TwoLevelCache::paper(DesignKind::Bc)),
-            Box::new(TwoLevelCache::paper(DesignKind::Hac)),
-            Box::new(BcpHierarchy::paper()),
-            Box::new(StrideHierarchy::paper()),
-        ];
-        for d in &mut designs {
+        for d in &mut conventional_designs() {
             let mut golden: HashMap<u32, u32> = HashMap::new();
             for (i, &(a, v, is_write)) in ops.iter().enumerate() {
                 let addr = 0x40_0000 + (a & !3);
@@ -120,12 +129,7 @@ proptest! {
     /// and a probe never mutates state (two probes agree).
     #[test]
     fn probe_consistency(addrs in prop::collection::vec(0u32..0x4000, 1..100)) {
-        let mut designs: Vec<Box<dyn CacheSim>> = vec![
-            Box::new(TwoLevelCache::paper(DesignKind::Bc)),
-            Box::new(BcpHierarchy::paper()),
-            Box::new(StrideHierarchy::paper()),
-        ];
-        for d in &mut designs {
+        for d in &mut conventional_designs() {
             for &a in &addrs {
                 let addr = 0x50_0000 + (a & !3);
                 d.read(addr);
@@ -135,25 +139,34 @@ proptest! {
         }
     }
 
-    /// Miss counters are monotone and bounded by accesses for any pattern.
+    /// Miss counters are bounded by accesses and L2 counts only demand
+    /// traffic, for every design and any pattern.
     #[test]
     fn stats_are_sane(ops in prop::collection::vec((0u32..0x8000, any::<bool>()), 1..300)) {
-        let mut c = TwoLevelCache::paper(DesignKind::Bc);
-        for &(a, w) in &ops {
-            let addr = 0x60_0000 + (a & !3);
-            if w {
-                c.write(addr, 1);
-            } else {
-                c.read(addr);
+        for c in &mut conventional_designs() {
+            for (i, &(a, w)) in ops.iter().enumerate() {
+                let addr = 0x60_0000 + (a & !3);
+                let pc = 0x3000 + (i as u32 % 16) * 4;
+                if w {
+                    c.write_pc(addr, 1, pc);
+                } else {
+                    c.read_pc(addr, pc);
+                }
+            }
+            let name = c.name();
+            let s = c.stats();
+            prop_assert!(s.l1.misses() <= s.l1.accesses(), "{}", name);
+            prop_assert!(s.l2.misses() <= s.l2.accesses(), "{}", name);
+            prop_assert_eq!(s.l1.accesses(), ops.len() as u64, "{}", name);
+            // Every L2 access is an L1 miss: side-buffer hits and
+            // prefetches never count as L2 demand accesses.
+            prop_assert_eq!(s.l2.accesses(), s.l1.misses(), "{}", name);
+            prop_assert!(s.prefetches_discarded <= s.prefetches_issued, "{}", name);
+            prop_assert!(s.l1.prefetch_buffer_hits <= s.prefetches_issued, "{}", name);
+            if name == "BC" {
+                // Memory fetch transactions = L2 misses (no prefetching).
+                prop_assert_eq!(s.mem_bus.in_transactions, s.l2.misses());
             }
         }
-        let s = c.stats();
-        prop_assert!(s.l1.misses() <= s.l1.accesses());
-        prop_assert!(s.l2.misses() <= s.l2.accesses());
-        prop_assert_eq!(s.l1.accesses(), ops.len() as u64);
-        // Every L2 access is an L1 miss.
-        prop_assert_eq!(s.l2.accesses(), s.l1.misses());
-        // Memory fetch transactions = L2 misses (no prefetching in BC).
-        prop_assert_eq!(s.mem_bus.in_transactions, s.l2.misses());
     }
 }

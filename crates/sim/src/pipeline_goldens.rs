@@ -17,12 +17,16 @@
 //!   IFQ, ...), so stalls end on every kind of event the pipeline's time
 //!   advance must honour: I-cache refills, MSHR-blocked loads, mispredict
 //!   restarts, functional-unit contention.
+//! * **Conventional hierarchies** — every golden benchmark plus three
+//!   synthetic streams × the six conventional designs (BC, BCC, HAC, BCP
+//!   and the SPT/VC extensions), one [`RunStats`] fingerprint per run in
+//!   [`HIERARCHY_FILE`], so each side structure's accounting is pinned.
 
 use crate::checkpoint::stats_to_json;
 use crate::difftest::{GOLDEN_BENCHMARKS, GOLDEN_BUDGET, GOLDEN_SEED};
 use crate::json::{write_atomic, Json};
-use crate::sweep::run_cell_source_scheme;
-use ccp_cache::DesignKind;
+use crate::sweep::{run_cell_source_scheme, Workload};
+use ccp_cache::{CacheSim, DesignKind, StrideHierarchy, VictimHierarchy};
 use ccp_errors::{SimError, SimResult};
 use ccp_pipeline::{run_source, PipelineConfig, PredictorKind, RunStats};
 use ccp_schemes::SchemeKind;
@@ -36,6 +40,19 @@ pub const PIPELINE_GOLDEN_DIR: &str = "expected_pipeline";
 
 /// File in [`PIPELINE_GOLDEN_DIR`] holding the corner-corpus fingerprints.
 pub const CORNER_FILE: &str = "corners.txt";
+
+/// File in [`PIPELINE_GOLDEN_DIR`] holding the conventional-hierarchy
+/// fingerprints.
+pub const HIERARCHY_FILE: &str = "hierarchies.txt";
+
+/// Synthetic streams the hierarchy table adds to [`GOLDEN_BENCHMARKS`]: a
+/// stride the RPT learns, a pointer chase, and a store-heavy zipf stream
+/// that drives dirty victims through every side structure.
+const HIERARCHY_WORKGENS: [&str; 3] = [
+    "workgen:addr=strided",
+    "workgen:addr=chase",
+    "workgen:addr=zipf,store=0.5",
+];
 
 /// Random programs in the corner corpus (seeds `0..CORNER_PROGRAMS`).
 const CORNER_PROGRAMS: u64 = 8;
@@ -252,8 +269,48 @@ pub fn corner_table() -> String {
     s
 }
 
+/// The six conventional designs in the paper's order, then the extensions,
+/// each in its paper configuration.
+fn conventional_designs() -> [(&'static str, Box<dyn CacheSim>); 6] {
+    let paper = |d: DesignKind| (d.name(), crate::build_design(d));
+    [
+        paper(DesignKind::Bc),
+        paper(DesignKind::Bcc),
+        paper(DesignKind::Hac),
+        paper(DesignKind::Bcp),
+        ("SPT", Box::new(StrideHierarchy::paper())),
+        ("VC", Box::new(VictimHierarchy::paper())),
+    ]
+}
+
+/// Renders the hierarchy table: a header, then one line per workload ×
+/// conventional design — `workload design cycles fingerprint` — at the
+/// golden budget and seed with the paper's latencies.
+pub fn hierarchy_table() -> String {
+    let mut s = String::from(
+        "# Conventional hierarchies: golden benchmarks + workgen streams x {BC, BCC, HAC, BCP, SPT, VC}.\n\
+         # Columns: workload design cycles fnv1a64(RunStats JSON).\n\
+         # Regenerate: repro difftest --render-goldens crates/sim/tests/expected_stats\n",
+    );
+    for name in GOLDEN_BENCHMARKS.iter().chain(&HIERARCHY_WORKGENS) {
+        let workload = Workload::by_name(name).expect("hierarchy workload resolves");
+        let source = workload.source(GOLDEN_BUDGET, GOLDEN_SEED);
+        for (design, mut cache) in conventional_designs() {
+            let st = run_source(source.as_ref(), cache.as_mut(), &PipelineConfig::paper());
+            let _ = writeln!(
+                s,
+                "{name} {design} {} {:016x}",
+                st.cycles,
+                stats_fingerprint(&st)
+            );
+        }
+    }
+    s
+}
+
 /// Regenerates every pipeline fixture under `dir`: one JSON file per
-/// paper cell plus [`CORNER_FILE`]. Returns the files written.
+/// paper cell, [`CORNER_FILE`] and [`HIERARCHY_FILE`]. Returns the files
+/// written.
 pub fn render_pipeline_goldens(dir: &Path) -> SimResult<Vec<PathBuf>> {
     std::fs::create_dir_all(dir).map_err(|e| SimError::io(dir.display().to_string(), &e))?;
     let mut written = Vec::new();
@@ -269,8 +326,13 @@ pub fn render_pipeline_goldens(dir: &Path) -> SimResult<Vec<PathBuf>> {
             }
         }
     }
-    let path = dir.join(CORNER_FILE);
-    write_atomic(&path, &corner_table())?;
-    written.push(path);
+    for (file, table) in [
+        (CORNER_FILE, corner_table()),
+        (HIERARCHY_FILE, hierarchy_table()),
+    ] {
+        let path = dir.join(file);
+        write_atomic(&path, &table)?;
+        written.push(path);
+    }
     Ok(written)
 }

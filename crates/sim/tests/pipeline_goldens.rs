@@ -2,7 +2,10 @@
 //! of every golden benchmark × design × {paper, halved miss penalty} cell
 //! is pinned in `tests/expected_pipeline/*.json`, and a seeded corner
 //! corpus of random programs under non-paper pipeline configurations is
-//! pinned by fingerprint in `tests/expected_pipeline/corners.txt`. Any
+//! pinned by fingerprint in `tests/expected_pipeline/corners.txt`, as is
+//! every conventional design (BC, BCC, HAC, BCP, SPT, VC) on the golden
+//! benchmarks and three synthetic streams in
+//! `tests/expected_pipeline/hierarchies.txt`. Any
 //! change to the pipeline's timing, its CPI-stack or Figure 14/15
 //! accounting, or the hierarchy it drives shows up here as a diff —
 //! regenerate with
@@ -13,7 +16,8 @@
 use ccp_cache::DesignKind;
 use ccp_sim::difftest::GOLDEN_BENCHMARKS;
 use ccp_sim::pipeline_goldens::{
-    corner_table, pipeline_fixture_name, pipeline_golden_doc, CORNER_FILE,
+    corner_table, hierarchy_table, pipeline_fixture_name, pipeline_golden_doc, CORNER_FILE,
+    HIERARCHY_FILE,
 };
 use ccp_trace::benchmark_by_name;
 use std::path::{Path, PathBuf};
@@ -51,12 +55,20 @@ fn paper_cells_match_pinned_fixtures() {
     }
 }
 
-#[test]
-fn corner_corpus_matches_pinned_fingerprints() {
-    let fresh = corner_table();
-    let pinned = pinned(CORNER_FILE);
+fn assert_table_pinned(file: &str, fresh: &str) {
+    let pinned = pinned(file);
     for (p, f) in pinned.lines().zip(fresh.lines()) {
-        assert_eq!(p, f, "corner run drifted from {CORNER_FILE}");
+        assert_eq!(p, f, "run drifted from {file}");
     }
     assert_eq!(pinned.lines().count(), fresh.lines().count());
+}
+
+#[test]
+fn corner_corpus_matches_pinned_fingerprints() {
+    assert_table_pinned(CORNER_FILE, &corner_table());
+}
+
+#[test]
+fn conventional_hierarchies_match_pinned_fingerprints() {
+    assert_table_pinned(HIERARCHY_FILE, &hierarchy_table());
 }
