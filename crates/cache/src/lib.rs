@@ -10,10 +10,20 @@
 //! * [`stats`] — per-level and hierarchy-wide counters,
 //! * [`config`] — latency and design configuration (paper Figure 9),
 //! * [`CacheSim`] — the trait every hierarchy design implements,
-//! * [`baseline::TwoLevelCache`] — the **BC**, **BCC** (compressed-bus) and
-//!   **HAC** (doubled-associativity) comparators,
-//! * [`prefetch::BcpHierarchy`] — **BCP**, prefetch-on-miss with 8-entry L1
-//!   and 32-entry L2 fully-associative prefetch buffers.
+//! * [`baseline::TwoLevel`] — the one conventional hierarchy: it owns the
+//!   L1/L2 walk, the fills, the write-backs and the bus accounting, and
+//!   each design is a small [`baseline::Side`] structure plugged in beside
+//!   L1 and L2:
+//!   * [`TwoLevelCache`] — **BC**, **BCC** (compressed bus) and **HAC**
+//!     (doubled associativity), with nothing beside the caches;
+//!   * [`BcpHierarchy`] — **BCP**, prefetch-on-miss with 8-entry L1 and
+//!     32-entry L2 prefetch buffers;
+//!   * [`StrideHierarchy`] — **SPT**, a load-PC stride predictor feeding an
+//!     L1 prefetch buffer (the paper's ref \[2\]);
+//!   * [`VictimHierarchy`] — **VC**, a victim buffer beside L1 (ref \[3\]).
+//!
+//! [`baseline::LineBuffer`] is the one fully-associative line buffer all
+//! three side structures use.
 //!
 //! All designs share the SimpleScalar-style split between *timing metadata*
 //! (kept in the cache models) and *architectural data* (kept in
@@ -54,7 +64,7 @@ pub enum HitSource {
     L1,
     /// L1 affiliated location (CPP only, +1 cycle).
     L1Affiliated,
-    /// L1 prefetch buffer (BCP only; not counted as a miss).
+    /// L1 prefetch buffer (BCP and SPT; not counted as a miss).
     L1PrefetchBuffer,
     /// L2 (any location, including CPP affiliated and BCP prefetch buffer).
     L2,
@@ -103,8 +113,8 @@ pub trait CacheSim {
     fn write(&mut self, addr: Addr, value: Word) -> AccessResult;
 
     /// Like [`CacheSim::read`], with the PC of the load instruction.
-    /// PC-indexed designs (the stride prefetcher) override this; the
-    /// default ignores the PC.
+    /// PC-indexed designs (the stride prefetcher) use it; the default
+    /// ignores the PC.
     fn read_pc(&mut self, addr: Addr, _pc: u32) -> AccessResult {
         self.read(addr)
     }
@@ -115,7 +125,7 @@ pub trait CacheSim {
     }
 
     /// Non-destructive probe: would a read of `addr` hit at L1 (including
-    /// an L1 prefetch buffer or affiliated location)? Used by the pipeline
+    /// an L1 prefetch buffer, victim buffer or affiliated location)? Used by the pipeline
     /// to model a bounded number of outstanding misses (MSHRs): a load
     /// predicted to miss cannot issue while every MSHR is busy.
     fn probe_l1(&self, addr: Addr) -> bool;

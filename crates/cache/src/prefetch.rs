@@ -7,368 +7,79 @@
 //! into the L1 buffer; on an L2 demand miss, the next L2 line is prefetched
 //! from memory into the L2 buffer. A buffer hit promotes the line into the
 //! cache and — following the paper's accounting — is *not* counted as a
-//! miss. Prefetch traffic is real: this design trades memory bandwidth for
-//! latency (the paper measures ≈ +80% traffic).
+//! miss, nor does it chain another prefetch. Prefetch traffic is real: this
+//! design trades memory bandwidth for latency (the paper measures ≈ +80%
+//! traffic).
 
-use crate::config::{DesignKind, HierarchyConfig, LatencyConfig};
-use crate::set_assoc::SetAssocCache;
-use crate::stats::HierarchyStats;
-use crate::{AccessResult, Addr, CacheSim, HitSource, Word};
-use ccp_mem::MainMemory;
+use crate::baseline::{Levels, LineBuffer, Side, SideHit, TwoLevel};
+use crate::config::{DesignKind, HierarchyConfig};
+use crate::Addr;
 
-/// A fully-associative LRU buffer of prefetched (clean) lines.
-///
-/// Holds only line base addresses — like the tag arrays, data lives in the
-/// functional memory image.
+/// BCP's side structure: the L1 and L2 prefetch buffers.
 #[derive(Debug, Clone)]
-pub struct PrefetchBuffer {
-    capacity: usize,
-    /// `(line_base, lru_stamp)`; small and scanned linearly (8–32 entries).
-    entries: Vec<(Addr, u64)>,
-    clock: u64,
+pub struct NextLine {
+    /// The prefetch buffer beside L1.
+    pub l1: LineBuffer,
+    /// The prefetch buffer beside L2.
+    pub l2: LineBuffer,
 }
 
-impl PrefetchBuffer {
-    /// Creates an empty buffer holding up to `capacity` lines.
-    pub fn new(capacity: usize) -> Self {
-        PrefetchBuffer {
-            capacity,
-            entries: Vec::with_capacity(capacity),
-            clock: 0,
+impl Side for NextLine {
+    fn take_l1(&mut self, base: Addr) -> Option<SideHit> {
+        self.l1.take(base).map(|_| SideHit::Prefetched)
+    }
+
+    fn holds_l1(&self, base: Addr) -> bool {
+        self.l1.contains(base)
+    }
+
+    fn after_access(&mut self, lv: &mut Levels, base: Addr, missed: bool) {
+        if missed {
+            let next = base.wrapping_add(lv.cfg.l1.line_bytes());
+            lv.prefetch_l1(&mut self.l1, Some(&mut self.l2), next);
         }
     }
 
-    /// Whether the buffer currently holds `base`.
-    pub fn contains(&self, base: Addr) -> bool {
-        self.entries.iter().any(|&(b, _)| b == base)
-    }
-
-    /// Removes `base`, returning whether it was present (a buffer hit moves
-    /// the line into the cache proper).
-    pub fn take(&mut self, base: Addr) -> bool {
-        if let Some(pos) = self.entries.iter().position(|&(b, _)| b == base) {
-            self.entries.swap_remove(pos);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Inserts `base`, evicting the LRU entry when full. Returns the evicted
-    /// line, if any. Inserting a present line just refreshes its LRU stamp.
-    pub fn insert(&mut self, base: Addr) -> Option<Addr> {
-        self.clock += 1;
-        if let Some(e) = self.entries.iter_mut().find(|(b, _)| *b == base) {
-            e.1 = self.clock;
-            return None;
-        }
-        let mut evicted = None;
-        if self.entries.len() == self.capacity {
-            let (pos, _) = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (_, stamp))| *stamp)
-                .expect("buffer is full, so non-empty");
-            evicted = Some(self.entries.swap_remove(pos).0);
-        }
-        self.entries.push((base, self.clock));
-        evicted
-    }
-
-    /// Number of resident lines.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The buffer's capacity in lines.
-    pub fn capacity(&self) -> usize {
-        self.capacity
+    fn l2_buffer(&mut self) -> Option<&mut LineBuffer> {
+        Some(&mut self.l2)
     }
 }
 
 /// The BCP hierarchy: BC plus L1/L2 prefetch buffers.
-#[derive(Debug, Clone)]
-pub struct BcpHierarchy {
-    cfg: HierarchyConfig,
-    l1: SetAssocCache<()>,
-    l2: SetAssocCache<()>,
-    l1_pb: PrefetchBuffer,
-    l2_pb: PrefetchBuffer,
-    mem: MainMemory,
-    stats: HierarchyStats,
-}
+pub type BcpHierarchy = TwoLevel<NextLine>;
 
 impl BcpHierarchy {
     /// Builds a BCP hierarchy for `cfg` (`cfg.design` must be
     /// [`DesignKind::Bcp`]).
     pub fn new(cfg: HierarchyConfig) -> Self {
         assert_eq!(cfg.design, DesignKind::Bcp, "BcpHierarchy implements BCP");
-        BcpHierarchy {
-            l1: SetAssocCache::new(cfg.l1),
-            l2: SetAssocCache::new(cfg.l2),
-            l1_pb: PrefetchBuffer::new(cfg.l1_prefetch_entries as usize),
-            l2_pb: PrefetchBuffer::new(cfg.l2_prefetch_entries as usize),
-            mem: MainMemory::new(),
-            stats: HierarchyStats::new(),
-            cfg,
-        }
+        let side = NextLine {
+            l1: LineBuffer::new(cfg.l1_prefetch_entries as usize),
+            l2: LineBuffer::new(cfg.l2_prefetch_entries as usize),
+        };
+        Self::with_side(cfg, side)
     }
 
     /// The paper's BCP configuration.
     pub fn paper() -> Self {
         Self::new(HierarchyConfig::paper(DesignKind::Bcp))
     }
-
-    /// Fetches `addr`'s L2 line from memory into L2 (with victim
-    /// write-back), charging memory traffic.
-    fn fetch_l2_line_from_memory(&mut self, addr: Addr) {
-        let words = self.cfg.l2.line_words();
-        self.stats.mem_bus.fetch_words(u64::from(words));
-        let (evicted, _) = self.l2.insert(addr, false, ());
-        if let Some(ev) = evicted {
-            if ev.dirty {
-                self.stats.mem_bus.writeback_words(u64::from(words));
-            }
-        }
-    }
-
-    /// Ensures `addr`'s L2 line is resident; on a demand miss also
-    /// prefetches the next L2 line into the L2 prefetch buffer. Returns the
-    /// hit source for latency purposes.
-    fn ensure_in_l2(&mut self, addr: Addr, is_write: bool, demand: bool) -> HitSource {
-        if demand {
-            if is_write {
-                self.stats.l2.writes += 1;
-            } else {
-                self.stats.l2.reads += 1;
-            }
-        }
-        if let Some(idx) = self.l2.lookup(addr) {
-            self.l2.touch(idx);
-            return HitSource::L2;
-        }
-        let base = self.cfg.l2.line_base(addr);
-        if self.l2_pb.take(base) {
-            // Buffer hit: promote into L2; per the paper, not a miss. The
-            // paper's policy is strictly prefetch-on-miss, so a buffer hit
-            // does not chain another prefetch.
-            self.stats.l2.prefetch_buffer_hits += 1;
-            let (evicted, _) = self.l2.insert(addr, false, ());
-            if let Some(ev) = evicted {
-                if ev.dirty {
-                    self.stats
-                        .mem_bus
-                        .writeback_words(u64::from(self.cfg.l2.line_words()));
-                }
-            }
-            return HitSource::L2;
-        }
-        if demand {
-            if is_write {
-                self.stats.l2.write_misses += 1;
-            } else {
-                self.stats.l2.read_misses += 1;
-            }
-        }
-        self.fetch_l2_line_from_memory(addr);
-        if demand {
-            // Prefetch-on-miss: bring the next L2 line into the buffer.
-            self.l2_prefetch_next(base);
-        }
-        HitSource::Memory
-    }
-
-    /// Prefetches the L2 line after `base` into the L2 buffer from memory,
-    /// unless it is already on chip.
-    fn l2_prefetch_next(&mut self, base: Addr) {
-        let next = base.wrapping_add(self.cfg.l2.line_bytes());
-        if self.l2.lookup(next).is_none() && !self.l2_pb.contains(next) {
-            self.stats
-                .mem_bus
-                .fetch_words(u64::from(self.cfg.l2.line_words()));
-            self.stats.prefetches_issued += 1;
-            if self.l2_pb.insert(next).is_some() {
-                self.stats.prefetches_discarded += 1;
-            }
-        }
-    }
-
-    /// Installs `addr`'s L1 line, handling the victim write-back.
-    fn fill_l1(&mut self, addr: Addr) {
-        let l1_words = u64::from(self.cfg.l1.line_words());
-        self.stats.l1_l2_bus.fetch_words(l1_words);
-        let (evicted, _) = self.l1.insert(addr, false, ());
-        if let Some(ev) = evicted {
-            if ev.dirty {
-                self.stats.l1_l2_bus.writeback_words(l1_words);
-                if let Some(idx) = self.l2.lookup(ev.base) {
-                    self.l2.set_dirty(idx);
-                } else {
-                    self.stats.mem_bus.writeback_words(l1_words);
-                }
-            }
-        }
-    }
-
-    /// After an L1 demand miss on line `base`, prefetch `base + line` into
-    /// the L1 prefetch buffer (pulling it into L2 from memory first when
-    /// absent there).
-    fn prefetch_next_into_l1_buffer(&mut self, base: Addr) {
-        let next = base.wrapping_add(self.cfg.l1.line_bytes());
-        if self.l1.lookup(next).is_some() || self.l1_pb.contains(next) {
-            return;
-        }
-        // Non-demand fetch through L2; misses there go to memory but do not
-        // cascade another L2-level prefetch.
-        self.ensure_in_l2(next, false, false);
-        self.stats
-            .l1_l2_bus
-            .fetch_words(u64::from(self.cfg.l1.line_words()));
-        self.stats.prefetches_issued += 1;
-        if self.l1_pb.insert(next).is_some() {
-            self.stats.prefetches_discarded += 1;
-        }
-    }
-
-    fn access(&mut self, addr: Addr, write: Option<Word>) -> AccessResult {
-        debug_assert_eq!(addr & 3, 0, "unaligned access at {addr:#x}");
-        let is_write = write.is_some();
-        if is_write {
-            self.stats.l1.writes += 1;
-        } else {
-            self.stats.l1.reads += 1;
-        }
-        let lat = self.cfg.latency;
-
-        if let Some(idx) = self.l1.lookup(addr) {
-            self.l1.touch(idx);
-            if let Some(v) = write {
-                self.l1.set_dirty(idx);
-                self.mem.write(addr, v);
-            }
-            return AccessResult {
-                value: write.unwrap_or_else(|| self.mem.read(addr)),
-                latency: lat.l1_hit,
-                source: HitSource::L1,
-            };
-        }
-
-        let l1_base = self.cfg.l1.line_base(addr);
-        if self.l1_pb.take(l1_base) {
-            // L1 prefetch-buffer hit: move into the cache, not a miss
-            // (prefetch-on-miss policy: no chained prefetch on a hit).
-            self.stats.l1.prefetch_buffer_hits += 1;
-            self.fill_l1(addr);
-            if let Some(v) = write {
-                let idx = self.l1.lookup(addr).expect("just filled");
-                self.l1.set_dirty(idx);
-                self.mem.write(addr, v);
-            }
-            return AccessResult {
-                value: write.unwrap_or_else(|| self.mem.read(addr)),
-                latency: lat.l1_hit,
-                source: HitSource::L1PrefetchBuffer,
-            };
-        }
-
-        if is_write {
-            self.stats.l1.write_misses += 1;
-        } else {
-            self.stats.l1.read_misses += 1;
-        }
-
-        let source = self.ensure_in_l2(addr, is_write, true);
-        self.fill_l1(addr);
-        self.prefetch_next_into_l1_buffer(l1_base);
-        if let Some(v) = write {
-            let idx = self.l1.lookup(addr).expect("just filled");
-            self.l1.set_dirty(idx);
-            self.mem.write(addr, v);
-        }
-        let latency = match source {
-            HitSource::L2 => lat.l2_hit,
-            HitSource::Memory => lat.memory,
-            _ => unreachable!(),
-        };
-        AccessResult {
-            value: write.unwrap_or_else(|| self.mem.read(addr)),
-            latency,
-            source,
-        }
-    }
-
-    /// The L1 prefetch buffer (tests and analysis).
-    pub fn l1_buffer(&self) -> &PrefetchBuffer {
-        &self.l1_pb
-    }
-
-    /// The L2 prefetch buffer (tests and analysis).
-    pub fn l2_buffer(&self) -> &PrefetchBuffer {
-        &self.l2_pb
-    }
-}
-
-impl CacheSim for BcpHierarchy {
-    fn read(&mut self, addr: Addr) -> AccessResult {
-        self.access(addr, None)
-    }
-
-    fn probe_l1(&self, addr: Addr) -> bool {
-        self.l1.lookup(addr).is_some() || self.l1_pb.contains(self.cfg.l1.line_base(addr))
-    }
-
-    fn write(&mut self, addr: Addr, value: Word) -> AccessResult {
-        self.access(addr, Some(value))
-    }
-
-    fn stats(&self) -> &HierarchyStats {
-        &self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats.reset();
-    }
-
-    fn latencies(&self) -> LatencyConfig {
-        self.cfg.latency
-    }
-
-    fn set_latencies(&mut self, lat: LatencyConfig) {
-        self.cfg.latency = lat;
-    }
-
-    fn mem(&self) -> &MainMemory {
-        &self.mem
-    }
-
-    fn mem_mut(&mut self) -> &mut MainMemory {
-        &mut self.mem
-    }
-
-    fn name(&self) -> &'static str {
-        "BCP"
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CacheSim, HitSource};
 
     #[test]
     fn buffer_lru_and_capacity() {
-        let mut pb = PrefetchBuffer::new(2);
+        let mut pb = LineBuffer::new(2);
         assert!(pb.is_empty());
-        assert_eq!(pb.insert(0x100), None);
-        assert_eq!(pb.insert(0x200), None);
+        assert_eq!(pb.insert(0x100, false), None);
+        assert_eq!(pb.insert(0x200, false), None);
         // Refresh 0x100; 0x200 becomes LRU.
-        assert_eq!(pb.insert(0x100), None);
-        assert_eq!(pb.insert(0x300), Some(0x200));
+        assert_eq!(pb.insert(0x100, false), None);
+        assert_eq!(pb.insert(0x300, false), Some((0x200, false)));
         assert!(pb.contains(0x100));
         assert!(pb.contains(0x300));
         assert!(!pb.contains(0x200));
@@ -377,10 +88,10 @@ mod tests {
 
     #[test]
     fn buffer_take_removes() {
-        let mut pb = PrefetchBuffer::new(4);
-        pb.insert(0x40);
-        assert!(pb.take(0x40));
-        assert!(!pb.take(0x40));
+        let mut pb = LineBuffer::new(4);
+        pb.insert(0x40, false);
+        assert_eq!(pb.take(0x40), Some(false));
+        assert_eq!(pb.take(0x40), None);
         assert!(pb.is_empty());
     }
 
@@ -438,7 +149,7 @@ mod tests {
         // Touch two consecutive L2 lines; second should benefit from the L2
         // prefetch issued by the first L2 demand miss.
         c.read(0x2_0000);
-        assert!(c.l2_buffer().contains(0x2_0080) || c.l2.lookup(0x2_0080).is_some());
+        assert!(c.side().l2.contains(0x2_0080));
         let before = c.stats().mem_bus.in_halfwords;
         let r = c.read(0x2_0080);
         // L2 side is a buffer hit: only the L1-prefetch of the *next* line

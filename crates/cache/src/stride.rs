@@ -8,13 +8,14 @@
 //! stride is steady. Implemented as the baseline hierarchy plus an RPT and
 //! the same 8-entry L1 prefetch buffer, so the SPT-vs-BCP-vs-CPP comparison
 //! isolates the *prediction policy*.
+//!
+//! The RPT trains on loads only (Baer-Chen's scheme keys on load
+//! instructions), before the L1 lookup; the prefetch fires once the access
+//! completes, hit or miss. Plain `read`/`write` carry PC 0.
 
-use crate::config::{DesignKind, HierarchyConfig, LatencyConfig};
-use crate::prefetch::PrefetchBuffer;
-use crate::set_assoc::SetAssocCache;
-use crate::stats::HierarchyStats;
-use crate::{AccessResult, Addr, CacheSim, HitSource, Word};
-use ccp_mem::MainMemory;
+use crate::baseline::{Levels, LineBuffer, Side, SideHit, TwoLevel};
+use crate::config::{DesignKind, HierarchyConfig};
+use crate::Addr;
 
 /// Per-load-PC prediction state (the classic four-state automaton).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,31 +105,53 @@ impl ReferencePredictionTable {
     }
 }
 
-/// The SPT hierarchy: BC plus an RPT-driven L1 prefetch buffer.
+/// SPT's side structure: the RPT and an L1 prefetch buffer.
 #[derive(Debug, Clone)]
-pub struct StrideHierarchy {
-    cfg: HierarchyConfig,
-    l1: SetAssocCache<()>,
-    l2: SetAssocCache<()>,
-    rpt: ReferencePredictionTable,
-    l1_pb: PrefetchBuffer,
-    mem: MainMemory,
-    stats: HierarchyStats,
+pub struct Stride {
+    /// The predictor.
+    pub rpt: ReferencePredictionTable,
+    /// The prefetch buffer beside L1.
+    pub l1: LineBuffer,
+    /// The current load's prediction, prefetched once the access completes.
+    pending: Option<Addr>,
 }
+
+impl Side for Stride {
+    const NAME: Option<&'static str> = Some("SPT");
+
+    fn on_load(&mut self, pc: u32, addr: Addr) {
+        self.pending = self.rpt.observe(pc, addr);
+    }
+
+    fn take_l1(&mut self, base: Addr) -> Option<SideHit> {
+        self.l1.take(base).map(|_| SideHit::Prefetched)
+    }
+
+    fn holds_l1(&self, base: Addr) -> bool {
+        self.l1.contains(base)
+    }
+
+    fn after_access(&mut self, lv: &mut Levels, _base: Addr, _missed: bool) {
+        if let Some(target) = self.pending.take() {
+            let base = lv.cfg.l1.line_base(target);
+            lv.prefetch_l1(&mut self.l1, None, base);
+        }
+    }
+}
+
+/// The SPT hierarchy: BC plus an RPT-driven L1 prefetch buffer.
+pub type StrideHierarchy = TwoLevel<Stride>;
 
 impl StrideHierarchy {
     /// Builds an SPT hierarchy over the BC geometry with `rpt_entries`
     /// predictor slots and the BCP-sized L1 buffer.
     pub fn new(cfg: HierarchyConfig, rpt_entries: usize) -> Self {
-        StrideHierarchy {
-            l1: SetAssocCache::new(cfg.l1),
-            l2: SetAssocCache::new(cfg.l2),
+        let side = Stride {
             rpt: ReferencePredictionTable::new(rpt_entries),
-            l1_pb: PrefetchBuffer::new(cfg.l1_prefetch_entries as usize),
-            mem: MainMemory::new(),
-            stats: HierarchyStats::new(),
-            cfg,
-        }
+            l1: LineBuffer::new(cfg.l1_prefetch_entries as usize),
+            pending: None,
+        };
+        Self::with_side(cfg, side)
     }
 
     /// The paper-comparable configuration: BC geometry, 64-entry RPT,
@@ -136,198 +159,12 @@ impl StrideHierarchy {
     pub fn paper() -> Self {
         Self::new(HierarchyConfig::paper(DesignKind::Bc), 64)
     }
-
-    fn ensure_in_l2(&mut self, addr: Addr, is_write: bool, demand: bool) -> HitSource {
-        if demand {
-            if is_write {
-                self.stats.l2.writes += 1;
-            } else {
-                self.stats.l2.reads += 1;
-            }
-        }
-        if let Some(idx) = self.l2.lookup(addr) {
-            self.l2.touch(idx);
-            return HitSource::L2;
-        }
-        if demand {
-            if is_write {
-                self.stats.l2.write_misses += 1;
-            } else {
-                self.stats.l2.read_misses += 1;
-            }
-        }
-        let words = u64::from(self.cfg.l2.line_words());
-        self.stats.mem_bus.fetch_words(words);
-        let (evicted, _) = self.l2.insert(addr, false, ());
-        if let Some(ev) = evicted {
-            if ev.dirty {
-                self.stats.mem_bus.writeback_words(words);
-            }
-        }
-        HitSource::Memory
-    }
-
-    fn fill_l1(&mut self, addr: Addr) {
-        let l1_words = u64::from(self.cfg.l1.line_words());
-        self.stats.l1_l2_bus.fetch_words(l1_words);
-        let (evicted, _) = self.l1.insert(addr, false, ());
-        if let Some(ev) = evicted {
-            if ev.dirty {
-                self.stats.l1_l2_bus.writeback_words(l1_words);
-                if let Some(idx) = self.l2.lookup(ev.base) {
-                    self.l2.set_dirty(idx);
-                } else {
-                    self.stats.mem_bus.writeback_words(l1_words);
-                }
-            }
-        }
-    }
-
-    /// Prefetches the line containing `target` into the L1 buffer (pulling
-    /// it into L2 from memory first when absent).
-    fn prefetch(&mut self, target: Addr) {
-        let base = self.cfg.l1.line_base(target);
-        if self.l1.lookup(base).is_some() || self.l1_pb.contains(base) {
-            return;
-        }
-        self.ensure_in_l2(base, false, false);
-        self.stats
-            .l1_l2_bus
-            .fetch_words(u64::from(self.cfg.l1.line_words()));
-        self.stats.prefetches_issued += 1;
-        if self.l1_pb.insert(base).is_some() {
-            self.stats.prefetches_discarded += 1;
-        }
-    }
-
-    fn access(&mut self, addr: Addr, write: Option<Word>, pc: u32) -> AccessResult {
-        debug_assert_eq!(addr & 3, 0, "unaligned access at {addr:#x}");
-        let is_write = write.is_some();
-        if is_write {
-            self.stats.l1.writes += 1;
-        } else {
-            self.stats.l1.reads += 1;
-        }
-        // Train the predictor on loads only (Baer-Chen's scheme keys on
-        // load instructions); fire the prefetch regardless of hit/miss.
-        let predicted = if !is_write {
-            self.rpt.observe(pc, addr)
-        } else {
-            None
-        };
-
-        let lat = self.cfg.latency;
-        let result = if let Some(idx) = self.l1.lookup(addr) {
-            self.l1.touch(idx);
-            if let Some(v) = write {
-                self.l1.set_dirty(idx);
-                self.mem.write(addr, v);
-            }
-            AccessResult {
-                value: write.unwrap_or_else(|| self.mem.read(addr)),
-                latency: lat.l1_hit,
-                source: HitSource::L1,
-            }
-        } else if self.l1_pb.take(self.cfg.l1.line_base(addr)) {
-            self.stats.l1.prefetch_buffer_hits += 1;
-            self.fill_l1(addr);
-            if let Some(v) = write {
-                let idx = self.l1.lookup(addr).expect("just filled");
-                self.l1.set_dirty(idx);
-                self.mem.write(addr, v);
-            }
-            AccessResult {
-                value: write.unwrap_or_else(|| self.mem.read(addr)),
-                latency: lat.l1_hit,
-                source: HitSource::L1PrefetchBuffer,
-            }
-        } else {
-            if is_write {
-                self.stats.l1.write_misses += 1;
-            } else {
-                self.stats.l1.read_misses += 1;
-            }
-            let source = self.ensure_in_l2(addr, is_write, true);
-            self.fill_l1(addr);
-            if let Some(v) = write {
-                let idx = self.l1.lookup(addr).expect("just filled");
-                self.l1.set_dirty(idx);
-                self.mem.write(addr, v);
-            }
-            AccessResult {
-                value: write.unwrap_or_else(|| self.mem.read(addr)),
-                latency: match source {
-                    HitSource::L2 => lat.l2_hit,
-                    _ => lat.memory,
-                },
-                source,
-            }
-        };
-        if let Some(t) = predicted {
-            self.prefetch(t & !3);
-        }
-        result
-    }
-
-    /// The predictor (tests).
-    pub fn rpt(&self) -> &ReferencePredictionTable {
-        &self.rpt
-    }
-}
-
-impl CacheSim for StrideHierarchy {
-    fn read(&mut self, addr: Addr) -> AccessResult {
-        self.access(addr, None, 0)
-    }
-
-    fn write(&mut self, addr: Addr, value: Word) -> AccessResult {
-        self.access(addr, Some(value), 0)
-    }
-
-    fn read_pc(&mut self, addr: Addr, pc: u32) -> AccessResult {
-        self.access(addr, None, pc)
-    }
-
-    fn write_pc(&mut self, addr: Addr, value: Word, pc: u32) -> AccessResult {
-        self.access(addr, Some(value), pc)
-    }
-
-    fn probe_l1(&self, addr: Addr) -> bool {
-        self.l1.lookup(addr).is_some() || self.l1_pb.contains(self.cfg.l1.line_base(addr))
-    }
-
-    fn stats(&self) -> &HierarchyStats {
-        &self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats.reset();
-    }
-
-    fn latencies(&self) -> LatencyConfig {
-        self.cfg.latency
-    }
-
-    fn set_latencies(&mut self, lat: LatencyConfig) {
-        self.cfg.latency = lat;
-    }
-
-    fn mem(&self) -> &MainMemory {
-        &self.mem
-    }
-
-    fn mem_mut(&mut self) -> &mut MainMemory {
-        &mut self.mem
-    }
-
-    fn name(&self) -> &'static str {
-        "SPT"
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CacheSim, HitSource};
 
     #[test]
     fn rpt_learns_a_constant_stride() {
@@ -400,7 +237,7 @@ mod tests {
             c.read_pc(0x9_0000 + i * i * 64, 0x40_0400);
         }
         assert_eq!(c.stats().prefetches_issued, 0);
-        assert_eq!(c.rpt().state_of(0x40_0400), Some(RptState::NoPred));
+        assert_eq!(c.side().rpt.state_of(0x40_0400), Some(RptState::NoPred));
     }
 
     #[test]

@@ -8,273 +8,67 @@
 //! HAC (more ways everywhere) and CPP (parking evicted lines in their
 //! affiliated location). Not part of the paper's evaluated set; used by the
 //! conflict-miss extension experiment.
+//!
+//! A buffer hit counts in `l1.victim_hits`, and no fetch crosses the L1↔L2
+//! bus. A line displaced from the buffer leaves like any L1 victim: written
+//! back to L2 (or memory) when dirty, dropped when clean.
 
-use crate::config::{DesignKind, HierarchyConfig, LatencyConfig};
-use crate::set_assoc::SetAssocCache;
-use crate::stats::HierarchyStats;
-use crate::{AccessResult, Addr, CacheSim, HitSource, Word};
-use ccp_mem::MainMemory;
+use crate::baseline::{LineBuffer, Side, SideHit, TwoLevel};
+use crate::config::{DesignKind, HierarchyConfig};
+use crate::Addr;
 
-/// A fully-associative LRU buffer of evicted lines, tracking dirtiness.
+/// VC's side structure: the victim buffer beside L1.
 #[derive(Debug, Clone)]
-pub struct VictimBuffer {
-    capacity: usize,
-    entries: Vec<(Addr, bool, u64)>, // (base, dirty, stamp)
-    clock: u64,
+pub struct Victim {
+    /// L1's recently evicted lines, with their dirty bits.
+    pub buf: LineBuffer,
 }
 
-impl VictimBuffer {
-    /// Creates a buffer for `capacity` lines.
-    pub fn new(capacity: usize) -> Self {
-        VictimBuffer {
-            capacity,
-            entries: Vec::with_capacity(capacity),
-            clock: 0,
-        }
+impl Side for Victim {
+    const NAME: Option<&'static str> = Some("VC");
+
+    fn take_l1(&mut self, base: Addr) -> Option<SideHit> {
+        self.buf.take(base).map(|dirty| SideHit::Victim { dirty })
     }
 
-    /// Removes and returns the entry for `base` (its dirty flag), if held.
-    pub fn take(&mut self, base: Addr) -> Option<bool> {
-        let pos = self.entries.iter().position(|&(b, _, _)| b == base)?;
-        Some(self.entries.swap_remove(pos).1)
+    fn holds_l1(&self, base: Addr) -> bool {
+        self.buf.contains(base)
     }
 
-    /// Inserts an evicted line; returns the displaced LRU entry
-    /// `(base, dirty)` when full.
-    pub fn insert(&mut self, base: Addr, dirty: bool) -> Option<(Addr, bool)> {
-        self.clock += 1;
-        debug_assert!(
-            !self.entries.iter().any(|&(b, _, _)| b == base),
-            "line {base:#x} already in the victim buffer"
-        );
-        let mut out = None;
-        if self.entries.len() == self.capacity {
-            let (pos, _) = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, &(_, _, stamp))| stamp)
-                .expect("full implies non-empty");
-            let (b, d, _) = self.entries.swap_remove(pos);
-            out = Some((b, d));
-        }
-        self.entries.push((base, dirty, self.clock));
-        out
-    }
-
-    /// Whether the buffer holds `base`.
-    pub fn contains(&self, base: Addr) -> bool {
-        self.entries.iter().any(|&(b, _, _)| b == base)
-    }
-
-    /// Lines currently held.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+    fn on_l1_evict(&mut self, (base, dirty): (Addr, bool)) -> Option<(Addr, bool)> {
+        self.buf.insert(base, dirty)
     }
 }
 
 /// The victim-cache hierarchy: BC plus an N-entry victim buffer beside L1.
-#[derive(Debug, Clone)]
-pub struct VictimHierarchy {
-    cfg: HierarchyConfig,
-    l1: SetAssocCache<()>,
-    l2: SetAssocCache<()>,
-    vc: VictimBuffer,
-    mem: MainMemory,
-    stats: HierarchyStats,
-}
+pub type VictimHierarchy = TwoLevel<Victim>;
 
 impl VictimHierarchy {
     /// Builds the hierarchy over the BC geometry with `entries` victim
     /// slots.
     pub fn new(cfg: HierarchyConfig, entries: usize) -> Self {
-        VictimHierarchy {
-            l1: SetAssocCache::new(cfg.l1),
-            l2: SetAssocCache::new(cfg.l2),
-            vc: VictimBuffer::new(entries),
-            mem: MainMemory::new(),
-            stats: HierarchyStats::new(),
+        Self::with_side(
             cfg,
-        }
+            Victim {
+                buf: LineBuffer::new(entries),
+            },
+        )
     }
 
     /// Jouppi's sweet spot: 4 victim lines on the paper's BC geometry.
     pub fn paper() -> Self {
         Self::new(HierarchyConfig::paper(DesignKind::Bc), 4)
     }
-
-    fn ensure_in_l2(&mut self, addr: Addr, is_write: bool) -> HitSource {
-        if is_write {
-            self.stats.l2.writes += 1;
-        } else {
-            self.stats.l2.reads += 1;
-        }
-        if let Some(idx) = self.l2.lookup(addr) {
-            self.l2.touch(idx);
-            return HitSource::L2;
-        }
-        if is_write {
-            self.stats.l2.write_misses += 1;
-        } else {
-            self.stats.l2.read_misses += 1;
-        }
-        let words = u64::from(self.cfg.l2.line_words());
-        self.stats.mem_bus.fetch_words(words);
-        let (evicted, _) = self.l2.insert(addr, false, ());
-        if let Some(ev) = evicted {
-            if ev.dirty {
-                self.stats.mem_bus.writeback_words(words);
-            }
-        }
-        HitSource::Memory
-    }
-
-    /// Routes a line displaced from the victim buffer down the hierarchy.
-    fn spill(&mut self, base: Addr, dirty: bool) {
-        if !dirty {
-            return;
-        }
-        let l1_words = u64::from(self.cfg.l1.line_words());
-        self.stats.l1_l2_bus.writeback_words(l1_words);
-        if let Some(idx) = self.l2.lookup(base) {
-            self.l2.set_dirty(idx);
-        } else {
-            self.stats.mem_bus.writeback_words(l1_words);
-        }
-    }
-
-    /// Installs `addr`'s line into L1 with `dirty` state; the L1 victim
-    /// goes into the victim buffer instead of straight down.
-    fn fill_l1(&mut self, addr: Addr, dirty: bool) {
-        let (evicted, _) = self.l1.insert(addr, dirty, ());
-        if let Some(ev) = evicted {
-            if let Some((b, d)) = self.vc.insert(ev.base, ev.dirty) {
-                self.spill(b, d);
-            }
-        }
-    }
-
-    fn access(&mut self, addr: Addr, write: Option<Word>) -> AccessResult {
-        debug_assert_eq!(addr & 3, 0, "unaligned access at {addr:#x}");
-        let is_write = write.is_some();
-        if is_write {
-            self.stats.l1.writes += 1;
-        } else {
-            self.stats.l1.reads += 1;
-        }
-        let lat = self.cfg.latency;
-
-        if let Some(idx) = self.l1.lookup(addr) {
-            self.l1.touch(idx);
-            if let Some(v) = write {
-                self.l1.set_dirty(idx);
-                self.mem.write(addr, v);
-            }
-            return AccessResult {
-                value: write.unwrap_or_else(|| self.mem.read(addr)),
-                latency: lat.l1_hit,
-                source: HitSource::L1,
-            };
-        }
-
-        // Victim-buffer probe: a hit swaps the line back into L1.
-        let base = self.cfg.l1.line_base(addr);
-        if let Some(dirty) = self.vc.take(base) {
-            self.stats.l1.victim_hits += 1;
-            self.fill_l1(addr, dirty || is_write);
-            if let Some(v) = write {
-                self.mem.write(addr, v);
-            }
-            return AccessResult {
-                value: write.unwrap_or_else(|| self.mem.read(addr)),
-                latency: lat.l1_hit + 1, // the swap costs one cycle
-                source: HitSource::L1,
-            };
-        }
-
-        if is_write {
-            self.stats.l1.write_misses += 1;
-        } else {
-            self.stats.l1.read_misses += 1;
-        }
-        let source = self.ensure_in_l2(addr, is_write);
-        self.stats
-            .l1_l2_bus
-            .fetch_words(u64::from(self.cfg.l1.line_words()));
-        self.fill_l1(addr, is_write);
-        if let Some(v) = write {
-            self.mem.write(addr, v);
-        }
-        AccessResult {
-            value: write.unwrap_or_else(|| self.mem.read(addr)),
-            latency: match source {
-                HitSource::L2 => lat.l2_hit,
-                _ => lat.memory,
-            },
-            source,
-        }
-    }
-
-    /// The buffer (tests).
-    pub fn buffer(&self) -> &VictimBuffer {
-        &self.vc
-    }
-}
-
-impl CacheSim for VictimHierarchy {
-    fn read(&mut self, addr: Addr) -> AccessResult {
-        self.access(addr, None)
-    }
-
-    fn write(&mut self, addr: Addr, value: Word) -> AccessResult {
-        self.access(addr, Some(value))
-    }
-
-    fn probe_l1(&self, addr: Addr) -> bool {
-        self.l1.lookup(addr).is_some() || self.vc.contains(self.cfg.l1.line_base(addr))
-    }
-
-    fn stats(&self) -> &HierarchyStats {
-        &self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats.reset();
-    }
-
-    fn latencies(&self) -> LatencyConfig {
-        self.cfg.latency
-    }
-
-    fn set_latencies(&mut self, lat: LatencyConfig) {
-        self.cfg.latency = lat;
-    }
-
-    fn mem(&self) -> &MainMemory {
-        &self.mem
-    }
-
-    fn mem_mut(&mut self) -> &mut MainMemory {
-        &mut self.mem
-    }
-
-    fn name(&self) -> &'static str {
-        "VC"
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CacheSim, HitSource};
 
     #[test]
     fn buffer_take_and_lru() {
-        let mut vb = VictimBuffer::new(2);
+        let mut vb = LineBuffer::new(2);
         assert!(vb.insert(0x100, false).is_none());
         assert!(vb.insert(0x200, true).is_none());
         assert_eq!(vb.insert(0x300, false), Some((0x100, false)));
@@ -317,7 +111,7 @@ mod tests {
         let mut c = VictimHierarchy::paper();
         c.write(0x0000, 42);
         c.read(8 * 1024); // evict dirty line into the buffer
-        assert!(c.buffer().contains(0x0000));
+        assert!(c.side().buf.contains(0x0000));
         let r = c.read(0x0000); // swap back
         assert_eq!(r.value, 42);
         // Push it through the buffer entirely: 5 distinct conflicting lines.

@@ -60,7 +60,7 @@ pub use ccp_workgen as workgen;
 pub mod prelude {
     pub use ccp_cache::{
         AccessResult, BcpHierarchy, CacheSim, DesignKind, HierarchyConfig, HitSource,
-        LatencyConfig, StrideHierarchy, TwoLevelCache,
+        LatencyConfig, StrideHierarchy, TwoLevelCache, VictimHierarchy,
     };
     pub use ccp_compress::{classify, compress, decompress, is_compressible, CompressKind};
     pub use ccp_cpp::CppHierarchy;
