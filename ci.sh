@@ -163,6 +163,8 @@ grep -q '"cache_keys_scheme_distinct":true' "$SCRATCH/SCHEMES_report.json" || {
 
 echo "== chaos smoke: fault injection is detected, no false positives"
 ./target/release/repro chaos --workload health --workload mst --budget 8000
+# README's example: a pointer chase whose pairing fault has no L1 site.
+./target/release/repro chaos --workload "workgen:addr=chase,small=0.4" --budget 50000 --seed 9
 
 echo "== resume round-trip: interrupted + resumed sweep == uninterrupted"
 SWEEP_ARGS="--budget 2000 --seed 7 --workloads health,mst --designs BC,BCP,CPP"

@@ -79,8 +79,9 @@ impl FaultKind {
 pub struct FaultReport {
     /// The injected class.
     pub kind: FaultKind,
-    /// The level injected into (always `"L1"` today — the strict-checked
-    /// level, so every class is detectable).
+    /// The level injected into: `"L1"`, the strict-checked level, except
+    /// for a pairing fault when L1 holds no site — that one goes into
+    /// `"L2"`, whose structural check covers the pairing rule.
     pub level: &'static str,
     /// Base address of the corrupted line.
     pub line_base: Addr,
@@ -340,7 +341,8 @@ impl FaultInjector {
         }
     }
 
-    /// Injects one fault of `kind` into `h`'s L1, returning what was done.
+    /// Injects one fault of `kind` into `h`'s L1 (a pairing fault falls
+    /// back to L2), returning what was done.
     ///
     /// Fails with [`SimError::Invariant`] when the current cache state
     /// offers no site for the class (e.g. a pairing violation needs a
@@ -358,10 +360,7 @@ impl FaultInjector {
     fn no_site(kind: FaultKind) -> SimError {
         SimError::invariant(
             "fault injection",
-            format!(
-                "no L1 site for fault class {:?} — run a workload first",
-                kind
-            ),
+            format!("no site for fault class {:?} — run a workload first", kind),
         )
     }
 
@@ -550,42 +549,47 @@ impl FaultInjector {
     }
 
     /// Mark a line as holding its pair's words while the pair is also
-    /// primary-resident — a one-copy violation.
+    /// primary-resident — a one-copy violation. L1 is tried first; a run
+    /// that leaves no such pair in L1 (a pointer chase, say) takes its site
+    /// from L2, which the checker holds to the same pairing rule.
     fn inject_pairing(&mut self, h: &mut CppHierarchy) -> SimResult<FaultReport> {
-        let words = h.l1.words();
-        let mut candidates = Vec::new();
-        for (idx, base) in h.l1.valid_lines() {
-            let pair = h.l1.pair_base(base);
-            if h.l1.lookup_primary(pair).is_some() {
-                candidates.push((idx, base, pair));
+        for (level, name) in [(&mut h.l1, "L1"), (&mut h.l2, "L2")] {
+            let words = level.words();
+            let mut candidates = Vec::new();
+            for (idx, base) in level.valid_lines() {
+                let pair = level.pair_base(base);
+                if level.lookup_primary(pair).is_some() {
+                    candidates.push((idx, base, pair));
+                }
             }
+            let Some((idx, base, pair)) = self.choose(&candidates) else {
+                continue;
+            };
+            // Prefer a structurally-legal slot holding a compressible pair
+            // word, so the *pairing* rule is the only invariant broken.
+            let f = level.flags(idx);
+            let capacity = f.affiliated_capacity(words) & !f.aa;
+            let pair_comp = compress_mask(&h.mem, pair, words);
+            let mask = if capacity & pair_comp != 0 {
+                capacity & pair_comp
+            } else if capacity != 0 {
+                capacity
+            } else {
+                1
+            };
+            let word = mask.trailing_zeros();
+            level.flags_mut(idx).aa |= 1 << word;
+            return Ok(FaultReport {
+                kind: FaultKind::Pairing,
+                level: name,
+                line_base: base,
+                word,
+                description: format!(
+                    "set AA bit {word} for pair {pair:#x} which is also primary-resident"
+                ),
+            });
         }
-        let (idx, base, pair) = self
-            .choose(&candidates)
-            .ok_or_else(|| Self::no_site(FaultKind::Pairing))?;
-        // Prefer a structurally-legal slot holding a compressible pair word,
-        // so the *pairing* rule is the only invariant broken.
-        let f = h.l1.flags(idx);
-        let capacity = f.affiliated_capacity(words) & !f.aa;
-        let pair_comp = compress_mask(&h.mem, pair, words);
-        let mask = if capacity & pair_comp != 0 {
-            capacity & pair_comp
-        } else if capacity != 0 {
-            capacity
-        } else {
-            1
-        };
-        let word = mask.trailing_zeros();
-        h.l1.flags_mut(idx).aa |= 1 << word;
-        Ok(FaultReport {
-            kind: FaultKind::Pairing,
-            level: "L1",
-            line_base: base,
-            word,
-            description: format!(
-                "set AA bit {word} for pair {pair:#x} which is also primary-resident"
-            ),
-        })
+        Err(Self::no_site(FaultKind::Pairing))
     }
 }
 

@@ -138,6 +138,23 @@ mod tests {
     }
 
     #[test]
+    fn pairing_fault_falls_back_to_l2_on_a_pointer_chase() {
+        // The README's example: the chase leaves no L1 line whose pair is
+        // primary-resident, so the pairing fault takes an L2 site, and the
+        // checker must still flag it as a pairing violation.
+        let w = Workload::by_name("workgen:addr=chase,small=0.4").unwrap();
+        let r = run_chaos(&w, 50_000, 9).unwrap();
+        assert!(r.passed(), "{}", r.render());
+        let pairing = r
+            .results
+            .iter()
+            .find(|fr| fr.report.kind == FaultKind::Pairing)
+            .expect("every class is injected");
+        assert_eq!(pairing.report.level, "L2");
+        assert_eq!(pairing.detected_classes(), ["pairing"]);
+    }
+
+    #[test]
     fn chaos_is_deterministic() {
         let w = Workload::by_name("mst").unwrap();
         let a = run_chaos(&w, 3_000, 5).unwrap();
