@@ -339,8 +339,9 @@ impl<S: Side> TwoLevel<S> {
         }
     }
 
-    /// The side structure (tests and analysis).
-    pub fn side(&self) -> &S {
+    /// The side structure (tests).
+    #[cfg(test)]
+    pub(crate) fn side(&self) -> &S {
         &self.side
     }
 

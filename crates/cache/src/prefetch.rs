@@ -19,9 +19,9 @@ use crate::Addr;
 #[derive(Debug, Clone)]
 pub struct NextLine {
     /// The prefetch buffer beside L1.
-    pub l1: LineBuffer,
+    l1: LineBuffer,
     /// The prefetch buffer beside L2.
-    pub l2: LineBuffer,
+    l2: LineBuffer,
 }
 
 impl Side for NextLine {

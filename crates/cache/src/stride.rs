@@ -109,9 +109,9 @@ impl ReferencePredictionTable {
 #[derive(Debug, Clone)]
 pub struct Stride {
     /// The predictor.
-    pub rpt: ReferencePredictionTable,
+    rpt: ReferencePredictionTable,
     /// The prefetch buffer beside L1.
-    pub l1: LineBuffer,
+    l1: LineBuffer,
     /// The current load's prediction, prefetched once the access completes.
     pending: Option<Addr>,
 }

@@ -21,7 +21,7 @@ use crate::Addr;
 #[derive(Debug, Clone)]
 pub struct Victim {
     /// L1's recently evicted lines, with their dirty bits.
-    pub buf: LineBuffer,
+    buf: LineBuffer,
 }
 
 impl Side for Victim {
