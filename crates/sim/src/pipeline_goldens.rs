@@ -269,7 +269,7 @@ pub fn corner_table() -> String {
     s
 }
 
-/// The six conventional designs in the paper's order, then the extensions,
+/// The paper's four conventional designs, then the SPT and VC extensions,
 /// each in its paper configuration.
 fn conventional_designs() -> [(&'static str, Box<dyn CacheSim>); 6] {
     let paper = |d: DesignKind| (d.name(), crate::build_design(d));
