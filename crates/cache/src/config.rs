@@ -108,8 +108,6 @@ pub struct HierarchyConfig {
     pub l1_prefetch_entries: u32,
     /// L2 prefetch-buffer entries (BCP only).
     pub l2_prefetch_entries: u32,
-    /// Affiliation mask applied to `<tag, set>` (CPP only; paper uses 0x1).
-    pub affiliation_mask: u32,
     /// CPP §3.3 policy: when a primary word turns incompressible, evict only
     /// the conflicting affiliated word (`false`) or the whole affiliated
     /// line (`true`). The paper's text supports either reading; the default
@@ -137,7 +135,6 @@ impl HierarchyConfig {
             latency: LatencyConfig::paper(),
             l1_prefetch_entries: 8,
             l2_prefetch_entries: 32,
-            affiliation_mask: 0x1,
             evict_whole_affiliated_line: false,
             compress_writebacks: false,
         }

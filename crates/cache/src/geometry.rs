@@ -16,9 +16,9 @@ use crate::Addr;
 /// let l1 = CacheGeometry::new(8 * 1024, 1, 64);
 /// assert_eq!(l1.num_sets(), 128);
 /// assert_eq!(l1.line_words(), 16);
-/// // Affiliation mask 0x1 pairs consecutive even/odd lines.
-/// assert_eq!(l1.affiliated_line_base(0x0000, 1), 0x0040);
-/// assert_eq!(l1.affiliated_line_base(0x0040, 1), 0x0000);
+/// // Affiliation pairs consecutive even/odd lines.
+/// assert_eq!(l1.affiliated_line_base(0x0000), 0x0040);
+/// assert_eq!(l1.affiliated_line_base(0x0040), 0x0000);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheGeometry {
@@ -128,12 +128,12 @@ impl CacheGeometry {
         ((tag << self.set_shift) | set) << self.line_shift
     }
 
-    /// Applies the paper's affiliation mask to a line: the affiliated line's
-    /// `<tag, set>` is the primary's XOR `mask` (paper §3.1; `mask = 0x1`
-    /// pairs consecutive even/odd lines, i.e. next-line prefetch).
+    /// Base address of a line's affiliated line: its `<tag, set>` is the
+    /// primary's XOR `0x1` (paper §3.1), pairing consecutive even/odd lines
+    /// — next-line prefetch.
     #[inline]
-    pub fn affiliated_line_base(&self, addr: Addr, mask: u32) -> Addr {
-        let tag_set = self.line_number(addr) ^ mask;
+    pub fn affiliated_line_base(&self, addr: Addr) -> Addr {
+        let tag_set = self.line_number(addr) ^ 1;
         tag_set << self.line_shift
     }
 }
@@ -198,18 +198,18 @@ mod tests {
     fn affiliated_mask_pairs_even_odd_lines() {
         let g = l1();
         // Line 2k's affiliate is 2k+1 and vice versa (an involution).
-        assert_eq!(g.affiliated_line_base(0x0000, 1), 0x0040);
-        assert_eq!(g.affiliated_line_base(0x0040, 1), 0x0000);
-        assert_eq!(g.affiliated_line_base(0x1_0080, 1), 0x1_00C0);
+        assert_eq!(g.affiliated_line_base(0x0000), 0x0040);
+        assert_eq!(g.affiliated_line_base(0x0040), 0x0000);
+        assert_eq!(g.affiliated_line_base(0x1_0080), 0x1_00C0);
         // Offset within the line does not matter.
-        assert_eq!(g.affiliated_line_base(0x0063, 1), 0x0000);
+        assert_eq!(g.affiliated_line_base(0x0063), 0x0000);
     }
 
     #[test]
     fn affiliated_line_flips_lowest_set_bit() {
         let g = l1();
         let a = 0x2340u32;
-        let aff = g.affiliated_line_base(a, 1);
+        let aff = g.affiliated_line_base(a);
         assert_eq!(g.set_index(aff), g.set_index(a) ^ 1);
         assert_eq!(g.tag(aff), g.tag(a));
     }

@@ -21,12 +21,9 @@
 //! read from: small values are sign-extended from bit 14, pointers borrow the
 //! 17-bit prefix of their own storage address.
 
-pub mod delay;
 pub mod fvc;
 pub mod profile;
 pub mod swar;
-
-pub use swar::{line_dispatch, set_line_dispatch, LaneDispatch};
 
 /// A 32-bit machine word, the unit the compression scheme operates on.
 pub type Word = u32;
@@ -163,19 +160,14 @@ pub fn compressible_bit(value: Word, addr: Addr) -> u32 {
 /// This is the hot kernel of the cache hierarchies — every fill, merge,
 /// park, and promotion classifies a full line — so it takes the line as a
 /// slice (one page-table walk in the caller) and classifies all 16 words
-/// of an L1 line in one pass over packed lanes (see [`swar`]). The kernel
-/// is selected by the process-wide [`swar::line_dispatch`] knob; both
-/// kernels are proven mask-identical by the equivalence suite, so the
-/// knob never changes results, only how they are computed.
+/// of an L1 line in one pass over packed lanes (see [`swar`]), which the
+/// kernel tests prove mask-identical to the per-word scalar scan.
 ///
 /// # Panics
 /// Debug-asserts `words.len() <= 32` (flag masks are 32 bits wide).
 #[inline]
 pub fn line_compress_mask(words: &[Word], base: Addr) -> u32 {
-    match swar::line_dispatch() {
-        LaneDispatch::Swar => swar::cpp_line_mask_swar(words, base),
-        LaneDispatch::Scalar => swar::cpp_line_mask_scalar(words, base),
-    }
+    swar::cpp_line_mask_swar(words, base)
 }
 
 /// Compresses `value` (stored at `addr`) to its 16-bit form, or `None` when
@@ -239,10 +231,10 @@ pub fn bus_halfwords(value: Word, addr: Addr) -> u64 {
 ///
 /// `true` for every incompressible word (nothing is stored compressed) and
 /// for every compressible word whose reconstruction is bit-exact. The
-/// invariant checker uses this to prove the compressed half-slots of a live
-/// hierarchy still decode to the architectural values; it can only return
-/// `false` if the compression scheme itself (or injected corruption) breaks
-/// the bijection.
+/// invariant checker applies the same test, through the scheme trait, to
+/// prove the compressed half-slots of a live hierarchy still decode to the
+/// architectural values; it can only return `false` if the compression
+/// scheme itself breaks the bijection.
 #[inline]
 pub fn roundtrips(value: Word, addr: Addr) -> bool {
     match compress(value, addr) {

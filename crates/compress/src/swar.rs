@@ -1,6 +1,6 @@
-//! Line-at-a-time classification kernels: packed-lane (SWAR / SIMD)
-//! implementations of [`line_compress_mask`] plus the runtime dispatch
-//! knob that selects between them and the per-word scalar scan.
+//! Line-at-a-time classification kernels: the packed-lane (SWAR / SIMD)
+//! implementations behind [`line_compress_mask`](crate::line_compress_mask)
+//! and the per-word scalar scan they are tested against.
 //!
 //! The paper's compressibility predicate is pure bitwise math over 32-bit
 //! words, so a whole line classifies in one pass over packed lanes:
@@ -25,57 +25,14 @@
 //! Three kernels are always compiled where the target allows:
 //! the per-word scalar scan (the pre-overhaul loop, kept as the oracle),
 //! a two-lane u64 SWAR pass, and — on x86-64, where SSE2 is part of the
-//! baseline ISA — a four-lane `core::arch` path. The equivalence battery
-//! in `tests/swar_equivalence.rs` proves all of them agree on every input
-//! class, and `repro difftest` replays every benchmark under both
-//! dispatches.
+//! baseline ISA — a four-lane `core::arch` path. [`cpp_line_mask_swar`]
+//! picks the widest of the packed two at compile time and is the one the
+//! hierarchies run. The tests below and `tests/proptests.rs` prove every
+//! kernel agrees with the scalar scan on every input class, and
+//! `repro difftest` checks the packed kernel over whole traces against
+//! the reference engine, which classifies word by word.
 
 use crate::{compressible_bit, Addr, Word, WORD_BYTES};
-use core::sync::atomic::{AtomicU8, Ordering};
-
-/// Which line-classification kernel the hierarchies run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LaneDispatch {
-    /// Packed-lane kernel: SSE2 on x86-64, two-lane u64 SWAR elsewhere.
-    #[default]
-    Swar,
-    /// The per-word scalar scan (the equivalence oracle).
-    Scalar,
-}
-
-impl LaneDispatch {
-    /// Canonical dispatch id (`"swar"` / `"scalar"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            LaneDispatch::Swar => "swar",
-            LaneDispatch::Scalar => "scalar",
-        }
-    }
-}
-
-/// Process-wide kernel selector. Both kernels compute the same masks (the
-/// equivalence suite proves it), so this is a performance/testing knob,
-/// not a semantic one — a concurrent change merely picks which of two
-/// identical-output kernels the next line scan runs.
-static LINE_DISPATCH: AtomicU8 = AtomicU8::new(0);
-
-/// Selects the line-classification kernel for the whole process.
-pub fn set_line_dispatch(d: LaneDispatch) {
-    let code = match d {
-        LaneDispatch::Swar => 0,
-        LaneDispatch::Scalar => 1,
-    };
-    LINE_DISPATCH.store(code, Ordering::Relaxed);
-}
-
-/// The currently selected line-classification kernel.
-#[inline]
-pub fn line_dispatch() -> LaneDispatch {
-    match LINE_DISPATCH.load(Ordering::Relaxed) {
-        0 => LaneDispatch::Swar,
-        _ => LaneDispatch::Scalar,
-    }
-}
 
 /// Top bit of each 32-bit lane in a two-lane u64.
 pub const LANE_TOP: u64 = 0x8000_0000_8000_0000;
@@ -313,15 +270,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn dispatch_knob_roundtrips() {
-        let before = line_dispatch();
-        set_line_dispatch(LaneDispatch::Scalar);
-        assert_eq!(line_dispatch(), LaneDispatch::Scalar);
-        set_line_dispatch(LaneDispatch::Swar);
-        assert_eq!(line_dispatch(), LaneDispatch::Swar);
-        set_line_dispatch(before);
     }
 }

@@ -10,22 +10,25 @@
 //!   class the paper's metadata admits: `PA`/`VCP`/`AA` flag corruption,
 //!   compressed-word bit flips, and affiliated-pairing (one-copy)
 //!   violations.
-//! * [`InvariantChecker`] — a validator that walks both levels and reports
-//!   *every* violation (unlike [`crate::CppHierarchy::check_invariants`],
-//!   which stops at the first): flag-structure consistency, flag/value
-//!   agreement, `tag ^ 0x1` pairing rules, and compress/decompress
-//!   round-trips of every word held in a compressed half-slot.
+//! * [`InvariantChecker`] — the one statement of the paper's §3.3 line
+//!   invariants, for a hierarchy under any compression scheme. It walks
+//!   both levels and reports *every* violation
+//!   ([`crate::CppHierarchy::check_invariants`] returns its first):
+//!   flag-structure consistency, flag/value agreement, the `tag ^ 0x1`
+//!   one-copy rule, and encode/decode round trips of every word held in a
+//!   compressed half-slot.
 //!
 //! The chaos harness (`repro chaos`) runs a clean workload, asserts
 //! the checker reports nothing (no false positives), then injects each
 //! fault class and asserts the checker reports it (no false negatives).
 
-use crate::level::compress_mask;
-use crate::CppHierarchy;
+use crate::level::{compress_mask, scheme_compress_mask};
+use crate::{CppHierarchy, CppLevel};
 use ccp_cache::Addr;
-use ccp_compress::{is_compressible, roundtrips};
+use ccp_compress::is_compressible;
 use ccp_errors::{SimError, SimResult};
 use ccp_mem::MainMemory;
+use ccp_schemes::CompressionScheme;
 
 /// The corruption classes the injector can produce.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -114,8 +117,8 @@ pub enum ViolationClass {
     /// Flags disagree with architectural values (`VCP` claims an
     /// incompressible word, or `AA` holds an incompressible pair word).
     ValueMismatch,
-    /// The `tag ^ 0x1` pairing rules: one-copy violations or a broken
-    /// pair-base involution.
+    /// The `tag ^ 0x1` one-copy rule: a line is primary-resident and
+    /// affiliated-resident at once.
     Pairing,
     /// A word held in compressed form does not survive a
     /// compress → decompress round trip.
@@ -160,10 +163,12 @@ impl std::fmt::Display for Violation {
     }
 }
 
-/// Exhaustive invariant validator over a [`CppHierarchy`].
+/// Exhaustive invariant validator over a [`CppHierarchy`] under any
+/// compression scheme `S`: flag/value agreement uses `S`'s line mask and
+/// round trips use `S::encode`/`S::decode`.
 ///
-/// Where [`CppHierarchy::check_invariants`] returns the *first* problem as
-/// a [`SimError`] (the cheap gate simulation tests use), the checker
+/// [`CppHierarchy::check_invariants`] returns the *first* violation as a
+/// [`SimError`] (the cheap gate simulation tests use); the checker
 /// collects every violation with its class, so the chaos harness can
 /// attribute detection to the right invariant family.
 pub struct InvariantChecker;
@@ -172,7 +177,7 @@ impl InvariantChecker {
     /// Collects every violation in both levels. L1 is checked strictly
     /// (flags vs. current values); L2 structurally only, since its flags
     /// describe the line as of its last fill/write-back.
-    pub fn check(h: &CppHierarchy) -> Vec<Violation> {
+    pub fn check<S: CompressionScheme>(h: &CppHierarchy<S>) -> Vec<Violation> {
         let mut v = Self::check_level(&h.l1, &h.mem, true, "L1");
         v.extend(Self::check_level(&h.l2, &h.mem, false, "L2"));
         v
@@ -180,7 +185,7 @@ impl InvariantChecker {
 
     /// Asserts a clean hierarchy, converting the first violation into a
     /// [`SimError::Invariant`].
-    pub fn assert_clean(h: &CppHierarchy) -> SimResult<()> {
+    pub fn assert_clean<S: CompressionScheme>(h: &CppHierarchy<S>) -> SimResult<()> {
         match Self::check(h).into_iter().next() {
             None => Ok(()),
             Some(v) => Err(SimError::invariant(
@@ -190,16 +195,16 @@ impl InvariantChecker {
         }
     }
 
-    /// Checks one level; `strict_values` enables the flag/value and
-    /// round-trip families.
-    pub fn check_level(
-        level: &crate::CppLevel,
+    /// Checks one level: flag structure and the one-copy rule always;
+    /// with `strict_values` — right for a level that observes every store
+    /// (L1) — also flag/value agreement and round trips.
+    pub fn check_level<S: CompressionScheme>(
+        level: &CppLevel<S>,
         mem: &MainMemory,
         strict_values: bool,
         name: &'static str,
     ) -> Vec<Violation> {
         let words = level.words();
-        let full = level.full_mask();
         let mut out = Vec::new();
         let mut push = |base: Addr, class: ViolationClass, detail: String| {
             out.push(Violation {
@@ -209,40 +214,12 @@ impl InvariantChecker {
                 detail,
             });
         };
-        for (_idx, base) in level.valid_lines() {
-            let f = level.flags(level.lookup_primary(base).expect("valid line"));
-            // Flag structure.
-            if f.pa & !full != 0 || f.vcp & !full != 0 || f.aa & !full != 0 {
-                push(
-                    base,
-                    ViolationClass::FlagStructure,
-                    format!("flag bits beyond {words} words: {f:x?}"),
-                );
+        for (idx, base) in level.valid_lines() {
+            let f = level.flags(idx);
+            for rule in f.broken_rules(words) {
+                push(base, ViolationClass::FlagStructure, rule);
             }
-            if f.vcp & !f.pa != 0 {
-                push(
-                    base,
-                    ViolationClass::FlagStructure,
-                    format!("VCP ⊄ PA: {f:x?}"),
-                );
-            }
-            if f.aa & !(f.vcp | !f.pa) & full != 0 {
-                push(
-                    base,
-                    ViolationClass::FlagStructure,
-                    format!("AA word without a free half-slot: {f:x?}"),
-                );
-            }
-            // Pairing: the affiliation map must be an involution, and a line
-            // may not be primary-resident and affiliated-resident at once.
             let pair = level.pair_base(base);
-            if level.pair_base(pair) != base {
-                push(
-                    base,
-                    ViolationClass::Pairing,
-                    format!("pair_base not an involution: {base:#x} → {pair:#x}"),
-                );
-            }
             if f.aa != 0 && level.lookup_primary(pair).is_some() {
                 push(
                     base,
@@ -250,57 +227,58 @@ impl InvariantChecker {
                     format!("one-copy violated: {pair:#x} is primary but also affiliated here"),
                 );
             }
-            if strict_values {
-                // Flag/value agreement.
-                let comp = compress_mask(mem, base, words);
-                if f.vcp & !comp != 0 {
-                    push(
-                        base,
-                        ViolationClass::ValueMismatch,
-                        format!(
-                            "VCP claims incompressible words (vcp={:#x} comp={comp:#x})",
-                            f.vcp
-                        ),
-                    );
-                }
-                let pair_comp = compress_mask(mem, pair, words);
-                if f.aa & !pair_comp != 0 {
-                    push(
-                        base,
-                        ViolationClass::ValueMismatch,
-                        format!(
-                            "AA holds incompressible pair words (aa={:#x} comp={pair_comp:#x})",
-                            f.aa
-                        ),
-                    );
-                }
-                // Round trips: every word a compressed half-slot claims must
-                // decode back to its architectural value.
+            if !strict_values {
+                continue;
+            }
+            let comp = scheme_compress_mask::<S>(mem, base, words);
+            if f.vcp & !comp != 0 {
+                push(
+                    base,
+                    ViolationClass::ValueMismatch,
+                    format!(
+                        "VCP claims incompressible words (vcp={:#x} comp={comp:#x})",
+                        f.vcp
+                    ),
+                );
+            }
+            let pair_comp = scheme_compress_mask::<S>(mem, pair, words);
+            if f.aa & !pair_comp != 0 {
+                push(
+                    base,
+                    ViolationClass::ValueMismatch,
+                    format!(
+                        "AA holds incompressible pair words (aa={:#x} comp={pair_comp:#x})",
+                        f.aa
+                    ),
+                );
+            }
+            // Every word a compressed half-slot claims must decode back to
+            // its architectural value.
+            for (what, line, held) in [("VCP", base, f.vcp), ("AA", pair, f.aa)] {
                 for i in 0..words {
-                    if f.vcp & (1 << i) != 0 {
-                        let a = base + i * 4;
-                        if !roundtrips(mem.read(a), a) {
-                            push(
-                                base,
-                                ViolationClass::RoundTrip,
-                                format!("VCP word {i} at {a:#x} fails compress round-trip"),
-                            );
-                        }
-                    }
-                    if f.aa & (1 << i) != 0 {
-                        let a = pair + i * 4;
-                        if !roundtrips(mem.read(a), a) {
-                            push(
-                                base,
-                                ViolationClass::RoundTrip,
-                                format!("AA word {i} at {a:#x} fails compress round-trip"),
-                            );
-                        }
+                    let a = line + i * 4;
+                    if held & (1 << i) != 0 && !roundtrips::<S>(mem, a, line) {
+                        push(
+                            base,
+                            ViolationClass::RoundTrip,
+                            format!("{what} word {i} at {a:#x} fails compress round-trip"),
+                        );
                     }
                 }
             }
         }
         out
+    }
+}
+
+/// Whether the word at `addr` in the line at `base` survives `S`'s
+/// encode → decode round trip. An incompressible word passes: holding it
+/// compressed is a value mismatch, reported as such.
+fn roundtrips<S: CompressionScheme>(mem: &MainMemory, addr: Addr, base: Addr) -> bool {
+    let (value, base_val) = (mem.read(addr), mem.read(base));
+    match S::encode(value, addr, base, base_val) {
+        Some(half) => S::decode(half, addr, base, base_val) == value,
+        None => true,
     }
 }
 
@@ -596,7 +574,10 @@ impl FaultInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CppFlags;
+    use ccp_cache::geometry::CacheGeometry;
     use ccp_cache::CacheSim;
+    use ccp_schemes::BdiScheme;
 
     /// Populates a hierarchy with neighbouring compressible/incompressible
     /// lines so every fault class has a site.
@@ -687,6 +668,47 @@ mod tests {
         let v = InvariantChecker::check(&c);
         assert!(
             v.iter().any(|v| v.class == ViolationClass::Pairing),
+            "{v:?}"
+        );
+    }
+
+    #[test]
+    fn invariant_checker_catches_one_copy_violation() {
+        let mut l: CppLevel = CppLevel::new(CacheGeometry::new(8 * 1024, 1, 64));
+        let mem = MainMemory::new();
+        let mut f = CppFlags::full_primary(16, 0xFFFF, 0);
+        f.aa = 1; // claims pair 0x2040 affiliated
+        l.install_primary(0x2000, f, false);
+        // Force 0x2040 primary WITHOUT the install-time cleanup by abusing
+        // flags_mut to re-add aa afterwards.
+        l.install_primary(0x2040, CppFlags::full_primary(16, 0, 0), false);
+        let idx = l.lookup_primary(0x2000).unwrap();
+        l.flags_mut(idx).aa = 1;
+        let v = InvariantChecker::check_level(&l, &mem, true, "L1");
+        assert!(
+            v.iter().any(|v| v.class == ViolationClass::Pairing),
+            "{v:?}"
+        );
+    }
+
+    #[test]
+    fn checker_judges_values_by_the_hierarchy_scheme() {
+        // 0x0400_0000 is a BDI immediate nowhere, but a delta off a base
+        // word of 0x0400_0001; under CPP it is incompressible everywhere.
+        let mut c = CppHierarchy::<BdiScheme>::paper_scheme();
+        c.mem_mut().write(0x1000, 0x0400_0001);
+        for i in 1..16u32 {
+            c.mem_mut().write(0x1000 + i * 4, 0x0400_0000);
+        }
+        c.read(0x1000);
+        assert!(InvariantChecker::check(&c).is_empty());
+        let idx = c.l1.lookup_primary(0x1000).unwrap();
+        assert_eq!(c.l1.flags(idx).vcp & 0b10, 0b10, "word 1 is a BDI delta");
+        // Change the base so word 1's delta no longer fits.
+        c.mem_mut().write(0x1000, 0x7000_0000);
+        let v = InvariantChecker::check(&c);
+        assert!(
+            v.iter().any(|v| v.class == ViolationClass::ValueMismatch),
             "{v:?}"
         );
     }

@@ -10,10 +10,10 @@
 //! * `AA` — affiliated word available; affiliated words are *always*
 //!   compressed, so they need no VC flag of their own.
 //!
-//! Structural invariants (enforced by [`CppFlags::check`]):
-//! `VCP ⊆ PA` (compression only applies to present words) and
-//! `AA ⊆ VCP ∪ ¬PA` (an affiliated word needs a freed half-slot or an empty
-//! slot).
+//! Structural invariants (stated once, in [`CppFlags::broken_rules`]): no
+//! bits beyond the line's words, `VCP ⊆ PA` (compression only applies to
+//! present words) and `AA ⊆ VCP ∪ ¬PA` (an affiliated word needs a freed
+//! half-slot or an empty slot).
 
 /// Flag bundle of one physical line. Bit *i* refers to word slot *i*.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -69,27 +69,22 @@ impl CppFlags {
         (self.vcp | !self.pa) & mask_n(words)
     }
 
-    /// Verifies the structural invariants; returns a description of the
-    /// first violation.
-    pub fn check(&self, words: u32) -> ccp_errors::SimResult<()> {
-        use ccp_errors::SimError;
+    /// Describes each structural invariant the flags break, in rule order:
+    /// bits beyond the line's `words`, `VCP ⊄ PA`, then an `AA` word without
+    /// a free half-slot. Empty iff the flags are well formed.
+    pub fn broken_rules(&self, words: u32) -> Vec<String> {
         let m = mask_n(words);
-        if self.pa & !m != 0 || self.vcp & !m != 0 || self.aa & !m != 0 {
-            return Err(SimError::invariant(
-                "",
-                format!("flag bits beyond {words} words: {self:x?}"),
-            ));
+        let mut out = Vec::new();
+        if (self.pa | self.vcp | self.aa) & !m != 0 {
+            out.push(format!("flag bits beyond {words} words: {self:x?}"));
         }
         if self.vcp & !self.pa != 0 {
-            return Err(SimError::invariant("", format!("VCP ⊄ PA: {self:x?}")));
+            out.push(format!("VCP ⊄ PA: {self:x?}"));
         }
-        if self.aa & !(self.vcp | !self.pa) != 0 {
-            return Err(SimError::invariant(
-                "",
-                format!("AA word without a free half-slot: {self:x?}"),
-            ));
+        if self.aa & !self.affiliated_capacity(words) & m != 0 {
+            out.push(format!("AA word without a free half-slot: {self:x?}"));
         }
-        Ok(())
+        out
     }
 }
 
@@ -118,7 +113,7 @@ mod tests {
 
     #[test]
     fn empty_flags_pass_check() {
-        assert!(CppFlags::empty().check(16).is_ok());
+        assert!(CppFlags::empty().broken_rules(16).is_empty());
     }
 
     #[test]
@@ -129,7 +124,7 @@ mod tests {
         assert_eq!(f.pa, 0b1111);
         assert_eq!(f.vcp, 0b0011);
         assert_eq!(f.aa, 0b0011);
-        assert!(f.check(4).is_ok());
+        assert!(f.broken_rules(4).is_empty());
     }
 
     #[test]
@@ -150,7 +145,7 @@ mod tests {
             vcp: 0b0010,
             aa: 0,
         };
-        assert!(f.check(16).is_err());
+        assert_eq!(f.broken_rules(16).len(), 1);
     }
 
     #[test]
@@ -160,7 +155,7 @@ mod tests {
             vcp: 0,
             aa: 0b0001,
         };
-        assert!(f.check(16).is_err());
+        assert_eq!(f.broken_rules(16).len(), 1);
     }
 
     #[test]
@@ -170,7 +165,7 @@ mod tests {
             vcp: 0,
             aa: 0,
         };
-        assert!(f.check(16).is_err());
+        assert_eq!(f.broken_rules(16).len(), 1);
     }
 
     #[test]

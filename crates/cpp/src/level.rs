@@ -2,8 +2,8 @@
 //!
 //! A [`CppLevel`] wraps a set-associative tag array whose per-line payload is
 //! the [`CppFlags`] bundle, and implements the primary/affiliated geometry:
-//! the affiliated line of a primary line is `<tag,set> XOR mask` (paper
-//! §3.1), an involution that pairs consecutive lines for `mask = 0x1`.
+//! the affiliated line of a primary line is `<tag,set> XOR 0x1` (paper
+//! §3.1), an involution that pairs consecutive lines.
 //!
 //! The level knows nothing about the rest of the hierarchy; installs return
 //! the displaced victim so the caller can route its write-back, and the
@@ -15,7 +15,6 @@ use crate::flags::{mask_n, CppFlags};
 use ccp_cache::geometry::CacheGeometry;
 use ccp_cache::set_assoc::{Evicted, SetAssocCache};
 use ccp_cache::Addr;
-use ccp_errors::{SimError, SimResult};
 use ccp_mem::{LineView, MainMemory};
 use ccp_schemes::{CompressionScheme, CppScheme};
 use std::marker::PhantomData;
@@ -48,7 +47,7 @@ pub fn scheme_compress_mask<S: CompressionScheme>(mem: &MainMemory, base: Addr, 
 }
 
 /// [`scheme_compress_mask`] under the paper's scheme — the signature every
-/// pre-existing caller (fault injector, invariant checker, tests) uses.
+/// pre-existing caller (fault injector, tests) uses.
 pub fn compress_mask(mem: &MainMemory, base: Addr, words: u32) -> u32 {
     scheme_compress_mask::<CppScheme>(mem, base, words)
 }
@@ -71,26 +70,14 @@ pub struct CppVictim {
 #[derive(Debug, Clone)]
 pub struct CppLevel<S: CompressionScheme = CppScheme> {
     arr: SetAssocCache<CppFlags>,
-    mask: u32,
     _scheme: PhantomData<S>,
 }
 
 impl<S: CompressionScheme> CppLevel<S> {
-    /// Creates an empty level with the given geometry and affiliation mask.
-    ///
-    /// # Panics
-    /// Panics unless `0 < mask < num_sets`: the paper's scheme needs the
-    /// affiliated line to live in a *different* set so both can be probed in
-    /// parallel and never collide on the same physical line.
-    pub fn new(geom: CacheGeometry, mask: u32) -> Self {
-        assert!(
-            mask > 0 && mask < geom.num_sets(),
-            "affiliation mask {mask:#x} must address set bits (1..{})",
-            geom.num_sets()
-        );
+    /// Creates an empty level with the given geometry.
+    pub fn new(geom: CacheGeometry) -> Self {
         CppLevel {
             arr: SetAssocCache::new(geom),
-            mask,
             _scheme: PhantomData,
         }
     }
@@ -100,11 +87,6 @@ impl<S: CompressionScheme> CppLevel<S> {
         self.arr.geometry()
     }
 
-    /// The affiliation mask.
-    pub fn mask(&self) -> u32 {
-        self.mask
-    }
-
     /// Line size in words.
     pub fn words(&self) -> u32 {
         self.geometry().line_words()
@@ -112,7 +94,7 @@ impl<S: CompressionScheme> CppLevel<S> {
 
     /// Base address of `addr`'s affiliated line (an involution).
     pub fn pair_base(&self, addr: Addr) -> Addr {
-        self.geometry().affiliated_line_base(addr, self.mask)
+        self.geometry().affiliated_line_base(addr)
     }
 
     /// Looks up `addr`'s line at its primary location.
@@ -170,7 +152,7 @@ impl<S: CompressionScheme> CppLevel<S> {
         dirty: bool,
     ) -> Option<CppVictim> {
         debug_assert_eq!(self.geometry().line_base(base), base);
-        debug_assert!(flags.check(self.words()).is_ok(), "{flags:x?}");
+        debug_assert!(flags.broken_rules(self.words()).is_empty(), "{flags:x?}");
         // One-copy rule: drop the affiliated copy of this line, if present.
         if let Some(aidx) = self.lookup_affiliated(base) {
             self.arr.extra_mut(aidx).aa = 0;
@@ -320,59 +302,6 @@ impl<S: CompressionScheme> CppLevel<S> {
             })
     }
 
-    /// Verifies the level's invariants: per-line flag structure and the
-    /// one-copy rule always; with `strict_values`, also that `VCP`/`AA`
-    /// agree with current value compressibility.
-    ///
-    /// `strict_values` holds for a level that observes every store (L1). A
-    /// lower level's flags describe the line *as of its last fill or
-    /// write-back* — the hardware would hold that stale-but-consistent data
-    /// physically, while this model keeps only current values — so L2 is
-    /// checked structurally only.
-    pub fn check_invariants(&self, mem: &MainMemory, strict_values: bool) -> SimResult<()> {
-        let words = self.words();
-        for idx in self.arr.iter_valid() {
-            let base = self.arr.base_of(idx);
-            let f = *self.arr.extra(idx);
-            f.check(words)
-                .map_err(|e| e.in_context(&format!("line {base:#x}")))?;
-            if strict_values {
-                let comp = scheme_compress_mask::<S>(mem, base, words);
-                if f.vcp & !comp != 0 {
-                    return Err(SimError::invariant(
-                        format!("line {base:#x}"),
-                        format!(
-                            "VCP claims incompressible words (vcp={:#x} comp={comp:#x})",
-                            f.vcp
-                        ),
-                    ));
-                }
-            }
-            if f.aa != 0 {
-                let pair = self.pair_base(base);
-                if self.arr.lookup(pair).is_some() {
-                    return Err(SimError::invariant(
-                        format!("line {base:#x}"),
-                        format!("one-copy violated: {pair:#x} is primary but also affiliated here"),
-                    ));
-                }
-                if strict_values {
-                    let pair_comp = scheme_compress_mask::<S>(mem, pair, words);
-                    if f.aa & !pair_comp != 0 {
-                        return Err(SimError::invariant(
-                            format!("line {base:#x}"),
-                            format!(
-                                "AA holds incompressible pair words (aa={:#x} comp={pair_comp:#x})",
-                                f.aa
-                            ),
-                        ));
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Index and base address of every valid primary line, in physical-line
     /// order — the enumeration the fault injector and invariant checker walk.
     pub fn valid_lines(&self) -> Vec<(usize, Addr)> {
@@ -396,9 +325,10 @@ impl<S: CompressionScheme> CppLevel<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::InvariantChecker;
 
     fn l1() -> CppLevel {
-        CppLevel::new(CacheGeometry::new(8 * 1024, 1, 64), 1)
+        CppLevel::new(CacheGeometry::new(8 * 1024, 1, 64))
     }
 
     fn mem_with(vals: &[(Addr, u32)]) -> MainMemory {
@@ -453,7 +383,7 @@ mod tests {
         l.install_primary(0x2040, CppFlags::full_primary(16, 0, 0), false);
         let host = l.lookup_primary(0x2000).unwrap();
         assert_eq!(l.flags(host).aa, 0);
-        assert!(l.check_invariants(&mem, true).is_ok());
+        assert!(InvariantChecker::check_level(&l, &mem, true, "L1").is_empty());
     }
 
     #[test]
@@ -490,7 +420,7 @@ mod tests {
         assert_eq!(parked, 1, "only word 1 parks");
         let host = l.lookup_primary(0x2000).unwrap();
         assert_eq!(l.flags(host).aa, 0x0002);
-        assert!(l.check_invariants(&mem, true).is_ok());
+        assert!(InvariantChecker::check_level(&l, &mem, true, "L1").is_empty());
     }
 
     #[test]
@@ -550,7 +480,7 @@ mod tests {
             vcp: 0b0001,
             aa: 0b0010, // affiliated word in then-empty slot 1
         };
-        f.check(16).unwrap();
+        assert!(f.broken_rules(16).is_empty());
         l.install_primary(0x2000, f, false);
         let idx = l.lookup_primary(0x2000).unwrap();
         // Words 1 and 2 arrive; word 1 is incompressible and claims slot 1.
@@ -561,7 +491,7 @@ mod tests {
         assert!(!f.vcp_bit(1));
         assert!(f.vcp_bit(2), "untouched memory word is compressible");
         assert_eq!(f.aa, 0);
-        assert!(l.check_invariants(&mem, true).is_ok());
+        assert!(InvariantChecker::check_level(&l, &mem, true, "L1").is_empty());
     }
 
     #[test]
@@ -575,32 +505,5 @@ mod tests {
         assert_eq!(v.base, 0x2000);
         assert!(v.dirty);
         assert_eq!(v.flags.aa, 0x00FF);
-    }
-
-    #[test]
-    #[should_panic(expected = "affiliation mask")]
-    fn mask_zero_rejected() {
-        CppLevel::<CppScheme>::new(CacheGeometry::new(8 * 1024, 1, 64), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "affiliation mask")]
-    fn mask_beyond_set_bits_rejected() {
-        CppLevel::<CppScheme>::new(CacheGeometry::new(8 * 1024, 1, 64), 128);
-    }
-
-    #[test]
-    fn invariant_checker_catches_one_copy_violation() {
-        let mut l = l1();
-        let mem = MainMemory::new();
-        let mut f = CppFlags::full_primary(16, 0xFFFF, 0);
-        f.aa = 1; // claims pair 0x2040 affiliated
-        l.install_primary(0x2000, f, false);
-        // Force 0x2040 primary WITHOUT the install-time cleanup by abusing
-        // flags_mut to re-add aa afterwards.
-        l.install_primary(0x2040, CppFlags::full_primary(16, 0, 0), false);
-        let idx = l.lookup_primary(0x2000).unwrap();
-        l.flags_mut(idx).aa = 1;
-        assert!(l.check_invariants(&mem, true).is_err());
     }
 }

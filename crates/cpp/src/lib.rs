@@ -101,9 +101,9 @@ impl CppHierarchy {
     /// constructor so the scheme-oblivious call sites read unchanged.
     ///
     /// # Panics
-    /// Panics unless the affiliation mask is `0x1` and the L2 line is twice
-    /// the L1 line: the paper's word-based L1↔L2 interface relies on an L1
-    /// primary/affiliated pair occupying the two halves of one L2 block.
+    /// Panics unless the L2 line is twice the L1 line: the paper's
+    /// word-based L1↔L2 interface relies on an L1 primary/affiliated pair
+    /// occupying the two halves of one L2 block.
     pub fn new(cfg: HierarchyConfig) -> Self {
         Self::with_scheme(cfg)
     }
@@ -124,10 +124,6 @@ impl<S: CompressionScheme> CppHierarchy<S> {
     pub fn with_scheme(cfg: HierarchyConfig) -> Self {
         assert_eq!(cfg.design, DesignKind::Cpp, "CppHierarchy implements CPP");
         assert_eq!(
-            cfg.affiliation_mask, 1,
-            "the L1/L2 interface requires consecutive-line affiliation (mask 0x1)"
-        );
-        assert_eq!(
             cfg.l2.line_bytes(),
             2 * cfg.l1.line_bytes(),
             "L2 block must be twice the L1 block (paper §3.3)"
@@ -136,8 +132,8 @@ impl<S: CompressionScheme> CppHierarchy<S> {
         let mut stats = HierarchyStats::new();
         stats.tag_overhead_bits = Self::tag_overhead_bits(&cfg);
         CppHierarchy {
-            l1: CppLevel::new(cfg.l1, cfg.affiliation_mask),
-            l2: CppLevel::new(cfg.l2, cfg.affiliation_mask),
+            l1: CppLevel::new(cfg.l1),
+            l2: CppLevel::new(cfg.l2),
             mem: MainMemory::new(),
             stats,
             cfg,
@@ -178,16 +174,10 @@ impl<S: CompressionScheme> CppHierarchy<S> {
         &mut self.l2
     }
 
-    /// Verifies all structural invariants of both levels (strict value
-    /// agreement at L1, which observes every store; structural-only at L2,
-    /// whose flags describe the line as of its last fill/write-back).
+    /// Verifies the §3.3 invariants of both levels through
+    /// [`InvariantChecker`], returning the first violation.
     pub fn check_invariants(&self) -> ccp_errors::SimResult<()> {
-        self.l1
-            .check_invariants(&self.mem, true)
-            .map_err(|e| e.in_context("L1"))?;
-        self.l2
-            .check_invariants(&self.mem, false)
-            .map_err(|e| e.in_context("L2"))
+        InvariantChecker::assert_clean(self)
     }
 
     /// Bus cost in half-words of transferring the masked words of the line
@@ -531,7 +521,7 @@ impl<S: CompressionScheme> CppHierarchy<S> {
             };
         }
 
-        // 2. Affiliated location probe (set index XOR mask).
+        // 2. Affiliated location probe (line number XOR 1).
         if let Some(aidx) = self.l1.lookup_affiliated(addr) {
             if self.l1.flags(aidx).aa & bit != 0 {
                 self.stats.l1.affiliated_hits += 1;

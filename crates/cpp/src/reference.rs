@@ -132,8 +132,8 @@ impl RefGeometry {
         (tag * self.num_sets + set) * self.line_bytes
     }
 
-    fn affiliated_line_base(&self, addr: Addr, mask: u32) -> Addr {
-        (self.line_number(addr) ^ mask) * self.line_bytes
+    fn affiliated_line_base(&self, addr: Addr) -> Addr {
+        (self.line_number(addr) ^ 1) * self.line_bytes
     }
 }
 
@@ -211,17 +211,15 @@ struct RefVictim {
 #[derive(Debug, Clone)]
 struct RefLevel {
     geom: RefGeometry,
-    mask: u32,
     lines: Vec<RefLine>,
     clock: u64,
 }
 
 impl RefLevel {
-    fn new(geom: &ccp_cache::geometry::CacheGeometry, mask: u32) -> Self {
+    fn new(geom: &ccp_cache::geometry::CacheGeometry) -> Self {
         let g = RefGeometry::new(geom);
         RefLevel {
             geom: g,
-            mask,
             lines: (0..g.num_sets * g.assoc)
                 .map(|_| RefLine {
                     valid: false,
@@ -240,7 +238,7 @@ impl RefLevel {
     }
 
     fn pair_base(&self, addr: Addr) -> Addr {
-        self.geom.affiliated_line_base(addr, self.mask)
+        self.geom.affiliated_line_base(addr)
     }
 
     fn idx(&self, set: u32, way: u32) -> usize {
@@ -427,14 +425,13 @@ impl RefCppHierarchy {
     /// Same construction constraints as [`crate::CppHierarchy::new`].
     pub fn new(cfg: HierarchyConfig) -> Self {
         assert_eq!(cfg.design, DesignKind::Cpp, "reference implements CPP");
-        assert_eq!(cfg.affiliation_mask, 1, "consecutive-line affiliation");
         assert_eq!(cfg.l2.line_bytes(), 2 * cfg.l1.line_bytes());
         assert!(cfg.l1.line_words() <= 16 && cfg.l2.line_words() <= 32);
         let mut stats = HierarchyStats::new();
         stats.tag_overhead_bits = Self::tag_overhead_bits(&cfg);
         RefCppHierarchy {
-            l1: RefLevel::new(&cfg.l1, cfg.affiliation_mask),
-            l2: RefLevel::new(&cfg.l2, cfg.affiliation_mask),
+            l1: RefLevel::new(&cfg.l1),
+            l2: RefLevel::new(&cfg.l2),
             mem: MainMemory::new(),
             shadow: ShadowMemory::default(),
             shadow_stale: false,

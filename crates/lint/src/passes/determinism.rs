@@ -1,7 +1,8 @@
 //! R10 — `deterministic-core-transitive`.
 //!
 //! The deterministic cores (`compress`, `cache`, `cpp`, `schemes`,
-//! `sim`) promise seeded, byte-identical replay: a resumed sweep must
+//! `sim`, and the layers they replay through: `workgen`, `trace`,
+//! `pipeline`, `mem`) promise seeded, byte-identical replay: a resumed sweep must
 //! equal an uninterrupted one, and every proptest failure must replay
 //! from its seed. R5 guards this textually (no `Instant::now` *written
 //! in* a core file); this pass guards it transitively: no *path* from
@@ -27,6 +28,10 @@ const CORE_PREFIXES: &[&str] = &[
     "crates/cpp/src/",
     "crates/schemes/src/",
     "crates/sim/src/",
+    "crates/workgen/src/",
+    "crates/trace/src/",
+    "crates/pipeline/src/",
+    "crates/mem/src/",
 ];
 
 /// The transitive determinism pass. See the module docs.
@@ -75,7 +80,8 @@ impl Pass for DeterministicCoreTransitive {
     }
     fn describe(&self) -> &'static str {
         "no call path from the deterministic cores' public API \
-         (compress/cache/cpp/schemes/sim) to wall-clock, entropy RNG, or hash-order \
+         (compress/cache/cpp/schemes/sim/workgen/trace/pipeline/mem) to wall-clock, \
+         entropy RNG, or hash-order \
          nondeterminism"
     }
 

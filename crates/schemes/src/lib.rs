@@ -43,7 +43,7 @@
 
 pub mod swar;
 
-use ccp_compress::{Addr, LaneDispatch, Word, WORD_BYTES};
+use ccp_compress::{Addr, Word, WORD_BYTES};
 
 /// Number of bits in the compressed half-word every scheme targets.
 pub const HALF_BITS: u32 = 16;
@@ -278,10 +278,7 @@ impl CompressionScheme for BdiScheme {
 
     #[inline]
     fn line_mask(words: &[Word], base_addr: Addr) -> u32 {
-        match ccp_compress::line_dispatch() {
-            LaneDispatch::Swar => swar::bdi_line_mask_swar(words, base_addr),
-            LaneDispatch::Scalar => swar::scalar_line_mask::<Self>(words, base_addr),
-        }
+        swar::bdi_line_mask_swar(words, base_addr)
     }
 
     #[inline]
@@ -370,10 +367,7 @@ impl CompressionScheme for FpcScheme {
 
     #[inline]
     fn line_mask(words: &[Word], base_addr: Addr) -> u32 {
-        match ccp_compress::line_dispatch() {
-            LaneDispatch::Swar => swar::fpc_line_mask_swar(words, base_addr),
-            LaneDispatch::Scalar => swar::scalar_line_mask::<Self>(words, base_addr),
-        }
+        swar::fpc_line_mask_swar(words, base_addr)
     }
 
     #[inline]

@@ -22,8 +22,7 @@ use ccp_compress::swar::{lane_nonzero, lane_sub, pack2, LANE_TOP};
 use ccp_compress::Addr;
 
 /// Per-word scalar line scan over any scheme — the default-method loop,
-/// factored out so packed overrides can fall back to the same oracle the
-/// proptests compare against.
+/// kept as the oracle the proptests compare the packed overrides against.
 #[inline]
 pub fn scalar_line_mask<S: CompressionScheme>(words: &[Word], base_addr: Addr) -> u32 {
     debug_assert!(words.len() <= 32, "flag masks hold at most 32 words");

@@ -160,8 +160,7 @@ proptest! {
 // SWAR ≡ scalar equivalence for the per-scheme line kernels: the packed
 // BDI/FPC lane paths must agree bit-for-bit with the per-word trait
 // oracle on arbitrary lines, boundary-biased lines, and every prefix
-// length — and the public `line_mask` must agree with both regardless of
-// the process-wide dispatch knob.
+// length. The public `line_mask` is the packed kernel.
 proptest! {
     /// BDI: packed-lane kernel ≡ per-word scalar oracle.
     #[test]
@@ -223,30 +222,5 @@ proptest! {
             ccp_schemes::swar::fpc_line_mask_swar(&words, base),
             ccp_schemes::swar::scalar_line_mask::<FpcScheme>(&words, base)
         );
-    }
-
-    /// The public `line_mask` answers identically under both dispatch
-    /// settings, for all three schemes (the knob may only change *how*
-    /// the mask is computed, never the mask).
-    #[test]
-    fn line_mask_invariant_under_dispatch(
-        base: u32,
-        words in prop::collection::vec(any::<u32>(), 0..17)
-    ) {
-        use ccp_compress::LaneDispatch;
-        let base = align(base);
-        let prev = ccp_compress::line_dispatch();
-        ccp_compress::set_line_dispatch(LaneDispatch::Swar);
-        let cpp_s = CppScheme::line_mask(&words, base);
-        let bdi_s = BdiScheme::line_mask(&words, base);
-        let fpc_s = FpcScheme::line_mask(&words, base);
-        ccp_compress::set_line_dispatch(LaneDispatch::Scalar);
-        let cpp_p = CppScheme::line_mask(&words, base);
-        let bdi_p = BdiScheme::line_mask(&words, base);
-        let fpc_p = FpcScheme::line_mask(&words, base);
-        ccp_compress::set_line_dispatch(prev);
-        prop_assert_eq!(cpp_s, cpp_p);
-        prop_assert_eq!(bdi_s, bdi_p);
-        prop_assert_eq!(fpc_s, fpc_p);
     }
 }

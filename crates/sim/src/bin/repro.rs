@@ -56,9 +56,8 @@ usage: repro [--budget N] [--seed S] [--threads T] [--benchmarks a,b,..] [--json
        repro difftest [--budget N] [--seed S] [--benchmarks a,b,..]
                       [--render-goldens DIR]
            replay every benchmark through the optimized and reference CPP
-           engines under each {scalar,swar} lane dispatch; exit 1 unless
-           all stats are byte-identical; --render-goldens regenerates the
-           pinned stats fixtures in DIR
+           engines; exit 1 unless all stats are byte-identical;
+           --render-goldens regenerates the pinned stats fixtures in DIR
            (crates/sim/tests/expected_stats) and the pipeline fixtures
            beside it (expected_pipeline) after auditing a change
        repro perf [--budget N] [--seed S] [--benchmarks a,b,..]
@@ -609,8 +608,8 @@ fn compressibility_sweep(c: &Ctx) -> SimResult<Option<Json>> {
     )))
 }
 
-/// `difftest`: optimized vs reference CPP engine under each lane
-/// dispatch; with `--render-goldens DIR`, rewrites the pinned fixtures.
+/// `difftest`: optimized vs reference CPP engine; with
+/// `--render-goldens DIR`, rewrites the pinned fixtures.
 fn difftest(c: &Ctx) -> SimResult<Option<Json>> {
     if let Some(dir) = c.args.value("--render-goldens") {
         for p in ccp_sim::difftest::render_goldens(Path::new(dir))? {
@@ -619,7 +618,7 @@ fn difftest(c: &Ctx) -> SimResult<Option<Json>> {
         return Ok(None);
     }
     eprintln!(
-        "running differential conformance: {} benchmarks x 2 engines x {{scalar,swar}}, {} instructions each...",
+        "running differential conformance: {} benchmarks x 2 engines, {} instructions each...",
         c.benchmarks.len(),
         c.args.budget
     );
@@ -658,8 +657,7 @@ fn perf(c: &Ctx) -> SimResult<Option<Json>> {
     let report = ccp_sim::perf::run_perf(&c.benchmarks, c.args.budget, c.args.seed);
     println!("{}", ccp_sim::perf::render_perf(&report));
     let out = PathBuf::from(c.args.value("--out").unwrap_or("BENCH_core.json"));
-    let entry =
-        ccp_sim::perf::perf_entry_json(&report, &git_rev(), ccp_compress::line_dispatch().name());
+    let entry = ccp_sim::perf::perf_entry_json(&report, &git_rev());
     let existing = std::fs::read_to_string(&out).ok();
     write_atomic(
         &out,

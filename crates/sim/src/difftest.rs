@@ -18,15 +18,11 @@
 use crate::fastsim::{run_functional, FastStats};
 use crate::json::{counters_to_json, Json};
 use ccp_cache::stats::HierarchyStats;
-use ccp_compress::LaneDispatch;
 use ccp_cpp::{CppHierarchy, RefCppHierarchy};
 use ccp_errors::{SimError, SimResult};
 use ccp_schemes::SchemeKind;
 use ccp_trace::{all_benchmarks, benchmark_by_name, Benchmark};
 use std::path::{Path, PathBuf};
-
-/// Lane-dispatch settings the matrix difftest sweeps.
-pub const MATRIX_DISPATCHES: [LaneDispatch; 2] = [LaneDispatch::Scalar, LaneDispatch::Swar];
 
 /// Result of replaying one benchmark through both engines.
 #[derive(Debug, Clone)]
@@ -88,8 +84,9 @@ fn compare(benchmark: String, o: FastStats, reference: HierarchyStats) -> DiffOu
     }
 }
 
-/// Replays `bench` through both engines at the process's current lane
-/// dispatch and compares their statistics.
+/// Replays `bench` through both engines and compares their statistics.
+/// The reference engine classifies word by word, so this also checks the
+/// optimized engine's packed line kernel over the whole trace.
 pub fn diff_benchmark(bench: &Benchmark, budget: usize, seed: u64) -> DiffOutcome {
     let trace = bench.trace(budget, seed);
     let mut opt = CppHierarchy::paper();
@@ -99,32 +96,8 @@ pub fn diff_benchmark(bench: &Benchmark, budget: usize, seed: u64) -> DiffOutcom
     compare(bench.full_name(), o, r.hierarchy)
 }
 
-/// Replays `bench` through the reference engine once, then through the
-/// optimized engine under every lane dispatch of the equivalence matrix,
-/// comparing each cell's statistics against the reference.
-pub fn diff_benchmark_matrix(bench: &Benchmark, budget: usize, seed: u64) -> Vec<DiffOutcome> {
-    let trace = bench.trace(budget, seed);
-    let mut rf = RefCppHierarchy::paper();
-    let r = run_functional(&trace, &mut rf, 0);
-
-    let prev = ccp_compress::line_dispatch();
-    let outcomes = MATRIX_DISPATCHES
-        .iter()
-        .map(|&dispatch| {
-            ccp_compress::set_line_dispatch(dispatch);
-            let mut opt = CppHierarchy::paper();
-            let o = run_functional(&trace, &mut opt, 0);
-            let label = format!("{} [{}]", bench.full_name(), dispatch.name());
-            compare(label, o, r.hierarchy)
-        })
-        .collect();
-    ccp_compress::set_line_dispatch(prev);
-    outcomes
-}
-
 /// Runs the differential suite over `benchmarks` (all 14 when empty):
-/// every benchmark × {scalar, SWAR} lane dispatch against the reference
-/// engine.
+/// every benchmark against the reference engine.
 pub fn run_difftest(benchmarks: &[Benchmark], budget: usize, seed: u64) -> Vec<DiffOutcome> {
     let all;
     let benches = if benchmarks.is_empty() {
@@ -135,7 +108,7 @@ pub fn run_difftest(benchmarks: &[Benchmark], budget: usize, seed: u64) -> Vec<D
     };
     benches
         .iter()
-        .flat_map(|b| diff_benchmark_matrix(b, budget, seed))
+        .map(|b| diff_benchmark(b, budget, seed))
         .collect()
 }
 
@@ -163,25 +136,10 @@ pub fn golden_stats_doc(bench: &Benchmark) -> String {
 /// parameters so a fixture can never be silently compared at the wrong
 /// budget or scheme.
 pub fn golden_stats_doc_scheme(bench: &Benchmark, scheme: SchemeKind) -> String {
-    golden_stats_doc_scheme_at(bench, scheme, ccp_compress::line_dispatch())
-}
-
-/// [`golden_stats_doc_scheme`] at an explicit lane dispatch. The fixture
-/// files are rendered once and must be reproduced byte-for-byte under
-/// **every** dispatch — the golden sweep in `tests/golden_stats.rs`
-/// checks each against the same pinned file.
-pub fn golden_stats_doc_scheme_at(
-    bench: &Benchmark,
-    scheme: SchemeKind,
-    dispatch: LaneDispatch,
-) -> String {
     let trace = bench.trace(GOLDEN_BUDGET, GOLDEN_SEED);
     let cfg = ccp_cache::HierarchyConfig::paper(ccp_cache::DesignKind::Cpp);
-    let prev = ccp_compress::line_dispatch();
-    ccp_compress::set_line_dispatch(dispatch);
     let mut cache = crate::build_design_scheme(cfg, scheme);
     let s = run_functional(&trace, cache.as_mut(), 0);
-    ccp_compress::set_line_dispatch(prev);
     Json::obj([
         ("benchmark", Json::from(bench.full_name())),
         ("scheme", Json::from(scheme.name())),
@@ -264,10 +222,7 @@ mod tests {
     #[test]
     fn all_benchmarks_difftest_identical() {
         let outcomes = run_difftest(&[], 40_000, 1);
-        assert_eq!(
-            outcomes.len(),
-            all_benchmarks().len() * MATRIX_DISPATCHES.len()
-        );
+        assert_eq!(outcomes.len(), all_benchmarks().len());
         for o in &outcomes {
             assert!(
                 o.matches(),
@@ -284,22 +239,6 @@ mod tests {
         let b = all_benchmarks();
         let o = diff_benchmark(&b[0], 20_000, 7);
         assert!(o.matches(), "{:?}", o.divergences);
-    }
-
-    /// The matrix gate: one benchmark, every lane-dispatch cell.
-    #[test]
-    fn matrix_cells_all_match_reference() {
-        let b = all_benchmarks();
-        let outcomes = diff_benchmark_matrix(&b[0], 20_000, 1);
-        assert_eq!(outcomes.len(), MATRIX_DISPATCHES.len());
-        for o in &outcomes {
-            assert!(
-                o.matches(),
-                "{} diverged:\n{}",
-                o.benchmark,
-                o.divergences.join("\n")
-            );
-        }
     }
 
     #[test]

@@ -217,15 +217,14 @@ pub fn perf_json(report: &PerfReport) -> Json {
 }
 
 /// One `BENCH_core.json` trajectory entry: the classic snapshot document
-/// plus run provenance (git revision, lane dispatch, and the host's
-/// available parallelism as `nproc`).
-pub fn perf_entry_json(report: &PerfReport, git_rev: &str, dispatch: &str) -> Json {
+/// plus run provenance (git revision and the host's available
+/// parallelism as `nproc`).
+pub fn perf_entry_json(report: &PerfReport, git_rev: &str) -> Json {
     let Json::Obj(mut map) = perf_json(report) else {
         unreachable!("perf_json renders an object");
     };
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     map.insert("git_rev".to_string(), Json::from(git_rev.to_string()));
-    map.insert("dispatch".to_string(), Json::from(dispatch.to_string()));
     map.insert("nproc".to_string(), Json::from(nproc as u64));
     Json::Obj(map)
 }
@@ -361,13 +360,13 @@ mod tests {
 
     #[test]
     fn trajectory_starts_fresh_and_grows() {
-        let e1 = perf_entry_json(&tiny_report(), "abc1234", "swar");
+        let e1 = perf_entry_json(&tiny_report(), "abc1234");
         let doc1 = append_trajectory(None, e1);
         let text1 = doc1.to_string();
         assert!(text1.contains("core_hotpath_trajectory"));
         assert!((newest_geomean(&doc1).expect("geomean") - 3.0).abs() < 1e-9);
 
-        let e2 = perf_entry_json(&tiny_report(), "def5678", "scalar");
+        let e2 = perf_entry_json(&tiny_report(), "def5678");
         let doc2 = append_trajectory(Some(&text1), e2);
         let Some(Json::Arr(entries)) = doc2.get("entries") else {
             panic!("entries array");
@@ -380,6 +379,7 @@ mod tests {
         let nproc = entries[1].get("nproc").and_then(Json::as_u64);
         assert!(nproc >= Some(1), "entries record the host's core count");
         assert!(entries[1].get("threads").is_none());
+        assert!(entries[1].get("dispatch").is_none());
     }
 
     #[test]
@@ -387,7 +387,7 @@ mod tests {
         // The pre-trajectory BENCH_core.json was a bare snapshot document;
         // appending must preserve it as the first entry, tagged.
         let legacy = perf_json(&tiny_report()).to_string();
-        let entry = perf_entry_json(&tiny_report(), "abc1234", "swar");
+        let entry = perf_entry_json(&tiny_report(), "abc1234");
         let doc = append_trajectory(Some(&legacy), entry);
         let Some(Json::Arr(entries)) = doc.get("entries") else {
             panic!("entries array");
@@ -410,7 +410,7 @@ mod tests {
 
     #[test]
     fn trajectory_replaces_unreadable_content() {
-        let entry = perf_entry_json(&tiny_report(), "abc1234", "swar");
+        let entry = perf_entry_json(&tiny_report(), "abc1234");
         let doc = append_trajectory(Some("not json {"), entry);
         let Some(Json::Arr(entries)) = doc.get("entries") else {
             panic!("entries array");

@@ -39,42 +39,6 @@ fn golden_stats_match_pinned_fixtures() {
     }
 }
 
-/// Every lane dispatch must reproduce the *same* pinned fixture
-/// byte-for-byte: the SWAR kernels are only shippable because they change
-/// nothing observable. CPP is swept over every dispatch for all three
-/// golden benchmarks; BDI/FPC (whose fixtures the test above already pins
-/// at the default dispatch) get a scalar cross-check.
-#[test]
-fn golden_stats_invariant_across_dispatch() {
-    use ccp_compress::LaneDispatch;
-    use ccp_sim::difftest::{golden_stats_doc_scheme_at, MATRIX_DISPATCHES};
-    for name in GOLDEN_BENCHMARKS {
-        let bench = benchmark_by_name(name).expect("golden benchmark registered");
-        let pinned = std::fs::read_to_string(fixture_path(name, SchemeKind::Cpp))
-            .expect("pinned CPP fixture");
-        for dispatch in MATRIX_DISPATCHES {
-            let fresh = golden_stats_doc_scheme_at(&bench, SchemeKind::Cpp, dispatch);
-            assert_eq!(
-                pinned.trim_end(),
-                fresh,
-                "{name}/CPP drifted at {}",
-                dispatch.name()
-            );
-        }
-        for scheme in [SchemeKind::Bdi, SchemeKind::Fpc] {
-            let pinned =
-                std::fs::read_to_string(fixture_path(name, scheme)).expect("pinned scheme fixture");
-            let fresh = golden_stats_doc_scheme_at(&bench, scheme, LaneDispatch::Scalar);
-            assert_eq!(
-                pinned.trim_end(),
-                fresh,
-                "{name}/{} drifted at scalar",
-                scheme.name()
-            );
-        }
-    }
-}
-
 #[test]
 fn golden_fixtures_are_valid_json_with_expected_fields() {
     for name in GOLDEN_BENCHMARKS {
