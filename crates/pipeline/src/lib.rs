@@ -924,6 +924,67 @@ mod tests {
         );
     }
 
+    /// `n` integer ops of latency 0 (the `.ccpt` decoder accepts them),
+    /// each depending on the one before, looping over one I-cache block.
+    fn zero_latency_chain(n: u32) -> ccp_trace::Trace {
+        ccp_trace::Trace {
+            name: "zero-latency chain".into(),
+            initial_mem: ccp_mem::MainMemory::new(),
+            insts: (0..n)
+                .map(|i| Inst {
+                    op: Op::IAlu { lat: 0 },
+                    pc: 0x0040_0000 + 4 * (i % 16),
+                    dep1: i,
+                    dep2: 0,
+                })
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn zero_latency_producer_wakes_its_consumer_in_the_same_cycle() {
+        // A zero-latency result is ready the cycle its producer issues, so
+        // after the one cold I-miss the chain issues 4 per cycle, as fast
+        // as it is fetched. Waking each consumer a cycle late would take
+        // 113 cycles instead.
+        let t = zero_latency_chain(100);
+        let s = run_source(&t, &mut bc(), &PipelineConfig::paper());
+        assert_eq!(s.instructions, 100);
+        assert_eq!(s.cycles, 38);
+    }
+
+    #[test]
+    fn odd_queue_sizes_keep_exact_cycles() {
+        // Queue sizes that are not powers of two wrap the in-flight
+        // buffers at every occupancy.
+        let mut cfg = PipelineConfig::paper();
+        cfg.ruu_size = 3;
+        cfg.ifq_size = 5;
+        cfg.lsq_size = 2;
+        let chain = run_source(&zero_latency_chain(100), &mut bc(), &cfg);
+        assert_eq!(chain.cycles, 80);
+
+        // Same-word stores and loads, so the LSQ search runs across the
+        // wrap point too.
+        let mut ctx = ProgramCtx::new("t");
+        let head = ctx.label();
+        let mut d = H::NONE;
+        for i in 0..200u32 {
+            ctx.at(head);
+            d = ctx.alu(d, H::NONE);
+            let addr = 0x8000 + (i % 3) * 4;
+            ctx.store(addr, i, H::NONE, d);
+            d = ctx.load(addr, H::NONE).0;
+            ctx.branch(i % 5 == 0, d);
+        }
+        let s = run_source(&ctx.finish(), &mut bc(), &cfg);
+        assert_eq!(s.instructions, 800);
+        assert_eq!(
+            (s.cycles, s.forwarded_loads, s.branch_mispredicts),
+            (860, 42, 41)
+        );
+    }
+
     #[test]
     fn all_benchmarks_run_to_completion_on_all_designs() {
         use ccp_cpp::CppHierarchy;
