@@ -148,6 +148,12 @@ if [ -f BENCH_core.json ]; then
     [ "$rows" -ge 2 ] || {
         echo "perf run did not append to the existing trajectory (rows=$rows)"; exit 1; }
 fi
+# The appended row times the pipeline layer too: exactly one more entry
+# carries the pipeline throughput than the committed trajectory does.
+before=$( (grep -o '"pipeline_minst_s":' BENCH_core.json 2>/dev/null || true) | wc -l)
+after=$(grep -o '"pipeline_minst_s":' "$SCRATCH/BENCH_core.json" | wc -l)
+[ "$after" -eq $((before + 1)) ] || {
+    echo "appended perf row lacks pipeline_minst_s ($before -> $after)"; exit 1; }
 
 echo "== compare-schemes smoke: scheme axis reports and stays cache-distinct"
 # Tiny grid, two schemes: the study must write its report and prove the

@@ -10,6 +10,10 @@
 //! difftest guarantees the two engines are observably identical, so the
 //! comparison is apples to apples.
 //!
+//! Beside the replay, each benchmark also times one out-of-order pipeline
+//! run ([`run_source`] under CPP at paper latencies), the layer `repro all`
+//! spends its time in, so the trajectory shows pipeline speedups too.
+//!
 //! Results are written to `BENCH_core.json` (atomic temp-then-rename) so
 //! the committed snapshot regenerates with one command; see DESIGN.md §10.
 //!
@@ -21,6 +25,7 @@ use crate::fastsim::run_functional;
 use crate::json::Json;
 use ccp_cache::CacheSim;
 use ccp_cpp::{CppHierarchy, RefCppHierarchy};
+use ccp_pipeline::{run_source, PipelineConfig};
 use ccp_trace::{all_benchmarks, Benchmark, Trace};
 use std::time::Instant;
 
@@ -40,6 +45,10 @@ pub struct PerfRow {
     pub optimized_secs: f64,
     /// Reference-engine wall time in seconds.
     pub reference_secs: f64,
+    /// Instructions in the trace (what the pipeline run commits).
+    pub instructions: u64,
+    /// Out-of-order pipeline wall time in seconds.
+    pub pipeline_secs: f64,
 }
 
 impl PerfRow {
@@ -84,6 +93,18 @@ impl PerfReport {
         (log_sum / self.rows.len() as f64).exp()
     }
 
+    /// Pipeline throughput over every row in million committed
+    /// instructions per second (total instructions over total time).
+    pub fn pipeline_minst_s(&self) -> f64 {
+        let insts: u64 = self.rows.iter().map(|r| r.instructions).sum();
+        let secs: f64 = self.rows.iter().map(|r| r.pipeline_secs).sum();
+        if secs > 0.0 {
+            insts as f64 / secs / 1.0e6
+        } else {
+            f64::INFINITY
+        }
+    }
+
     /// Aggregate speedup: total reference time over total optimized time.
     pub fn total_speedup(&self) -> f64 {
         let opt: f64 = self.rows.iter().map(|r| r.optimized_secs).sum();
@@ -103,8 +124,17 @@ fn time_replay(trace: &Trace, cache: &mut dyn CacheSim) -> (f64, u64) {
     (t0.elapsed().as_secs_f64(), s.mem_ops)
 }
 
-/// Times one benchmark on both engines. The trace is generated once and
-/// shared; each engine gets an untimed warm-up run (page tables, branch
+fn time_pipeline(trace: &Trace) -> f64 {
+    let mut cache = CppHierarchy::paper();
+    // ccp-lint: allow(deterministic-core-transitive) — wall-clock here measures host throughput for the perf report; the duration is output-only and never feeds simulated state
+    let t0 = Instant::now();
+    run_source(trace, &mut cache, &PipelineConfig::paper());
+    t0.elapsed().as_secs_f64()
+}
+
+/// Times one benchmark on both engines and through the pipeline. The
+/// trace is generated once and shared; the optimized engine and the
+/// pipeline each get an untimed warm-up run (page tables, branch
 /// predictors, frequency scaling) followed by the timed run.
 pub fn perf_benchmark(bench: &Benchmark, budget: usize, seed: u64) -> PerfRow {
     let trace = bench.trace(budget, seed);
@@ -113,12 +143,16 @@ pub fn perf_benchmark(bench: &Benchmark, budget: usize, seed: u64) -> PerfRow {
     let (optimized_secs, mem_ops) = time_replay(&trace, &mut opt);
     let mut rf = RefCppHierarchy::paper();
     let (reference_secs, _) = time_replay(&trace, &mut rf);
+    time_pipeline(&trace); // warm-up, untimed
+    let pipeline_secs = time_pipeline(&trace);
     PerfRow {
         benchmark: bench.full_name(),
         scheme: ccp_schemes::SchemeKind::Cpp.name().to_string(),
         mem_ops,
         optimized_secs,
         reference_secs,
+        instructions: trace.len() as u64,
+        pipeline_secs,
     }
 }
 
@@ -163,24 +197,26 @@ pub fn conformance_spot_check(benchmarks: &[Benchmark], budget: usize, seed: u64
 pub fn render_perf(report: &PerfReport) -> String {
     let mut s = format!(
         "core hot-path benchmark (budget {} insts, seed {})\n\
-         benchmark              mem_ops   optimized    reference    speedup   Mops/s\n",
+         benchmark              mem_ops   optimized    reference    speedup   Mops/s    pipeline\n",
         report.budget, report.seed
     );
     for r in &report.rows {
         s.push_str(&format!(
-            "{:<20} {:>10}   {:>8.2} ms  {:>8.2} ms  {:>6.2}x  {:>7.2}\n",
+            "{:<20} {:>10}   {:>8.2} ms  {:>8.2} ms  {:>6.2}x  {:>7.2}  {:>8.2} ms\n",
             r.benchmark,
             r.mem_ops,
             r.optimized_secs * 1e3,
             r.reference_secs * 1e3,
             r.speedup(),
             r.optimized_mops(),
+            r.pipeline_secs * 1e3,
         ));
     }
     s.push_str(&format!(
-        "geomean speedup {:.2}x, aggregate {:.2}x\n",
+        "geomean speedup {:.2}x, aggregate {:.2}x; pipeline (CPP) {:.2} Minst/s\n",
         report.geomean_speedup(),
-        report.total_speedup()
+        report.total_speedup(),
+        report.pipeline_minst_s()
     ));
     s
 }
@@ -206,6 +242,8 @@ pub fn perf_json(report: &PerfReport) -> Json {
                             ("reference_secs", Json::from(r.reference_secs)),
                             ("speedup", Json::from(r.speedup())),
                             ("optimized_mops", Json::from(r.optimized_mops())),
+                            ("instructions", Json::from(r.instructions)),
+                            ("pipeline_secs", Json::from(r.pipeline_secs)),
                         ])
                     })
                     .collect(),
@@ -213,6 +251,7 @@ pub fn perf_json(report: &PerfReport) -> Json {
         ),
         ("geomean_speedup", Json::from(report.geomean_speedup())),
         ("total_speedup", Json::from(report.total_speedup())),
+        ("pipeline_minst_s", Json::from(report.pipeline_minst_s())),
     ])
 }
 
@@ -295,6 +334,8 @@ mod tests {
             mem_ops: 2_000_000,
             optimized_secs: 0.5,
             reference_secs: 2.0,
+            instructions: 0,
+            pipeline_secs: 0.0,
         };
         assert!((r.speedup() - 4.0).abs() < 1e-12);
         assert!((r.optimized_mops() - 4.0).abs() < 1e-12);
@@ -310,6 +351,8 @@ mod tests {
                     mem_ops: 1,
                     optimized_secs: 1.0,
                     reference_secs: 2.0,
+                    instructions: 3_000_000,
+                    pipeline_secs: 1.0,
                 },
                 PerfRow {
                     benchmark: "b".into(),
@@ -317,6 +360,8 @@ mod tests {
                     mem_ops: 1,
                     optimized_secs: 1.0,
                     reference_secs: 8.0,
+                    instructions: 1_000_000,
+                    pipeline_secs: 1.0,
                 },
             ],
             budget: 0,
@@ -324,6 +369,7 @@ mod tests {
         };
         assert!((report.geomean_speedup() - 4.0).abs() < 1e-9);
         assert!((report.total_speedup() - 5.0).abs() < 1e-9);
+        assert!((report.pipeline_minst_s() - 2.0).abs() < 1e-9);
     }
 
     #[test]
@@ -336,8 +382,11 @@ mod tests {
         let r = &report.rows[0];
         assert!(r.mem_ops > 0);
         assert!(r.optimized_secs >= 0.0 && r.reference_secs >= 0.0);
+        assert!(r.instructions >= 5_000, "the trace fills the budget");
+        assert!(r.pipeline_secs > 0.0, "the pipeline run is timed");
         let doc = perf_json(&report).to_string();
         assert!(doc.contains("core_hotpath") && doc.contains("geomean_speedup"));
+        assert!(doc.contains("\"pipeline_secs\":") && doc.contains("\"pipeline_minst_s\":"));
         assert!(
             doc.contains("\"scheme\":\"CPP\""),
             "rows carry the scheme tag"
@@ -352,6 +401,8 @@ mod tests {
                 mem_ops: 1,
                 optimized_secs: 1.0,
                 reference_secs: 3.0,
+                instructions: 1,
+                pipeline_secs: 1.0,
             }],
             budget: 100,
             seed: 1,
