@@ -293,6 +293,17 @@ impl Pipeline {
         stream: I,
         cache: &mut dyn CacheSim,
     ) -> RunStats {
+        self.run_cycles::<true, I>(stream, cache)
+    }
+
+    /// The cycle loop behind [`Pipeline::run_stream`]. `SKIP_IDLE = false`
+    /// steps through every idle cycle instead of jumping over them — the
+    /// oracle the tests hold the event-driven run to.
+    fn run_cycles<const SKIP_IDLE: bool, I: IntoIterator<Item = Inst>>(
+        &mut self,
+        stream: I,
+        cache: &mut dyn CacheSim,
+    ) -> RunStats {
         let mut stream = stream.into_iter();
         let cfg = self.cfg;
         let l1_hit_lat = cache.latencies().l1_hit;
@@ -592,7 +603,7 @@ impl Pipeline {
             // A cycle in which no stage moved leaves every time test above
             // answering the same until the earliest pending threshold, so
             // the cycles before it are credited in bulk (DESIGN.md §4).
-            if committed == 0 && issued == 0 && dispatched == 0 && fetched == 0 {
+            if SKIP_IDLE && committed == 0 && issued == 0 && dispatched == 0 && fetched == 0 {
                 // IFQ entries are available the cycle after their fetch,
                 // and this cycle fetched nothing.
                 debug_assert!(ifq.front().is_none_or(|&(_, avail)| avail <= now));
@@ -666,10 +677,17 @@ fn operands_ready_at(ruu: &mut VecDeque<RuuEntry>, i: usize, ruu_base: u64) -> u
 }
 
 #[cfg(test)]
+#[path = "../tests/strategies/mod.rs"]
+mod strategies;
+
+#[cfg(test)]
 mod tests {
+    use super::strategies::{config_strategy, dataflow_trace_strategy};
     use super::*;
-    use ccp_cache::{CacheSim, DesignKind, TwoLevelCache};
+    use ccp_cache::{BcpHierarchy, CacheSim, DesignKind, TwoLevelCache};
+    use ccp_cpp::CppHierarchy;
     use ccp_trace::{ProgramCtx, H};
+    use proptest::prelude::*;
 
     fn bc() -> TwoLevelCache {
         TwoLevelCache::paper(DesignKind::Bc)
@@ -985,15 +1003,46 @@ mod tests {
         );
     }
 
+    /// [`run_source`] stepping through every cycle.
+    fn run_source_stepped(
+        source: &dyn TraceSource,
+        cache: &mut dyn CacheSim,
+        cfg: &PipelineConfig,
+    ) -> RunStats {
+        *cache.mem_mut() = source.initial_mem();
+        Pipeline::new(*cfg).run_cycles::<false, _>(source.stream(), cache)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Jumping over idle cycles changes no counter: on any machine,
+        /// program (zero-latency ops included) and design, the event-driven
+        /// run and the one that steps every cycle report the same stats.
+        #[test]
+        fn event_skip_is_invisible(trace in dataflow_trace_strategy(), cfg in config_strategy()) {
+            let designs: [fn() -> Box<dyn CacheSim>; 4] = [
+                || Box::new(TwoLevelCache::paper(DesignKind::Bc)),
+                || Box::new(TwoLevelCache::paper(DesignKind::Hac)),
+                || Box::new(BcpHierarchy::paper()),
+                || Box::new(CppHierarchy::paper()),
+            ];
+            for design in designs {
+                let skipped = run_source(&trace, design().as_mut(), &cfg);
+                let stepped = run_source_stepped(&trace, design().as_mut(), &cfg);
+                prop_assert_eq!(format!("{skipped:?}"), format!("{stepped:?}"));
+            }
+        }
+    }
+
     #[test]
     fn all_benchmarks_run_to_completion_on_all_designs() {
-        use ccp_cpp::CppHierarchy;
         let cfg = PipelineConfig::paper();
         for b in ccp_trace::all_benchmarks() {
             let t = b.trace(3000, 5);
             let designs: Vec<Box<dyn CacheSim>> = vec![
                 Box::new(TwoLevelCache::paper(DesignKind::Bc)),
-                Box::new(ccp_cache::BcpHierarchy::paper()),
+                Box::new(BcpHierarchy::paper()),
                 Box::new(CppHierarchy::paper()),
             ];
             for mut d in designs {

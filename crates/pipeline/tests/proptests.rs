@@ -7,6 +7,9 @@ use ccp_pipeline::{run_source, PipelineConfig, PredictorKind};
 use ccp_trace::{ProgramCtx, Trace, H};
 use proptest::prelude::*;
 
+mod strategies;
+use strategies::{config_strategy, dataflow_trace_strategy};
+
 /// A random but well-formed straight-line-with-loops program.
 fn trace_strategy() -> impl Strategy<Value = Trace> {
     let step = prop_oneof![
@@ -42,47 +45,6 @@ fn bc() -> TwoLevelCache {
     TwoLevelCache::paper(DesignKind::Bc)
 }
 
-/// A random small machine: every width, queue and unit count at least one.
-fn config_strategy() -> impl Strategy<Value = PipelineConfig> {
-    (
-        (1u32..=4, 1u32..=4, 1u32..=4, 1u32..=4),
-        (1usize..=8, 1usize..=16, 1usize..=8, 1usize..=8),
-        (1u32..=4, 1u32..=2, 1u32..=4, 1u32..=2, 1u32..=2),
-        (0u32..=20, any::<bool>()),
-    )
-        .prop_map(
-            |(
-                (fw, dw, iw, cw),
-                (ifq, ruu, lsq, mshrs),
-                (ialu, imd, falu, fmd, ports),
-                (pen, gs),
-            )| {
-                PipelineConfig {
-                    fetch_width: fw,
-                    dispatch_width: dw,
-                    issue_width: iw,
-                    commit_width: cw,
-                    ifq_size: ifq,
-                    ruu_size: ruu,
-                    lsq_size: lsq,
-                    n_ialu: ialu,
-                    n_imuldiv: imd,
-                    n_falu: falu,
-                    n_fmuldiv: fmd,
-                    n_memports: ports,
-                    predictor: if gs {
-                        PredictorKind::Gshare
-                    } else {
-                        PredictorKind::Bimod
-                    },
-                    bimod_entries: 2048,
-                    mispredict_penalty: pen,
-                    mshrs,
-                }
-            },
-        )
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -109,11 +71,12 @@ proptest! {
         prop_assert_eq!(s.loads + s.stores, trace.mix().loads + trace.mix().stores);
     }
 
-    /// The cycle accounting holds on any machine, not only the paper's:
-    /// the CPI stack covers every cycle, outstanding-miss cycles are a
-    /// subset of all cycles, and the ready queue never outgrows the window.
+    /// The cycle accounting holds on any machine and program, not only the
+    /// paper's: the CPI stack covers every cycle, outstanding-miss cycles
+    /// are a subset of all cycles, and the ready queue never outgrows the
+    /// window.
     #[test]
-    fn accounting_holds_on_any_config(trace in trace_strategy(), cfg in config_strategy(), cpp: bool) {
+    fn accounting_holds_on_any_config(trace in dataflow_trace_strategy(), cfg in config_strategy(), cpp: bool) {
         let mut cache: Box<dyn CacheSim> = if cpp {
             Box::new(ccp_cpp::CppHierarchy::paper())
         } else {
