@@ -227,38 +227,9 @@ pub fn bus_halfwords(value: Word, addr: Addr) -> u64 {
     }
 }
 
-/// Whether `(value, addr)` survives a compress → decompress round trip.
-///
-/// `true` for every incompressible word (nothing is stored compressed) and
-/// for every compressible word whose reconstruction is bit-exact. The
-/// invariant checker applies the same test, through the scheme trait, to
-/// prove the compressed half-slots of a live hierarchy still decode to the
-/// architectural values; it can only return `false` if the compression
-/// scheme itself breaks the bijection.
-#[inline]
-pub fn roundtrips(value: Word, addr: Addr) -> bool {
-    match compress(value, addr) {
-        Some(c) => decompress(c, addr) == value,
-        None => true,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn roundtrips_holds_for_representative_words() {
-        for (v, a) in [
-            (0u32, 0x1000u32),
-            (42, 0x1000),
-            (-42i32 as u32, 0x1000),
-            (0x4000_1234, 0x4000_0040), // same-chunk pointer
-            (0xDEAD_BEEF, 0x1000),      // incompressible: vacuously true
-        ] {
-            assert!(roundtrips(v, a), "{v:#x} @ {a:#x}");
-        }
-    }
 
     #[test]
     fn small_value_bounds_are_compressible() {
