@@ -37,7 +37,7 @@ pub use inorder::run_inorder;
 
 use ccp_cache::{CacheSim, HierarchyStats, HitSource};
 use ccp_trace::{Inst, Op, TraceSource};
-use std::collections::VecDeque;
+use std::ops::{Index, IndexMut};
 
 /// Pipeline configuration (defaults = paper Figure 9).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -246,6 +246,21 @@ struct RuuEntry {
     ready_at: u64,
 }
 
+impl RuuEntry {
+    /// The entry for stream instruction `idx` as it enters the RUU.
+    fn dispatched(idx: u64, inst: Inst) -> Self {
+        RuuEntry {
+            idx,
+            op: inst.op,
+            dep1: inst.dep1,
+            dep2: inst.dep2,
+            issued: false,
+            done: u64::MAX,
+            ready_at: u64::MAX,
+        }
+    }
+}
+
 /// Seeds `cache`'s memory from `source` and runs its stream to completion
 /// — the one out-of-order entry point. A materialized [`ccp_trace::Trace`]
 /// is a source too; for a streaming one, memory use is bounded by the
@@ -310,8 +325,9 @@ impl Pipeline {
 
         // Sliding buffer over the in-flight slice of the stream:
         // `window[0]` is the oldest uncommitted instruction, at stream
-        // index `win_base`.
-        let mut window: VecDeque<Inst> = VecDeque::with_capacity(cfg.ifq_size + cfg.ruu_size + 1);
+        // index `win_base`. It holds the RUU, the IFQ and at most one
+        // instruction waiting to be fetched.
+        let mut window: Ring<Inst> = Ring::new(cfg.ifq_size + cfg.ruu_size + 1, NOP);
         let mut win_base: u64 = 0;
         let mut stream_done = false;
 
@@ -324,10 +340,12 @@ impl Pipeline {
         let mut cur_iblock: u32 = u32::MAX;
 
         // IFQ: (trace idx, available-for-dispatch cycle).
-        let mut ifq: VecDeque<(u64, u64)> = VecDeque::with_capacity(cfg.ifq_size);
+        let mut ifq: Ring<(u64, u64)> = Ring::new(cfg.ifq_size, (0, 0));
 
         // RUU window; the front entry is the oldest in-flight instruction.
-        let mut ruu: VecDeque<RuuEntry> = VecDeque::with_capacity(cfg.ruu_size);
+        let mut ruu: Ring<RuuEntry> = Ring::new(cfg.ruu_size, RuuEntry::dispatched(0, NOP));
+        // RUU positions whose operands are ready this cycle, oldest first.
+        let mut ready: Vec<usize> = Vec::with_capacity(cfg.ruu_size);
         // RUU entries holding a memory op (the LSQ's occupancy).
         let mut lsq_used: usize = 0;
 
@@ -398,20 +416,16 @@ impl Pipeline {
             outstanding.retain(|&c| c > now);
             let ruu_base = ruu.front().map(|e| e.idx).unwrap_or(next_fetch);
 
-            // Ready-queue census before issuing (Figure 15). It resolves
-            // each waiting entry's operand-ready cycle, which the issue
-            // loop then reads back, and finds the earliest pending result.
-            let mut ready_count = 0u64;
-            let mut next_done = u64::MAX;
+            // Ready-queue census before issuing (Figure 15): the one pass
+            // that resolves operand readiness this cycle. It lists the
+            // ready entries for the issue loop.
+            ready.clear();
             for i in 0..ruu.len() {
-                if ruu[i].issued {
-                    if ruu[i].done > now {
-                        next_done = next_done.min(ruu[i].done);
-                    }
-                } else if operands_ready_at(&mut ruu, i, ruu_base) <= now {
-                    ready_count += 1;
+                if !ruu[i].issued && operands_ready_at(&mut ruu, i, ruu_base) <= now {
+                    ready.push(i);
                 }
             }
+            let ready_count = ready.len() as u64;
             if !outstanding.is_empty() {
                 stats.miss_cycles += 1;
                 stats.ready_len_sum += ready_count;
@@ -423,14 +437,34 @@ impl Pipeline {
             let mut fu_fmd = cfg.n_fmuldiv;
             let mut fu_mem = cfg.n_memports;
             let mut issued = 0;
-            for i in 0..ruu.len() {
-                if issued >= cfg.issue_width {
-                    break;
-                }
+            // The issue loop walks the census's ready list. A result due
+            // this very cycle (a zero-latency op) can wake a younger
+            // consumer the census saw waiting, so after such an issue the
+            // loop re-resolves every younger entry in order instead.
+            let mut next_ready = 0;
+            let mut rescan_from = None;
+            while issued < cfg.issue_width {
+                let i = match rescan_from {
+                    None => {
+                        let Some(&i) = ready.get(next_ready) else {
+                            break;
+                        };
+                        next_ready += 1;
+                        i
+                    }
+                    Some(ref mut pos) => {
+                        let i = *pos;
+                        if i >= ruu.len() {
+                            break;
+                        }
+                        *pos += 1;
+                        if ruu[i].issued || operands_ready_at(&mut ruu, i, ruu_base) > now {
+                            continue;
+                        }
+                        i
+                    }
+                };
                 let e = ruu[i];
-                if e.issued || operands_ready_at(&mut ruu, i, ruu_base) > now {
-                    continue;
-                }
                 match e.op {
                     Op::IAlu { lat } => {
                         let unit = if lat <= 1 { &mut fu_ialu } else { &mut fu_imd };
@@ -521,6 +555,9 @@ impl Pipeline {
                     }
                 }
                 issued += 1;
+                if ruu[i].done <= now && rescan_from.is_none() {
+                    rescan_from = Some(i + 1);
+                }
             }
 
             // ---- Dispatch (in order, IFQ → RUU/LSQ) -------------------
@@ -540,15 +577,7 @@ impl Pipeline {
                     lsq_used += 1;
                 }
                 ifq.pop_front();
-                ruu.push_back(RuuEntry {
-                    idx,
-                    op: inst.op,
-                    dep1: inst.dep1,
-                    dep2: inst.dep2,
-                    issued: false,
-                    done: u64::MAX,
-                    ready_at: u64::MAX,
-                });
+                ruu.push_back(RuuEntry::dispatched(idx, inst));
                 dispatched += 1;
             }
 
@@ -607,7 +636,14 @@ impl Pipeline {
                 // IFQ entries are available the cycle after their fetch,
                 // and this cycle fetched nothing.
                 debug_assert!(ifq.front().is_none_or(|&(_, avail)| avail <= now));
-                let mut next = next_done;
+                // The earliest pending result: an unissued entry's `done`
+                // is `u64::MAX`, and nothing issued or dispatched since the
+                // census.
+                let mut next = (0..ruu.len())
+                    .map(|i| ruu[i].done)
+                    .filter(|&done| done > now)
+                    .min()
+                    .unwrap_or(u64::MAX);
                 if fetch_stall_until > now {
                     next = next.min(fetch_stall_until);
                 }
@@ -630,6 +666,80 @@ impl Pipeline {
     }
 }
 
+/// Placeholder filling the unused slots of the instruction ring.
+const NOP: Inst = Inst {
+    op: Op::IAlu { lat: 1 },
+    pc: 0,
+    dep1: 0,
+    dep2: 0,
+};
+
+/// A bounded FIFO over a power-of-two buffer indexed by mask: the
+/// pipeline's in-flight queues, each sized once per run from the
+/// configuration. Index 0 is the front (oldest) element.
+#[derive(Debug)]
+struct Ring<T> {
+    buf: Box<[T]>,
+    mask: usize,
+    head: usize,
+    len: usize,
+}
+
+impl<T: Copy> Ring<T> {
+    /// A ring holding up to `capacity` elements; `fill` occupies the
+    /// unused slots.
+    fn new(capacity: usize, fill: T) -> Self {
+        let slots = capacity.max(1).next_power_of_two();
+        Ring {
+            buf: vec![fill; slots].into_boxed_slice(),
+            mask: slots - 1,
+            head: 0,
+            len: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    fn front(&self) -> Option<&T> {
+        (self.len > 0).then(|| &self.buf[self.head])
+    }
+
+    fn push_back(&mut self, value: T) {
+        assert!(self.len < self.buf.len(), "ring overflow");
+        self.buf[(self.head + self.len) & self.mask] = value;
+        self.len += 1;
+    }
+
+    fn pop_front(&mut self) -> Option<T> {
+        let value = *self.front()?;
+        self.head = (self.head + 1) & self.mask;
+        self.len -= 1;
+        Some(value)
+    }
+}
+
+impl<T> Index<usize> for Ring<T> {
+    type Output = T;
+
+    fn index(&self, i: usize) -> &T {
+        debug_assert!(i < self.len, "ring index {i} out of {}", self.len);
+        &self.buf[(self.head + i) & self.mask]
+    }
+}
+
+impl<T> IndexMut<usize> for Ring<T> {
+    fn index_mut(&mut self, i: usize) -> &mut T {
+        debug_assert!(i < self.len, "ring index {i} out of {}", self.len);
+        &mut self.buf[(self.head + i) & self.mask]
+    }
+}
+
 /// The CPI-stack bucket of a cycle in which nothing commits: memory when
 /// the oldest instruction is a memory op waiting on the hierarchy, core
 /// when it waits on operands or a unit, front end when the window is empty.
@@ -648,7 +758,7 @@ fn stall_bucket<'a>(stack: &'a mut CpiStack, head: Option<&RuuEntry>, now: u64) 
 /// answer is cached in the entry once known: a producer's `done` is fixed
 /// when it issues, so the cache never goes stale.
 #[inline]
-fn operands_ready_at(ruu: &mut VecDeque<RuuEntry>, i: usize, ruu_base: u64) -> u64 {
+fn operands_ready_at(ruu: &mut Ring<RuuEntry>, i: usize, ruu_base: u64) -> u64 {
     let e = ruu[i];
     if e.ready_at != u64::MAX {
         return e.ready_at;
