@@ -666,7 +666,7 @@ impl Pipeline {
     }
 }
 
-/// Placeholder filling the unused slots of the instruction ring.
+/// Placeholder filling the unused slots of the window and RUU rings.
 const NOP: Inst = Inst {
     op: Op::IAlu { lat: 1 },
     pc: 0,
@@ -677,7 +677,6 @@ const NOP: Inst = Inst {
 /// A bounded FIFO over a power-of-two buffer indexed by mask: the
 /// pipeline's in-flight queues, each sized once per run from the
 /// configuration. Index 0 is the front (oldest) element.
-#[derive(Debug)]
 struct Ring<T> {
     buf: Box<[T]>,
     mask: usize,
