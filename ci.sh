@@ -171,6 +171,10 @@ echo "== chaos smoke: fault injection is detected, no false positives"
 ./target/release/repro chaos --workload health --workload mst --budget 8000
 # README's example: a pointer chase whose pairing fault has no L1 site.
 ./target/release/repro chaos --workload "workgen:addr=chase,small=0.4" --budget 50000 --seed 9
+# A store-heavy stream: half its memory operations are stores, so the
+# release build drives the mask memo's store path before the faults land.
+./target/release/repro chaos --workload "workgen:addr=uniform,small=0.45,ptr=0.1,store=0.5,footprint=32768" \
+    --budget 50000 --seed 9
 
 echo "== resume round-trip: interrupted + resumed sweep == uninterrupted"
 SWEEP_ARGS="--budget 2000 --seed 7 --workloads health,mst --designs BC,BCP,CPP"

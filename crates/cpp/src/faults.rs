@@ -22,10 +22,9 @@
 //! the checker reports nothing (no false positives), then injects each
 //! fault class and asserts the checker reports it (no false negatives).
 
-use crate::level::{compress_mask, scheme_compress_mask};
+use crate::level::scheme_compress_mask;
 use crate::{CppHierarchy, CppLevel};
 use ccp_cache::Addr;
-use ccp_compress::is_compressible;
 use ccp_errors::{SimError, SimResult};
 use ccp_mem::MainMemory;
 use ccp_schemes::CompressionScheme;
@@ -301,12 +300,14 @@ impl SplitMix64 {
     }
 }
 
-/// Deterministic seeded fault injector.
+/// Deterministic seeded fault injector, for a hierarchy under any
+/// compression scheme.
 ///
 /// Each injection targets the L1 level (the strictly-checked one, so every
 /// class is detectable by [`InvariantChecker`]) and picks its site
-/// pseudo-randomly from the candidates the current cache state offers. The
-/// same seed over the same hierarchy state always corrupts the same site.
+/// pseudo-randomly from the candidates the current cache state offers,
+/// judging compressibility by the hierarchy's scheme. The same seed over
+/// the same hierarchy state always corrupts the same site.
 pub struct FaultInjector {
     rng: SplitMix64,
 }
@@ -325,7 +326,11 @@ impl FaultInjector {
     /// Fails with [`SimError::Invariant`] when the current cache state
     /// offers no site for the class (e.g. a pairing violation needs a
     /// resident primary/affiliated pair) — run a workload first.
-    pub fn inject(&mut self, h: &mut CppHierarchy, kind: FaultKind) -> SimResult<FaultReport> {
+    pub fn inject<S: CompressionScheme>(
+        &mut self,
+        h: &mut CppHierarchy<S>,
+        kind: FaultKind,
+    ) -> SimResult<FaultReport> {
         match kind {
             FaultKind::PaFlag => self.inject_pa(h),
             FaultKind::VcpFlag => self.inject_vcp(h),
@@ -353,7 +358,10 @@ impl FaultInjector {
 
     /// Clear a `PA` bit that has `VCP` set, breaking `VCP ⊆ PA`; if no line
     /// holds a compressed word, set a `PA` bit beyond the line's words.
-    fn inject_pa(&mut self, h: &mut CppHierarchy) -> SimResult<FaultReport> {
+    fn inject_pa<S: CompressionScheme>(
+        &mut self,
+        h: &mut CppHierarchy<S>,
+    ) -> SimResult<FaultReport> {
         let words = h.l1.words();
         let mut with_vcp = Vec::new();
         let mut any = Vec::new();
@@ -391,21 +399,23 @@ impl FaultInjector {
 
     /// Set a `VCP` bit over an absent word (`VCP ⊄ PA`), or over a present
     /// but incompressible word (flag/value mismatch), or beyond the line.
-    fn inject_vcp(&mut self, h: &mut CppHierarchy) -> SimResult<FaultReport> {
+    fn inject_vcp<S: CompressionScheme>(
+        &mut self,
+        h: &mut CppHierarchy<S>,
+    ) -> SimResult<FaultReport> {
         let words = h.l1.words();
         let mut absent = Vec::new();
         let mut incompressible = Vec::new();
         let mut any = Vec::new();
         for (idx, base) in h.l1.valid_lines() {
             let f = h.l1.flags(idx);
+            let comp = scheme_compress_mask::<S>(&h.mem, base, words);
             any.push((idx, base));
             for i in 0..words {
                 let bit = 1u32 << i;
                 if f.pa & bit == 0 {
                     absent.push((idx, base, i));
-                } else if f.vcp & bit == 0
-                    && !is_compressible(h.mem.read(base + i * 4), base + i * 4)
-                {
+                } else if f.vcp & bit == 0 && comp & bit == 0 {
                     incompressible.push((idx, base, i));
                 }
             }
@@ -445,7 +455,10 @@ impl FaultInjector {
 
     /// Set an `AA` bit in a slot with no free half (occupied by an
     /// uncompressed primary word), or beyond the line.
-    fn inject_aa(&mut self, h: &mut CppHierarchy) -> SimResult<FaultReport> {
+    fn inject_aa<S: CompressionScheme>(
+        &mut self,
+        h: &mut CppHierarchy<S>,
+    ) -> SimResult<FaultReport> {
         let words = h.l1.words();
         let mut no_slot = Vec::new();
         let mut any = Vec::new();
@@ -484,7 +497,10 @@ impl FaultInjector {
 
     /// Flip a high bit of a word some line holds in compressed form, so the
     /// stored 16-bit encoding no longer represents the architectural value.
-    fn inject_bitflip(&mut self, h: &mut CppHierarchy) -> SimResult<FaultReport> {
+    fn inject_bitflip<S: CompressionScheme>(
+        &mut self,
+        h: &mut CppHierarchy<S>,
+    ) -> SimResult<FaultReport> {
         let words = h.l1.words();
         let mut compressed = Vec::new();
         for (idx, base) in h.l1.valid_lines() {
@@ -492,10 +508,10 @@ impl FaultInjector {
             for i in 0..words {
                 let bit = 1u32 << i;
                 if f.vcp & bit != 0 {
-                    compressed.push((base + i * 4, i));
+                    compressed.push((base, i));
                 }
                 if f.aa & bit != 0 {
-                    compressed.push((h.l1.pair_base(base) + i * 4, i));
+                    compressed.push((h.l1.pair_base(base), i));
                 }
             }
         }
@@ -504,16 +520,19 @@ impl FaultInjector {
         if !compressed.is_empty() {
             let start = self.rng.pick(compressed.len());
             for k in 0..compressed.len() {
-                let (addr, word) = compressed[(start + k) % compressed.len()];
+                let (line, word) = compressed[(start + k) % compressed.len()];
+                let addr = line + word * 4;
                 let old = h.mem.read(addr);
                 for b in [30u32, 29, 28, 26, 24, 22, 20, 18] {
                     let new = old ^ (1 << b);
-                    if !is_compressible(new, addr) {
-                        h.mem.write(addr, new);
+                    // Flipping the base word moves the base with it.
+                    let base_val = if word == 0 { new } else { h.mem.read(line) };
+                    if !S::word_compressible(new, addr, line, base_val) {
+                        h.store_word(addr, new);
                         return Ok(FaultReport {
                             kind: FaultKind::BitFlip,
                             level: "L1",
-                            line_base: addr & !0x3F,
+                            line_base: line,
                             word,
                             description: format!(
                                 "flipped bit {b} of compressed word at {addr:#x} ({old:#x} → {new:#x})"
@@ -530,7 +549,10 @@ impl FaultInjector {
     /// primary-resident — a one-copy violation. L1 is tried first; a run
     /// that leaves no such pair in L1 (a pointer chase, say) takes its site
     /// from L2, which the checker holds to the same pairing rule.
-    fn inject_pairing(&mut self, h: &mut CppHierarchy) -> SimResult<FaultReport> {
+    fn inject_pairing<S: CompressionScheme>(
+        &mut self,
+        h: &mut CppHierarchy<S>,
+    ) -> SimResult<FaultReport> {
         for (level, name) in [(&mut h.l1, "L1"), (&mut h.l2, "L2")] {
             let words = level.words();
             let mut candidates = Vec::new();
@@ -547,7 +569,7 @@ impl FaultInjector {
             // word, so the *pairing* rule is the only invariant broken.
             let f = level.flags(idx);
             let capacity = f.affiliated_capacity(words) & !f.aa;
-            let pair_comp = compress_mask(&h.mem, pair, words);
+            let pair_comp = scheme_compress_mask::<S>(&h.mem, pair, words);
             let mask = if capacity & pair_comp != 0 {
                 capacity & pair_comp
             } else if capacity != 0 {
@@ -577,7 +599,7 @@ mod tests {
     use crate::CppFlags;
     use ccp_cache::geometry::CacheGeometry;
     use ccp_cache::CacheSim;
-    use ccp_schemes::BdiScheme;
+    use ccp_schemes::{BdiScheme, CppScheme};
 
     /// Populates a hierarchy with neighbouring compressible/incompressible
     /// lines so every fault class has a site.
@@ -711,6 +733,22 @@ mod tests {
             v.iter().any(|v| v.class == ViolationClass::ValueMismatch),
             "{v:?}"
         );
+    }
+
+    #[test]
+    fn bitflip_reaches_the_next_classification() {
+        let mut c = populated();
+        let r = FaultInjector::new(9)
+            .inject(&mut c, FaultKind::BitFlip)
+            .unwrap();
+        let mem = c.mem().clone();
+        let l1_base = r.line_base;
+        let l2_base = c.l2_level().geometry().line_base(l1_base);
+        let l1 = c.l1_level_mut().line_mask(&mem, l1_base);
+        assert_eq!(l1, scheme_compress_mask::<CppScheme>(&mem, l1_base, 16));
+        assert_eq!(l1 >> r.word & 1, 0, "{r}");
+        let l2 = c.l2_level_mut().line_mask(&mem, l2_base);
+        assert_eq!(l2, scheme_compress_mask::<CppScheme>(&mem, l2_base, 32));
     }
 
     #[test]

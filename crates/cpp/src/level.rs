@@ -7,15 +7,19 @@
 //!
 //! The level knows nothing about the rest of the hierarchy; installs return
 //! the displaced victim so the caller can route its write-back, and the
-//! caller decides when to park, promote, or discard. Compressibility is
-//! always evaluated against the current architectural values in
-//! [`MainMemory`].
+//! caller decides when to park, promote, or discard. Compressibility comes
+//! from the level's memo of line masks (`CppLevel::line_mask`), which
+//! equals a scan of the current values in [`MainMemory`] only while the
+//! owning hierarchy reports every store (`CppLevel::note_store`) and every
+//! wholesale memory change (`CppLevel::clear_memo`); the free
+//! [`scheme_compress_mask`] always scans memory.
 
 use crate::flags::{mask_n, CppFlags};
+use crate::memo::MaskMemo;
 use ccp_cache::geometry::CacheGeometry;
 use ccp_cache::set_assoc::{Evicted, SetAssocCache};
 use ccp_cache::Addr;
-use ccp_mem::{LineView, MainMemory};
+use ccp_mem::{LineView, MainMemory, Word};
 use ccp_schemes::{CompressionScheme, CppScheme};
 use std::marker::PhantomData;
 
@@ -46,12 +50,6 @@ pub fn scheme_compress_mask<S: CompressionScheme>(mem: &MainMemory, base: Addr, 
     }
 }
 
-/// [`scheme_compress_mask`] under the paper's scheme — the signature every
-/// pre-existing caller (fault injector, tests) uses.
-pub fn compress_mask(mem: &MainMemory, base: Addr, words: u32) -> u32 {
-    scheme_compress_mask::<CppScheme>(mem, base, words)
-}
-
 /// A victim displaced from a level by an install.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CppVictim {
@@ -70,6 +68,7 @@ pub struct CppVictim {
 #[derive(Debug, Clone)]
 pub struct CppLevel<S: CompressionScheme = CppScheme> {
     arr: SetAssocCache<CppFlags>,
+    memo: MaskMemo,
     _scheme: PhantomData<S>,
 }
 
@@ -78,8 +77,37 @@ impl<S: CompressionScheme> CppLevel<S> {
     pub fn new(geom: CacheGeometry) -> Self {
         CppLevel {
             arr: SetAssocCache::new(geom),
+            memo: MaskMemo::new(geom.line_bytes()),
             _scheme: PhantomData,
         }
+    }
+
+    /// Bitmask of `S`-compressible words of the line at `base` (aligned to
+    /// this level's line), from the level's memo. Equal to
+    /// [`scheme_compress_mask`] over `mem` as long as every store reached
+    /// [`CppLevel::note_store`] and every other memory change
+    /// [`CppLevel::clear_memo`]; debug builds assert that on every hit.
+    pub(crate) fn line_mask(&mut self, mem: &MainMemory, base: Addr) -> u32 {
+        debug_assert_eq!(self.geometry().line_base(base), base);
+        self.memo.mask::<S>(mem, base)
+    }
+
+    /// Keeps the memoized mask of `addr`'s line exact after `mem` took
+    /// `value` at `addr`.
+    pub(crate) fn note_store(&mut self, mem: &MainMemory, addr: Addr, value: Word) {
+        self.memo.note_store::<S>(mem, addr, value);
+    }
+
+    /// Forgets every memoized mask (memory changed other than by a store
+    /// reported to [`CppLevel::note_store`]).
+    pub(crate) fn clear_memo(&mut self) {
+        self.memo.clear();
+    }
+
+    /// The memoized mask of the line at `base`, if one is held (tests
+    /// compare it with [`scheme_compress_mask`]).
+    pub fn memoized_mask(&self, base: Addr) -> Option<u32> {
+        self.memo.get(base)
     }
 
     /// The level's geometry.
@@ -178,7 +206,7 @@ impl<S: CompressionScheme> CppLevel<S> {
             host.aa, 0,
             "one-copy rule: victim {victim_base:#x} was both primary and affiliated"
         );
-        let comp = scheme_compress_mask::<S>(mem, victim_base, self.words());
+        let comp = self.line_mask(mem, victim_base);
         let parked = victim_pa & comp & host.affiliated_capacity(self.words());
         if parked != 0 {
             self.arr.extra_mut(pidx).aa = parked;
@@ -248,7 +276,7 @@ impl<S: CompressionScheme> CppLevel<S> {
     ) -> u32 {
         let base = self.base_of(idx);
         let words = self.words();
-        let comp = scheme_compress_mask::<S>(mem, base, words);
+        let comp = self.line_mask(mem, base);
         let f = self.arr.extra_mut(idx);
         f.vcp = f.pa & comp;
         let conflict = f.aa & !f.affiliated_capacity(words);
@@ -271,7 +299,7 @@ impl<S: CompressionScheme> CppLevel<S> {
     /// Returns the number of affiliated words displaced.
     pub fn merge_primary_words(&mut self, mem: &MainMemory, idx: usize, new_mask: u32) -> u32 {
         let base = self.base_of(idx);
-        let comp = scheme_compress_mask::<S>(mem, base, self.words());
+        let comp = self.line_mask(mem, base);
         let f = self.arr.extra_mut(idx);
         f.pa |= new_mask;
         f.vcp = (f.vcp & !new_mask) | (comp & new_mask);
@@ -353,7 +381,10 @@ mod tests {
     fn compress_mask_reflects_memory() {
         let m = mem_with(&[(0x1000, 5), (0x1004, 0xDEAD_BEEF), (0x1008, 0x0000_1234)]);
         // Word 3 is untouched (0 → compressible).
-        assert_eq!(compress_mask(&m, 0x1000, 4) & 0b1111, 0b1101);
+        assert_eq!(
+            scheme_compress_mask::<CppScheme>(&m, 0x1000, 4) & 0b1111,
+            0b1101
+        );
     }
 
     #[test]

@@ -32,11 +32,12 @@
 pub mod faults;
 pub mod flags;
 pub mod level;
+mod memo;
 pub mod reference;
 
 pub use faults::{FaultInjector, FaultKind, FaultReport, InvariantChecker, Violation};
 pub use flags::CppFlags;
-pub use level::{compress_mask, scheme_compress_mask, CppLevel, CppVictim};
+pub use level::{scheme_compress_mask, CppLevel, CppVictim};
 pub use reference::RefCppHierarchy;
 
 use ccp_cache::config::{DesignKind, HierarchyConfig, LatencyConfig};
@@ -180,12 +181,21 @@ impl<S: CompressionScheme> CppHierarchy<S> {
         InvariantChecker::assert_clean(self)
     }
 
+    /// Writes `value` to memory at `addr` and keeps both levels' memos of
+    /// line masks exact: the one way simulation and fault injection change a
+    /// word.
+    pub(crate) fn store_word(&mut self, addr: Addr, value: Word) {
+        self.mem.write(addr, value);
+        self.l1.note_store(&self.mem, addr, value);
+        self.l2.note_store(&self.mem, addr, value);
+    }
+
     /// Bus cost in half-words of transferring the masked words of the line
     /// at `base` in compressed form, plus one half-word per affiliated word.
-    fn compressed_transfer_hw(&self, base: Addr, mask: u32, aff: u32) -> u64 {
+    fn compressed_transfer_hw(&mut self, base: Addr, mask: u32, aff: u32) -> u64 {
         // Compressible words cost one half-word, incompressible two:
         // |mask| + |mask \ comp|.
-        let comp = scheme_compress_mask::<S>(&self.mem, base, self.l1.words());
+        let comp = self.l1.line_mask(&self.mem, base);
         u64::from(mask.count_ones())
             + u64::from((mask & !comp).count_ones())
             + u64::from(aff.count_ones())
@@ -194,15 +204,15 @@ impl<S: CompressionScheme> CppHierarchy<S> {
     /// Splits an L2-line availability mask into `(avail, aff)` for the
     /// requested L1 line: its own half, and the compressible words of the
     /// other half (its affiliated line) that fit in freed half-slots.
-    fn serve_masks(&self, avail32: u32, l1_base: Addr) -> (u32, u32) {
+    fn serve_masks(&mut self, avail32: u32, l1_base: Addr) -> (u32, u32) {
         let w = self.l1.words(); // an L2 line is exactly two L1 lines
         let m = flags::mask_n(w);
         let shift = self.l2.geometry().word_offset(l1_base); // 0 or w
         let my = (avail32 >> shift) & m;
         let other = (avail32 >> (shift ^ w)) & m;
         let pair = self.l1.pair_base(l1_base);
-        let my_comp = scheme_compress_mask::<S>(&self.mem, l1_base, w);
-        let other_comp = scheme_compress_mask::<S>(&self.mem, pair, w);
+        let my_comp = self.l1.line_mask(&self.mem, l1_base);
+        let other_comp = self.l1.line_mask(&self.mem, pair);
         // An affiliated word rides only in a freed half (its counterpart is
         // compressed) or an empty slot (counterpart not transferred).
         let aff = other & other_comp & (my_comp | !my) & m;
@@ -272,9 +282,9 @@ impl<S: CompressionScheme> CppHierarchy<S> {
         let words = self.l2.words();
         self.stats.mem_bus.fetch_words(u64::from(words));
 
-        let comp = scheme_compress_mask::<S>(&self.mem, base, words);
+        let comp = self.l2.line_mask(&self.mem, base);
         let pair = self.l2.pair_base(base);
-        let pair_comp = scheme_compress_mask::<S>(&self.mem, pair, words);
+        let pair_comp = self.l2.line_mask(&self.mem, pair);
         let mut aa = comp & pair_comp;
         if self.l2.lookup_primary(pair).is_some() {
             // Prefetched affiliated line already cached in its primary
@@ -306,11 +316,11 @@ impl<S: CompressionScheme> CppHierarchy<S> {
     /// Memory write-back cost of the masked words of the L2 line at `base`:
     /// conventional bandwidth in the paper's design, compressed when the
     /// `compress_writebacks` extension knob is on.
-    fn mem_writeback_hw(&self, base: Addr, mask: u32) -> u64 {
+    fn mem_writeback_hw(&mut self, base: Addr, mask: u32) -> u64 {
         if !self.cfg.compress_writebacks {
             return 2 * u64::from(mask.count_ones());
         }
-        let comp = scheme_compress_mask::<S>(&self.mem, base, self.l2.words());
+        let comp = self.l2.line_mask(&self.mem, base);
         u64::from(mask.count_ones()) + u64::from((mask & !comp).count_ones())
     }
 
@@ -352,7 +362,7 @@ impl<S: CompressionScheme> CppHierarchy<S> {
                 // A write into an affiliated copy promotes the line to its
                 // primary place (paper §3.3), then the merge applies.
                 self.stats.promotions += 1;
-                let comp = scheme_compress_mask::<S>(&self.mem, l2_base, self.l2.words());
+                let comp = self.l2.line_mask(&self.mem, l2_base);
                 let flags = CppFlags {
                     pa: aa,
                     vcp: aa & comp,
@@ -388,7 +398,7 @@ impl<S: CompressionScheme> CppHierarchy<S> {
 
     /// Installs a fresh L1 primary line from an L2 response.
     fn fill_l1(&mut self, l1_base: Addr, resp: &L2Response) {
-        let comp = scheme_compress_mask::<S>(&self.mem, l1_base, self.l1.words());
+        let comp = self.l1.line_mask(&self.mem, l1_base);
         let vcp = comp & resp.avail;
         let mut aa = resp.aff;
         let pair = self.l1.pair_base(l1_base);
@@ -429,9 +439,8 @@ impl<S: CompressionScheme> CppHierarchy<S> {
     /// Applies a store to a present primary word: functional memory update,
     /// dirty bit, and the §3.3 compressibility bookkeeping.
     fn do_primary_write(&mut self, idx: usize, addr: Addr, off: u32, value: Word) {
-        self.mem.write(addr, value);
+        self.store_word(addr, value);
         self.l1.set_dirty(idx);
-        let base = self.l1.geometry().line_base(addr);
         if S::BASE_SENSITIVE && off == 0 {
             // Rewriting the base word re-classifies every word of the line.
             let evicted =
@@ -440,14 +449,9 @@ impl<S: CompressionScheme> CppHierarchy<S> {
             self.stats.compressibility_evictions += u64::from(evicted);
             return;
         }
-        // For base-oblivious schemes (the paper's included) this branch is
-        // the whole function after monomorphization: one word, one predicate.
-        let base_val = if S::BASE_SENSITIVE {
-            self.mem.read(base)
-        } else {
-            0
-        };
-        let now_c = S::word_compressible(value, addr, base, base_val);
+        // `store_word` has just re-tested this word in the line's memo.
+        let base = self.l1.geometry().line_base(addr);
+        let now_c = self.l1.line_mask(&self.mem, base) & (1 << off) != 0;
         let evicted =
             self.l1
                 .update_primary_word(idx, off, now_c, self.cfg.evict_whole_affiliated_line);
@@ -461,7 +465,7 @@ impl<S: CompressionScheme> CppHierarchy<S> {
         let aa = self.l1.take_affiliated(base);
         debug_assert_ne!(aa, 0, "promotion without an affiliated copy");
         self.stats.promotions += 1;
-        let comp = scheme_compress_mask::<S>(&self.mem, base, self.l1.words());
+        let comp = self.l1.line_mask(&self.mem, base);
         let flags = CppFlags {
             pa: aa,
             vcp: aa & comp,
@@ -615,6 +619,9 @@ impl<S: CompressionScheme> CacheSim for CppHierarchy<S> {
     }
 
     fn mem_mut(&mut self) -> &mut MainMemory {
+        // The caller may change any word: no memoized mask can be trusted.
+        self.l1.clear_memo();
+        self.l2.clear_memo();
         &mut self.mem
     }
 
@@ -946,6 +953,51 @@ mod tests {
         assert_eq!(r.source, HitSource::L2);
         assert_eq!(r.latency, 10);
         assert_eq!(c.stats().mem_bus.in_halfwords, traffic);
+        c.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn mem_mut_writes_reach_the_next_classification() {
+        let mut c = cpp();
+        fill_small(&mut c, 0x1000);
+        c.read(0x1000);
+        assert_eq!(c.l1_level().memoized_mask(0x1000), Some(0xFFFF));
+        c.mem_mut().write(0x1008, 0xDEAD_BEEF);
+        assert_eq!(c.l1_level().memoized_mask(0x1000), None);
+        assert_eq!(c.l2_level().memoized_mask(0x1000), None);
+        let mem = c.mem().clone();
+        assert_eq!(c.l1_level_mut().line_mask(&mem, 0x1000), 0xFFFF & !(1 << 2));
+        assert_eq!(c.l2_level_mut().line_mask(&mem, 0x1000), !(1 << 2));
+    }
+
+    #[test]
+    fn stores_keep_both_levels_memo_exact() {
+        let mut c = CppHierarchy::<ccp_schemes::BdiScheme>::paper_scheme();
+        for i in 0..32 {
+            c.mem_mut().write(0x1000 + i * 4, 0x7000_0000 + i);
+        }
+        c.read(0x1000);
+        // Word 0 of the L1 line 0x1040 is word 16 of the L2 line 0x1000:
+        // the store moves one L1 line's base and one L2 word.
+        c.write(0x1040, 0x1234_5678);
+        c.write(0x1004, 5);
+        for (level, base) in [(c.l1_level(), 0x1000), (c.l1_level(), 0x1040)] {
+            if let Some(m) = level.memoized_mask(base) {
+                assert_eq!(
+                    m,
+                    scheme_compress_mask::<ccp_schemes::BdiScheme>(&c.mem, base, 16)
+                );
+            }
+        }
+        let l2 = c
+            .l2_level()
+            .memoized_mask(0x1000)
+            .expect("filled by the L2 miss");
+        assert_eq!(
+            l2,
+            scheme_compress_mask::<ccp_schemes::BdiScheme>(&c.mem, 0x1000, 32)
+        );
+        assert_eq!(l2 >> 16 & 1, 0, "0x1234_5678 is no delta off 0x7000_0000");
         c.check_invariants().unwrap();
     }
 

@@ -17,6 +17,7 @@ use crate::fastsim::run_functional_source;
 use crate::sweep::Workload;
 use ccp_cpp::{CppHierarchy, FaultInjector, FaultKind, FaultReport, InvariantChecker, Violation};
 use ccp_errors::SimResult;
+use ccp_schemes::CompressionScheme;
 use std::fmt::Write as _;
 
 /// Detection outcome for one injected fault class.
@@ -91,8 +92,17 @@ impl ChaosReport {
 /// checks it is invariant-clean, then injects every fault class (each into
 /// its own copy of the post-run state) and records what the checker caught.
 pub fn run_chaos(workload: &Workload, budget: usize, seed: u64) -> SimResult<ChaosReport> {
+    chaos_under(CppHierarchy::paper(), workload, budget, seed)
+}
+
+/// [`run_chaos`] on `base`, a fresh hierarchy under any scheme.
+fn chaos_under<S: CompressionScheme>(
+    mut base: CppHierarchy<S>,
+    workload: &Workload,
+    budget: usize,
+    seed: u64,
+) -> SimResult<ChaosReport> {
     let source = workload.source(budget, seed);
-    let mut base = CppHierarchy::paper();
     run_functional_source(source.as_ref(), &mut base, 0);
     let clean_violations = InvariantChecker::check(&base);
 
@@ -115,6 +125,7 @@ pub fn run_chaos(workload: &Workload, budget: usize, seed: u64) -> SimResult<Cha
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccp_schemes::{BdiScheme, FpcScheme};
 
     #[test]
     fn chaos_passes_on_a_benchmark() {
@@ -152,6 +163,17 @@ mod tests {
             .expect("every class is injected");
         assert_eq!(pairing.report.level, "L2");
         assert_eq!(pairing.detected_classes(), ["pairing"]);
+    }
+
+    #[test]
+    fn chaos_passes_under_bdi_and_fpc_on_the_golden_benchmarks() {
+        for name in crate::difftest::GOLDEN_BENCHMARKS {
+            let w = Workload::by_name(name).unwrap();
+            let bdi = chaos_under(CppHierarchy::<BdiScheme>::paper_scheme(), &w, 4_000, 1).unwrap();
+            assert!(bdi.passed(), "BDI:\n{}", bdi.render());
+            let fpc = chaos_under(CppHierarchy::<FpcScheme>::paper_scheme(), &w, 4_000, 1).unwrap();
+            assert!(fpc.passed(), "FPC:\n{}", fpc.render());
+        }
     }
 
     #[test]

@@ -133,16 +133,16 @@ fn time_pipeline(trace: &Trace) -> f64 {
 }
 
 /// Times one benchmark on both engines and through the pipeline. The
-/// trace is generated once and shared; the optimized engine and the
-/// pipeline each get an untimed warm-up run (page tables, branch
-/// predictors, frequency scaling) followed by the timed run.
+/// trace is generated once and shared. Each engine and the pipeline get an
+/// untimed warm-up run (allocator, branch predictors, frequency scaling)
+/// on a hierarchy of their own, then the timed run on another fresh one,
+/// so both engines time the same workload from empty caches.
 pub fn perf_benchmark(bench: &Benchmark, budget: usize, seed: u64) -> PerfRow {
     let trace = bench.trace(budget, seed);
-    let mut opt = CppHierarchy::paper();
-    time_replay(&trace, &mut opt); // warm-up, untimed
-    let (optimized_secs, mem_ops) = time_replay(&trace, &mut opt);
-    let mut rf = RefCppHierarchy::paper();
-    let (reference_secs, _) = time_replay(&trace, &mut rf);
+    time_replay(&trace, &mut CppHierarchy::paper()); // warm-up, untimed
+    let (optimized_secs, mem_ops) = time_replay(&trace, &mut CppHierarchy::paper());
+    time_replay(&trace, &mut RefCppHierarchy::paper()); // warm-up, untimed
+    let (reference_secs, _) = time_replay(&trace, &mut RefCppHierarchy::paper());
     time_pipeline(&trace); // warm-up, untimed
     let pipeline_secs = time_pipeline(&trace);
     PerfRow {
