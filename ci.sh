@@ -111,7 +111,7 @@ grep -q '"lock:' "$SCRATCH/graph.dot" || {
 
 echo "== difftest: optimized and reference engines byte-identical"
 # Optimized vs reference engine, every benchmark. The reference engine
-# classifies word by word, so this also checks the packed line kernel.
+# classifies word by word, so this also checks the per-word line loop.
 ./target/release/repro difftest > "$SCRATCH/difftest.txt"
 grep -q "byte-identical across engines" "$SCRATCH/difftest.txt" || {
     echo "difftest did not report full identity:"; cat "$SCRATCH/difftest.txt"; exit 1; }

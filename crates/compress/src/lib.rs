@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Value compression model from *Enabling Partial Cache Line Prefetching
 //! Through Data Compression* (Zhang & Gupta, ICPP 2003).
@@ -23,7 +24,6 @@
 
 pub mod fvc;
 pub mod profile;
-pub mod swar;
 
 /// A 32-bit machine word, the unit the compression scheme operates on.
 pub type Word = u32;
@@ -136,38 +136,25 @@ pub fn is_compressible(value: Word, addr: Addr) -> bool {
     classify(value, addr).is_compressible()
 }
 
-/// Branch-free compressibility test: `1` when either rule applies, else `0`.
-///
-/// Same decision as [`is_compressible`], expressed as mask arithmetic (the
-/// comparisons lower to flag-setting instructions, not branches) so the
-/// per-line scan in [`line_compress_mask`] runs without a data-dependent
-/// branch per word — the word values a simulated program produces are
-/// exactly the kind of unpredictable input that makes a branchy check
-/// mispredict.
-#[inline]
-pub fn compressible_bit(value: Word, addr: Addr) -> u32 {
-    // Small: bits 31..=14 uniform — the arithmetic shift leaves 0 or -1.
-    let hi = (value as i32) >> (32 - SMALL_PREFIX_BITS);
-    let small = u32::from(hi == 0) | u32::from(hi == -1);
-    // Pointer: bits 31..=15 equal those of the storage address.
-    let ptr = u32::from((value ^ addr) >> (32 - POINTER_PREFIX_BITS) == 0);
-    small | ptr
-}
-
 /// Compressibility mask of a whole line: bit *i* is set iff `words[i]`,
 /// stored at `base + 4*i`, is compressible.
 ///
-/// This is the hot kernel of the cache hierarchies — every fill, merge,
-/// park, and promotion classifies a full line — so it takes the line as a
-/// slice (one page-table walk in the caller) and classifies all 16 words
-/// of an L1 line in one pass over packed lanes (see [`swar`]), which the
-/// kernel tests prove mask-identical to the per-word scalar scan.
+/// Every fill, merge, park and promotion of the CPP hierarchies asks for a
+/// line's mask, but each level memoizes it per value change, so this plain
+/// per-word loop over [`is_compressible`] is off the access path.
 ///
 /// # Panics
 /// Debug-asserts `words.len() <= 32` (flag masks are 32 bits wide).
 #[inline]
 pub fn line_compress_mask(words: &[Word], base: Addr) -> u32 {
-    swar::cpp_line_mask_swar(words, base)
+    debug_assert!(words.len() <= 32, "flag masks hold at most 32 words");
+    let mut mask = 0u32;
+    let mut addr = base;
+    for (i, &w) in words.iter().enumerate() {
+        mask |= u32::from(is_compressible(w, addr)) << i;
+        addr = addr.wrapping_add(WORD_BYTES);
+    }
+    mask
 }
 
 /// Compresses `value` (stored at `addr`) to its 16-bit form, or `None` when
@@ -338,36 +325,6 @@ mod tests {
         assert!(!small.is_pointer());
         assert!(ptr.is_pointer());
         assert_ne!(small, ptr);
-    }
-
-    #[test]
-    fn compressible_bit_agrees_with_predicate() {
-        let mut x = 0x1234_5678u32;
-        for i in 0..20_000u32 {
-            x ^= x << 13;
-            x ^= x >> 17;
-            x ^= x << 5;
-            let addr = (x.wrapping_mul(2654435761) & !3).wrapping_add(i * 4);
-            assert_eq!(
-                compressible_bit(x, addr),
-                u32::from(is_compressible(x, addr)),
-                "value {x:#x} at {addr:#x}"
-            );
-        }
-        for v in [
-            0,
-            1,
-            SMALL_MAX as u32,
-            (SMALL_MAX + 1) as u32,
-            SMALL_MIN as u32,
-            (SMALL_MIN - 1) as u32,
-            0xDEAD_BEEF,
-        ] {
-            assert_eq!(
-                compressible_bit(v, 0x1000),
-                u32::from(is_compressible(v, 0x1000))
-            );
-        }
     }
 
     #[test]

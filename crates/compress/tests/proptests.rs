@@ -148,38 +148,44 @@ fn boundary_word(base: u32) -> impl Strategy<Value = u32> {
     ]
 }
 
-// Equivalence battery for the line-at-a-time kernels: the packed-lane
-// SWAR path (and the SSE2 path behind it, where compiled) must agree
-// bit-for-bit with the per-word scalar oracle — and both with the
-// public per-word predicate — on arbitrary lines.
+/// Per-word oracle for [`ccp_compress::line_compress_mask`]: bit *i* set
+/// iff `words[i]`, stored at `base + 4*i`, passes [`is_compressible`].
+fn per_word_mask(words: &[u32], base: u32) -> u32 {
+    words.iter().enumerate().fold(0, |mask, (i, &w)| {
+        let addr = base.wrapping_add(4 * i as u32);
+        mask | u32::from(is_compressible(w, addr)) << i
+    })
+}
+
+/// A word-aligned line base, one time in four within the top 128 bytes of
+/// the address space so the line's word addresses wrap past zero.
+fn line_base() -> impl Strategy<Value = u32> {
+    prop_oneof![3 => any::<u32>(), 1 => 0xFFFF_FF80u32..=u32::MAX].prop_map(|b| b & !0x3)
+}
+
+// The line kernel is the per-word predicate folded over the line, on
+// arbitrary lines of every length a flag mask holds and on lines built
+// from the classification boundaries.
 proptest! {
-    /// SWAR ≡ scalar ≡ per-word predicate on arbitrary word mixes.
+    /// `line_compress_mask` ≡ per-word `is_compressible` on arbitrary
+    /// word mixes, including lines that wrap the address space.
     #[test]
     fn line_kernels_agree(
-        base: u32,
-        words in prop::collection::vec(any::<u32>(), 0..21)
+        base in line_base(),
+        words in prop::collection::vec(any::<u32>(), 0..33)
     ) {
-        let base = base & !0x3;
-        let words = words.clone();
-        let swar = ccp_compress::swar::cpp_line_mask_swar(&words, base);
-        let scalar = ccp_compress::swar::cpp_line_mask_scalar(&words, base);
-        prop_assert_eq!(swar, scalar, "SWAR vs scalar at base {:#x}", base);
-        let mut oracle = 0u32;
-        for (i, &w) in words.iter().enumerate() {
-            let addr = base.wrapping_add(4 * i as u32);
-            oracle |= u32::from(is_compressible(w, addr)) << i;
-        }
-        prop_assert_eq!(swar, oracle, "kernels vs predicate at base {:#x}", base);
+        prop_assert_eq!(
+            ccp_compress::line_compress_mask(&words, base),
+            per_word_mask(&words, base),
+            "line kernel vs predicate at base {:#x}", base
+        );
     }
 
-    /// Same agreement on boundary-biased lines, where an off-by-one in
-    /// the packed-lane field masks would actually show up.
+    /// Same agreement on boundary-biased lines: the small-value edges,
+    /// the pointer-rule chunk edges around the base, and sign/zero
+    /// corners, where an off-by-one in a shift or field would show up.
     #[test]
-    fn line_kernels_agree_on_boundary_mixes(
-        base: u32,
-        seed: u32
-    ) {
-        let base = base & !0x3;
+    fn line_kernels_agree_on_boundary_mixes(base in line_base(), seed: u32) {
         // Derive a 16-word line from the seed via the boundary strategy's
         // value table (deterministic expansion keeps this case cheap).
         let table = [
@@ -200,15 +206,16 @@ proptest! {
             .map(|i| table[(seed.rotate_right(2 * i) as usize ^ i as usize) % table.len()])
             .collect();
         prop_assert_eq!(
-            ccp_compress::swar::cpp_line_mask_swar(&words, base),
-            ccp_compress::swar::cpp_line_mask_scalar(&words, base)
+            ccp_compress::line_compress_mask(&words, base),
+            per_word_mask(&words, base)
         );
     }
 
-    /// Metamorphic (the PR-5 affiliated-flip law, lifted to whole lines):
+    /// Metamorphic (`class_invariant_under_affiliated_flip`, lifted to
+    /// whole lines):
     /// flipping the L1 or L2 line bit of the base moves the whole line to
     /// its affiliated location and must leave the compressibility mask
-    /// unchanged, under both kernels.
+    /// unchanged.
     #[test]
     fn line_mask_invariant_under_affiliated_flip(
         base: u32,
@@ -219,14 +226,6 @@ proptest! {
             prop_assert_eq!(
                 ccp_compress::line_compress_mask(&words, base),
                 ccp_compress::line_compress_mask(&words, base ^ line_bit)
-            );
-            prop_assert_eq!(
-                ccp_compress::swar::cpp_line_mask_swar(&words, base),
-                ccp_compress::swar::cpp_line_mask_swar(&words, base ^ line_bit)
-            );
-            prop_assert_eq!(
-                ccp_compress::swar::cpp_line_mask_scalar(&words, base),
-                ccp_compress::swar::cpp_line_mask_scalar(&words, base ^ line_bit)
             );
         }
     }

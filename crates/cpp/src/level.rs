@@ -35,17 +35,12 @@ pub fn scheme_compress_mask<S: CompressionScheme>(mem: &MainMemory, base: Addr, 
     match mem.line_view(base, words) {
         LineView::Resident(slice) => S::line_mask(slice, base),
         LineView::Zero => mask_n(words),
-        // Unaligned run straddling a page: per-word fallback.
+        // Unaligned run straddling a page: copy it out, then scan the copy.
         LineView::Split => {
-            let base_val = if S::BASE_SENSITIVE { mem.read(base) } else { 0 };
-            let mut m = 0u32;
-            for i in 0..words {
-                let a = base.wrapping_add(i * 4);
-                if S::word_compressible(mem.read(a), a, base, base_val) {
-                    m |= 1 << i;
-                }
-            }
-            m
+            let mut buf = [0; 32];
+            let line = &mut buf[..words as usize];
+            mem.read_line(base, line);
+            S::line_mask(line, base)
         }
     }
 }
@@ -384,6 +379,26 @@ mod tests {
         assert_eq!(
             scheme_compress_mask::<CppScheme>(&m, 0x1000, 4) & 0b1111,
             0b1101
+        );
+    }
+
+    #[test]
+    fn compress_mask_of_a_page_straddling_run_uses_its_word_zero() {
+        // Words 0..=7 sit in page 0x4000, words 8..=15 in page 0x5000. Under
+        // BDI word 0 is the base and no immediate, word 1 is incompressible,
+        // word 2 compresses only as a delta from word 0, word 8 is
+        // incompressible and every other word is a zero immediate.
+        let base = 0x4FE0;
+        let m = mem_with(&[
+            (base, 0x7000_0000),
+            (base + 4, 0x1234_5678),
+            (base + 8, 0x7000_0010),
+            (0x5000, 0x9999_9999),
+        ]);
+        assert!(matches!(m.line_view(base, 16), LineView::Split));
+        assert_eq!(
+            scheme_compress_mask::<ccp_schemes::BdiScheme>(&m, base, 16),
+            0xFFFF & !0b1_0000_0011
         );
     }
 

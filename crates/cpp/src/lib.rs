@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! **CPP — Compression-enabled Partial cache line Prefetching**, the
 //! contribution of *Enabling Partial Cache Line Prefetching Through Data

@@ -532,13 +532,13 @@ impl Rule for NoUnboundedReads {
 // ---------------------------------------------------------------------------
 
 /// R9 — `dyn CompressionScheme` is banned in the replay hot path
-/// (`compress`, `cpp`, `cache`). The schemes subsystem keeps the PR-5
-/// branchless fast path alive by monomorphizing: a hierarchy is generic
-/// over its scheme, and the scheme is resolved to a concrete type exactly
-/// once, at construction (`build_design_scheme`). A trait object on the
-/// per-access path would reintroduce an indirect call per word — the very
-/// overhead the hot-path overhaul removed — and defeat the
-/// `BASE_SENSITIVE` const-folding the CPP scheme relies on. Boxing a
+/// (`compress`, `cpp`, `cache`). The schemes subsystem keeps each word
+/// predicate inlined into its line loop by monomorphizing: a hierarchy
+/// is generic over its scheme, and the scheme is resolved to a concrete
+/// type exactly once, at construction (`build_design_scheme`). A trait
+/// object on the per-access path would reintroduce an indirect call per
+/// word — the very overhead the hot-path overhaul removed — and defeat
+/// the `BASE_SENSITIVE` const-folding the CPP scheme relies on. Boxing a
 /// scheme is fine *outside* these crates (the sim factory does it after
 /// monomorphization); inside them, dispatch must be static.
 pub struct NoDynSchemeInHotPath;

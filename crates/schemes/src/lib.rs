@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Pluggable word-compression schemes for the cache hierarchies.
 //!
@@ -26,9 +27,9 @@
 //! # Dispatch contract
 //!
 //! Schemes are zero-sized types dispatched **statically**: the hierarchies
-//! take the scheme as a type parameter and monomorphize, so the branchless
-//! fast path of the CPP scheme survives (its `BASE_SENSITIVE = false`
-//! const-folds the base-word plumbing away entirely). Runtime selection
+//! take the scheme as a type parameter and monomorphize, so each predicate
+//! inlines into the line loop and the CPP scheme's `BASE_SENSITIVE = false`
+//! const-folds the base-word plumbing away entirely. Runtime selection
 //! happens once, at hierarchy construction, via the closed [`SchemeKind`]
 //! enum — never through `dyn CompressionScheme` on a replay path (ccp-lint
 //! rule R9 `no-dyn-scheme-in-hot-path` pins this).
@@ -40,8 +41,6 @@
 //! [`CompressionScheme::tag_bits_per_line`]; the hierarchies sum this over
 //! their geometry into `HierarchyStats::tag_overhead_bits` so reports can
 //! rank schemes on compression benefit *net of* the SRAM they spend.
-
-pub mod swar;
 
 use ccp_compress::{Addr, Word, WORD_BYTES};
 
@@ -73,13 +72,10 @@ pub const FPC_MAX: i32 = (1 << (FPC_PAYLOAD_BITS - 1)) - 1;
 /// 1. **Encode/decode bijection** — `word_compressible` is `true` exactly
 ///    when `encode` returns `Some`, and
 ///    `decode(encode(v).unwrap()) == v` (metamorphic "encode∘decode = id").
-/// 2. **Branch-free agreement** — `compressible_bit` returns
-///    `u32::from(word_compressible(..))` (it exists so line scans can stay
-///    branchless; the hierarchies rely on the agreement, not the codegen).
-/// 3. **Zero lines compress fully** — an all-zero line must have every word
+/// 2. **Zero lines compress fully** — an all-zero line must have every word
 ///    compressible. The hierarchies classify never-written (zero-fill) lines
 ///    without materializing them; that fast path assumes a full mask.
-/// 4. **Base semantics** — `base_addr` is the address of word 0 of the
+/// 3. **Base semantics** — `base_addr` is the address of word 0 of the
 ///    enclosing cache line and `base_val` is that word's current value.
 ///    Schemes with [`CompressionScheme::BASE_SENSITIVE`]` = false` must
 ///    ignore both (the hierarchies then skip fetching them entirely).
@@ -101,16 +97,14 @@ pub trait CompressionScheme: Copy + Default + std::fmt::Debug + Send + Sync + 's
     /// `base_addr` whose word 0 holds `base_val`, compresses to 16 bits.
     fn word_compressible(value: Word, addr: Addr, base_addr: Addr, base_val: Word) -> bool;
 
-    /// Branch-free form of [`CompressionScheme::word_compressible`]:
-    /// `1` when compressible, else `0`.
-    #[inline]
-    fn compressible_bit(value: Word, addr: Addr, base_addr: Addr, base_val: Word) -> u32 {
-        u32::from(Self::word_compressible(value, addr, base_addr, base_val))
-    }
-
     /// Compressibility mask of a whole line: bit *i* set iff `words[i]`,
     /// stored at `base_addr + 4*i`, is compressible. `words[0]` is the base
     /// word.
+    ///
+    /// The per-word loop over [`CompressionScheme::word_compressible`]; BDI
+    /// and FPC use it as is, and [`CppScheme`] delegates to
+    /// `ccp_compress::line_compress_mask`, the same loop over the paper's
+    /// predicate.
     ///
     /// # Panics
     /// Debug-asserts `words.len() <= 32` (flag masks are 32 bits wide).
@@ -119,11 +113,9 @@ pub trait CompressionScheme: Copy + Default + std::fmt::Debug + Send + Sync + 's
         debug_assert!(words.len() <= 32, "flag masks hold at most 32 words");
         let base_val = words.first().copied().unwrap_or(0);
         let mut mask = 0u32;
-        let mut bit = 1u32;
         let mut addr = base_addr;
-        for &w in words {
-            mask |= bit & Self::compressible_bit(w, addr, base_addr, base_val).wrapping_neg();
-            bit = bit.wrapping_shl(1);
+        for (i, &w) in words.iter().enumerate() {
+            mask |= u32::from(Self::word_compressible(w, addr, base_addr, base_val)) << i;
             addr = addr.wrapping_add(WORD_BYTES);
         }
         mask
@@ -187,10 +179,10 @@ impl SchemeKind {
 
 /// The paper's scheme: 15-bit small values and same-32KB-chunk pointers.
 ///
-/// Pure delegation to the [`ccp_compress`] kernels — the branch-free
-/// per-word test and the tuned line scan — so routing the hierarchies
-/// through the trait costs nothing: `BASE_SENSITIVE = false` folds the base
-/// plumbing away and `line_mask` *is* `line_compress_mask`.
+/// Pure delegation to [`ccp_compress`]: `word_compressible` is
+/// `is_compressible` and `line_mask` is `line_compress_mask`, so the
+/// generic hierarchies classify exactly as the paper's kernel does, and
+/// `BASE_SENSITIVE = false` folds the base-word plumbing away.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CppScheme;
 
@@ -202,11 +194,6 @@ impl CompressionScheme for CppScheme {
     #[inline]
     fn word_compressible(value: Word, addr: Addr, _base_addr: Addr, _base_val: Word) -> bool {
         ccp_compress::is_compressible(value, addr)
-    }
-
-    #[inline]
-    fn compressible_bit(value: Word, addr: Addr, _base_addr: Addr, _base_val: Word) -> u32 {
-        ccp_compress::compressible_bit(value, addr)
     }
 
     #[inline]
@@ -274,11 +261,6 @@ impl CompressionScheme for BdiScheme {
     fn word_compressible(value: Word, addr: Addr, base_addr: Addr, base_val: Word) -> bool {
         fits_signed(value as i32, BDI_PAYLOAD_BITS)
             || Self::delta_fits(value, addr, base_addr, base_val)
-    }
-
-    #[inline]
-    fn line_mask(words: &[Word], base_addr: Addr) -> u32 {
-        swar::bdi_line_mask_swar(words, base_addr)
     }
 
     #[inline]
@@ -359,18 +341,6 @@ impl CompressionScheme for FpcScheme {
     }
 
     #[inline]
-    fn compressible_bit(value: Word, _addr: Addr, _base_addr: Addr, _base_val: Word) -> u32 {
-        let hi = (value as i32) >> (FPC_PAYLOAD_BITS - 1);
-        let narrow = u32::from(hi == 0) | u32::from(hi == -1);
-        narrow | u32::from(value == value.rotate_left(8))
-    }
-
-    #[inline]
-    fn line_mask(words: &[Word], base_addr: Addr) -> u32 {
-        swar::fpc_line_mask_swar(words, base_addr)
-    }
-
-    #[inline]
     fn encode(value: Word, _addr: Addr, _base_addr: Addr, _base_val: Word) -> Option<u16> {
         let v = value as i32;
         let class = if value == 0 {
@@ -424,12 +394,6 @@ mod tests {
 
     fn roundtrip<S: CompressionScheme>(value: Word, addr: Addr, base_addr: Addr, base_val: Word) {
         let compressible = S::word_compressible(value, addr, base_addr, base_val);
-        assert_eq!(
-            S::compressible_bit(value, addr, base_addr, base_val),
-            u32::from(compressible),
-            "{}: bit/predicate disagree on {value:#x} @ {addr:#x}",
-            S::NAME
-        );
         match S::encode(value, addr, base_addr, base_val) {
             Some(half) => {
                 assert!(compressible, "{}: encoded but not compressible", S::NAME);

@@ -86,7 +86,7 @@ fn compare(benchmark: String, o: FastStats, reference: HierarchyStats) -> DiffOu
 
 /// Replays `bench` through both engines and compares their statistics.
 /// The reference engine classifies word by word, so this also checks the
-/// optimized engine's packed line kernel over the whole trace.
+/// optimized engine's memoized line masks over the whole trace.
 pub fn diff_benchmark(bench: &Benchmark, budget: usize, seed: u64) -> DiffOutcome {
     let trace = bench.trace(budget, seed);
     let mut opt = CppHierarchy::paper();
