@@ -123,13 +123,16 @@ echo "== perfbench: benchmark tests + a fingerprint-checked pass per workload"
 # target directory.
 CARGO_TARGET_DIR=.bench_build cargo test --release --offline -q \
     --manifest-path perfbench/Cargo.toml
-for w in paper-sweep replay; do
+# paper-sweep runs a second seed too, so the pipeline scheduler is held to
+# recorded RunStats on streams beyond seed 0.
+for run in paper-sweep:0 paper-sweep:63 replay:0; do
+    w="${run%:*}"; seed="${run#*:}"
     CARGO_TARGET_DIR=.bench_build cargo run --release --offline --quiet \
-        --manifest-path perfbench/Cargo.toml -- --workload "$w" --seed 0 --seconds 1 \
-        > "$SCRATCH/perfbench-$w.txt"
-    grep -q '"failed": 0,' "$SCRATCH/perfbench-$w.txt" || {
-        echo "perfbench $w failed a recorded fingerprint:"
-        cat "$SCRATCH/perfbench-$w.txt"; exit 1; }
+        --manifest-path perfbench/Cargo.toml -- --workload "$w" --seed "$seed" --seconds 1 \
+        > "$SCRATCH/perfbench-$w-$seed.txt"
+    grep -q '"failed": 0,' "$SCRATCH/perfbench-$w-$seed.txt" || {
+        echo "perfbench $w (seed $seed) failed a recorded fingerprint:"
+        cat "$SCRATCH/perfbench-$w-$seed.txt"; exit 1; }
 done
 
 echo "== perf smoke: hot-path overhaul holds a conservative speedup floor"
