@@ -183,15 +183,15 @@ echo "== resume round-trip: interrupted + resumed sweep == uninterrupted"
 SWEEP_ARGS="--budget 2000 --seed 7 --workloads health,mst --designs BC,BCP,CPP"
 # Phase 1: "crash" after 2 of 6 cells (exit 3 = incomplete, by design);
 # the grid runs workload-major, so health/BCP (prefetch-buffer counters)
-# is among the cells restored from the checkpoint.
+# is among the cells restored from the store.
 set +e
 ./target/release/repro sweep $SWEEP_ARGS --max-cells 2 \
-    --checkpoint "$SCRATCH/ck.jsonl" > "$SCRATCH/interrupted.txt"
+    --store "$SCRATCH/sweepstore" > "$SCRATCH/interrupted.txt"
 status=$?
 set -e
 [ "$status" -eq 3 ] || { echo "expected exit 3 (incomplete), got $status"; exit 1; }
 # Phase 2: resume finishes the grid; phase 3: an uninterrupted reference.
-./target/release/repro sweep $SWEEP_ARGS --resume "$SCRATCH/ck.jsonl" \
+./target/release/repro sweep $SWEEP_ARGS --store "$SCRATCH/sweepstore" \
     --json "$SCRATCH/resumed.json" > "$SCRATCH/resumed.txt"
 ./target/release/repro sweep $SWEEP_ARGS \
     --json "$SCRATCH/fresh.json" > "$SCRATCH/fresh.txt"
@@ -199,9 +199,8 @@ cmp "$SCRATCH/resumed.txt" "$SCRATCH/fresh.txt"
 cmp "$SCRATCH/resumed.json" "$SCRATCH/fresh.json"
 
 echo "== serve smoke: served results == direct runs, graceful drain"
-STORE="$SCRATCH/store"
-start_served() {  # $1 = output basename; sets SERVED_PID and ADDR
-    ./target/release/ccp-served --workers 4 --cache-bytes 65536 --store "$STORE" \
+start_served() {  # $1 = output basename, $2 = store dir; sets SERVED_PID and ADDR
+    ./target/release/ccp-served --workers 4 --cache-bytes 65536 --store "$2" \
         > "$SCRATCH/$1.out" 2> "$SCRATCH/$1.err" &
     SERVED_PID=$!
     i=0
@@ -221,7 +220,7 @@ stop_served() {  # SIGTERM drains and exits 0
     SERVED_PID=""
     [ "$status" -eq 0 ] || { echo "ccp-served exit $status after SIGTERM"; exit 1; }
 }
-start_served served
+start_served served "$SCRATCH/store"
 
 # One benchmark job and one workgen job: the served stats must be
 # field-identical to direct `repro sweep` runs of the same cells.
@@ -268,7 +267,7 @@ stop_served
 
 # A server restarted on the same store answers a repeat submit from the
 # disk tier: its RAM cache is empty, so `cached` can only come from disk.
-start_served served-restart
+start_served served-restart "$SCRATCH/store"
 ./target/release/ccp-client --addr "$ADDR" submit --workload health --design CPP \
     --budget 2000 --seed 7 > "$SCRATCH/restart.txt"
 grep -q " cached:" "$SCRATCH/restart.txt" || {
@@ -278,6 +277,21 @@ grep -q " cached:" "$SCRATCH/restart.txt" || {
 grep -q "sims run 0 " "$SCRATCH/restart-stats.txt" || {
     echo "restarted server re-simulated a stored job:"
     cat "$SCRATCH/restart-stats.txt"; exit 1; }
+stop_served
+
+echo "== one store: ccp-served answers from a sweep's store"
+# The resume round-trip above wrote health/BCP (budget 2000, seed 7) to
+# the sweep store; a server on that store must answer it without a run.
+start_served sweepstore "$SCRATCH/sweepstore"
+./target/release/ccp-client --addr "$ADDR" submit --workload health --design BCP \
+    --budget 2000 --seed 7 > "$SCRATCH/sweepstore-submit.txt"
+grep -q " cached:" "$SCRATCH/sweepstore-submit.txt" || {
+    echo "server did not answer from the sweep's store:"
+    cat "$SCRATCH/sweepstore-submit.txt"; exit 1; }
+./target/release/ccp-client --addr "$ADDR" stats > "$SCRATCH/sweepstore-stats.txt"
+grep -q "sims run 0 " "$SCRATCH/sweepstore-stats.txt" || {
+    echo "server re-simulated a cell the sweep stored:"
+    cat "$SCRATCH/sweepstore-stats.txt"; exit 1; }
 stop_served
 
 echo "== overload: a bounded queue sheds typed overloads, retried to done"

@@ -5,9 +5,9 @@
 //! The simulator's failure surface splits into a small number of classes —
 //! bad workload specifications, malformed traces, violated hierarchy
 //! invariants, pipeline malfunctions, per-cell watchdog trips, and plain
-//! I/O — and the sweep runner treats them differently (an I/O hiccup is
-//! retryable, a spec error never is), so they are modeled as one enum
-//! rather than stringly-typed `Result<_, String>`s. The crate is
+//! I/O — and callers treat them differently (a sweep reports each failed
+//! cell's class, a served client backs off on `overloaded`), so they are
+//! modeled as one enum rather than stringly-typed `Result<_, String>`s. The crate is
 //! dependency-free and sits below everything else in the workspace.
 
 use std::fmt;
@@ -302,20 +302,6 @@ impl SimError {
             _ => SimError::protocol(message),
         }
     }
-
-    /// Whether retrying the failed operation could plausibly succeed.
-    /// I/O hiccups (a peer hanging up included) and timeouts qualify —
-    /// the environment caused them, not the input. Every other class is
-    /// deterministic for a fixed seed, so a retry would reproduce it
-    /// exactly.
-    ///
-    /// [`SimError::Overloaded`] is retryable too, but deliberately *not*
-    /// transient here: a shed means the server is healthy and asking the
-    /// caller to back off, so it carries its own backoff contract instead
-    /// of riding the generic fault-retry path.
-    pub fn is_transient(&self) -> bool {
-        matches!(self, SimError::Io { .. } | SimError::Timeout { .. })
-    }
 }
 
 impl fmt::Display for SimError {
@@ -390,16 +376,6 @@ mod tests {
     }
 
     #[test]
-    fn environmental_classes_are_transient() {
-        let io = SimError::io("/tmp/x", &std::io::Error::other("disk"));
-        assert!(io.is_transient());
-        assert!(SimError::timeout("submit", "deadline").is_transient());
-        assert!(!SimError::spec("x").is_transient());
-        assert!(!SimError::pipeline("x").is_transient());
-        assert!(!SimError::watchdog("c", 1).is_transient());
-    }
-
-    #[test]
     fn from_panic_classifies_wedges_as_pipeline() {
         let wedge: Box<dyn std::any::Any + Send> =
             Box::new("pipeline wedged at cycle 12345".to_string());
@@ -462,16 +438,6 @@ mod tests {
         assert_eq!(SimError::from_wire("watchdog", "cell").class(), "watchdog");
     }
 
-    #[test]
-    fn server_classes_are_not_transient() {
-        assert!(!SimError::protocol("x").is_transient());
-        assert!(!SimError::canceled("x").is_transient());
-        assert!(!SimError::shutdown("x").is_transient());
-        // A shed is retryable, but via its own backoff path — see the
-        // is_transient doc comment.
-        assert!(!SimError::overloaded("x").is_transient());
-    }
-
     /// `SimError::overloaded` has its own class so callers can treat
     /// backpressure differently from faults: `Client::submit_wait_shed_retry`
     /// keys its backoff on this class.
@@ -479,6 +445,16 @@ mod tests {
     fn overloaded_class_is_distinct_from_every_fault_class() {
         let e = SimError::overloaded("queue full (3/2)");
         assert_eq!(e.class(), "overloaded");
-        assert!(!e.is_transient());
+        for fault in [
+            SimError::io("/tmp/x", &std::io::Error::other("disk")),
+            SimError::timeout("submit", "deadline"),
+            SimError::pipeline("x"),
+            SimError::watchdog("c", 1),
+            SimError::protocol("x"),
+            SimError::canceled("x"),
+            SimError::shutdown("x"),
+        ] {
+            assert_ne!(fault.class(), e.class(), "{fault}");
+        }
     }
 }

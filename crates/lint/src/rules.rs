@@ -141,8 +141,8 @@ fn second_generic_arg(file: &SourceFile, open: usize) -> Option<Vec<usize>> {
 /// helpers (`ccp_sim::json::write_atomic` / `write_atomic_bytes`, PR 2):
 /// a function that both creates a file directly and mentions a
 /// `.json`/`.jsonl` path — or a `.ccpz` store entry — can tear its output
-/// on a crash, which is exactly what the resumable-sweep checkpoints and
-/// the content-addressed disk tier exist to prevent. Direct file creation
+/// on a crash, which is exactly what the content-addressed disk tier that
+/// resumable sweeps write exists to prevent. Direct file creation
 /// without artifact evidence is still surfaced (at warn) because the path
 /// may arrive from a caller.
 pub struct AtomicJsonWrites;

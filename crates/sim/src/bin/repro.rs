@@ -73,11 +73,11 @@ usage: repro [--budget N] [--seed S] [--threads T] [--benchmarks a,b,..] [--json
            it as JSON to --out (default SCHEMES_report.json)
        repro sweep [--budget N] [--seed S] [--threads T]
                    [--workloads a,b,..] [--designs BC,CPP,..] [--halved]
-                   [--scheme CPP|BDI|FPC] [--retries N] [--backoff-ms MS]
-                   [--watchdog N] [--max-cells N]
-                   [--checkpoint FILE | --resume FILE] [--json FILE]
+                   [--scheme CPP|BDI|FPC] [--watchdog N] [--max-cells N]
+                   [--store DIR] [--json FILE]
            run a workload x design grid with per-cell crash isolation
-           (budget 60000); --resume skips the cells a checkpoint holds
+           (budget 60000); --store DIR restores the cells a result store
+           holds (shared with ccp-served --store) and writes the rest
        repro inspect <benchmark> [--budget N] [--seed S] [--json FILE]
            dump every design's run statistics for one benchmark (budget 300000)
        repro chaos [--workload NAME|SPEC]... [--all-benchmarks] [--budget N] [--seed S]
@@ -124,8 +124,8 @@ static COMMANDS: [Command; 8] = [
         name: "sweep",
         names: Some(0),
         budget: 60_000,
-        flags: "--budget --seed --threads --workloads --designs --halved --scheme --retries \
-                --backoff-ms --watchdog --max-cells --checkpoint --resume --json",
+        flags: "--budget --seed --threads --workloads --designs --halved --scheme --watchdog \
+                --max-cells --store --json",
         run: sweep,
     },
     Command {
@@ -707,10 +707,10 @@ fn compare_schemes(c: &Ctx) -> SimResult<Option<Json>> {
 // Subcommands
 // ---------------------------------------------------------------------------
 
-/// `sweep`: the hardened, resumable sweep driver. Interrupt it (Ctrl-C,
-/// kill, power loss) and re-run with `--resume`: finished cells are
-/// skipped and the final report is byte-identical to an uninterrupted
-/// run.
+/// `sweep`: the hardened, resumable sweep driver. Interrupt a run with
+/// `--store DIR` (Ctrl-C, kill, power loss) and re-run it on the same
+/// store: finished cells are restored and the final report is
+/// byte-identical to an uninterrupted run.
 fn sweep(args: &Args) -> SimResult<()> {
     let mut config = SweepConfig::new(args.budget, args.seed);
     config.threads = args.threads;
@@ -732,14 +732,9 @@ fn sweep(args: &Args) -> SimResult<()> {
                     .name()
                     .to_string();
             }
-            "--retries" => resilience.retries = num(flag, v)?,
-            "--backoff-ms" => resilience.backoff_ms = num(flag, v)?,
             "--watchdog" => resilience.watchdog_limit = num(flag, v)?,
             "--max-cells" => resilience.max_cells = Some(num(flag, v)?),
-            "--checkpoint" | "--resume" => {
-                resilience.checkpoint = Some(v.into());
-                resilience.resume = *flag == "--resume";
-            }
+            "--store" => resilience.store = Some(v.into()),
             _ => {}
         }
     }

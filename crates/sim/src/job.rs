@@ -7,7 +7,8 @@
 //! watchdog, and typed [`SimError`]s. The sweep driver's per-cell body is
 //! built from the same [`run_guarded_source`] core, so a job submitted to
 //! `ccp-served` and a cell of `repro sweep` are *the same computation*
-//! — which is what lets the serving layer's result cache answer for
+//! — which is what lets one result store (the `.ccpz` tier of
+//! [`crate::checkpoint`], keyed by [`JobSpec::cache_key`]) answer for
 //! either.
 //!
 //! [`JobSpec::cache_key`] gives the content address: a hash over the
@@ -119,12 +120,7 @@ impl JobSpec {
     ///
     /// [`canonical`]: JobSpec::canonical
     pub fn cache_key(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in self.canonical().bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h
+        crate::checkpoint::fnv1a(self.canonical().as_bytes())
     }
 
     /// `workload/design` — the context string error reports use.

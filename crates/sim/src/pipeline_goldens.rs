@@ -22,7 +22,7 @@
 //!   and the SPT/VC extensions), one [`RunStats`] fingerprint per run in
 //!   [`HIERARCHY_FILE`], so each side structure's accounting is pinned.
 
-use crate::checkpoint::stats_to_json;
+use crate::checkpoint::{fnv1a, stats_to_json};
 use crate::difftest::{GOLDEN_BENCHMARKS, GOLDEN_BUDGET, GOLDEN_SEED};
 use crate::json::{write_atomic, Json};
 use crate::sweep::{run_cell_source_scheme, Workload};
@@ -232,12 +232,7 @@ fn corner_program(seed: u64) -> Trace {
 /// 64-bit FNV-1a over a [`RunStats`]' JSON rendering: every counter feeds
 /// it, so any changed counter changes the fingerprint.
 fn stats_fingerprint(s: &RunStats) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in stats_to_json(s).to_string().bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    fnv1a(stats_to_json(s).to_string().as_bytes())
 }
 
 /// Renders the corner table: a header, then one line per program ×

@@ -1,27 +1,29 @@
 //! Crash-isolation and resume properties of the resilient sweep runner.
 //!
 //! The central guarantee: a sweep that is interrupted after an arbitrary
-//! number of cells (kill emulation via `--max-cells` + checkpoint) and
-//! then resumed produces a report and JSON grid **byte-identical** to an
-//! uninterrupted run — regardless of where the cut fell or how many
-//! worker threads either run used.
+//! number of cells (kill emulation via `--max-cells` over a `--store`
+//! directory) and then resumed on the same store produces a report and
+//! JSON grid **byte-identical** to an uninterrupted run — regardless of
+//! where the cut fell or how many worker threads either run used. The
+//! store is the `.ccpz` tier `ccp-served` uses, keyed by each cell's
+//! [`JobSpec`], so a stored cell is exactly the served job's result.
 
 use ccp_cache::DesignKind;
+use ccp_sim::checkpoint::DiskTier;
+use ccp_sim::json::write_atomic_bytes;
 use ccp_sim::sweep::{run_sweep, run_sweep_resilient, CellStatus, ResilienceConfig};
-use ccp_sim::SweepConfig;
+use ccp_sim::{run_job, JobSpec, SweepConfig};
 use proptest::prelude::*;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 
 static COUNTER: AtomicU32 = AtomicU32::new(0);
 
-/// A collision-free scratch path (parallel tests, repeated proptest cases).
-fn temp_path(tag: &str) -> PathBuf {
+/// A collision-free scratch store directory (parallel tests, repeated
+/// proptest cases).
+fn temp_store(tag: &str) -> PathBuf {
     let n = COUNTER.fetch_add(1, Ordering::SeqCst);
-    std::env::temp_dir().join(format!(
-        "ccp-resilience-{tag}-{}-{n}.jsonl",
-        std::process::id()
-    ))
+    std::env::temp_dir().join(format!("ccp-resilience-{tag}-{}-{n}", std::process::id()))
 }
 
 /// A small grid that still exercises both workload kinds: 2 workloads ×
@@ -37,12 +39,44 @@ fn small_config() -> SweepConfig {
     c
 }
 
+fn with_store(store: &Path, max_cells: Option<usize>) -> ResilienceConfig {
+    ResilienceConfig {
+        store: Some(store.to_path_buf()),
+        max_cells,
+        ..Default::default()
+    }
+}
+
+/// The job a cell of `config` computes (the `ccp-served` submit of the
+/// same workload, design, scheme, budget, seed and latency variant).
+fn cell_job(config: &SweepConfig, workload: &str, design: &str) -> JobSpec {
+    JobSpec {
+        scheme: config.scheme.clone(),
+        budget: config.budget,
+        seed: config.seed,
+        halved: config.halved_miss_penalty,
+        ..JobSpec::new(workload, design)
+    }
+}
+
+/// The `(workload, design)` cells a sweep over `store` restores without
+/// running any: with a cell cap of 0, only a verified entry completes.
+fn restorable(config: &SweepConfig, store: &Path) -> Vec<(String, &'static str)> {
+    let probe = run_sweep_resilient(config, &with_store(store, Some(0))).expect("probe sweep");
+    probe
+        .outcomes()
+        .into_iter()
+        .filter(|o| matches!(o.status, CellStatus::Ok(_)))
+        .map(|o| (o.workload.clone(), o.design))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Interrupt after `cut` cells, resume, and compare byte-for-byte
-    /// against an uninterrupted run (which also varies thread count, to
-    /// prove parallelism never leaks into the results).
+    /// Interrupt after `cut` cells, resume on the same store, and compare
+    /// byte-for-byte against an uninterrupted run (which also varies
+    /// thread count, to prove parallelism never leaks into the results).
     #[test]
     fn interrupted_then_resumed_run_is_byte_identical(cut in 1usize..4, threads in 1usize..4) {
         let config = small_config();
@@ -50,25 +84,19 @@ proptest! {
             .expect("uninterrupted sweep");
         prop_assert!(baseline.is_complete());
 
-        let path = temp_path("resume");
+        let store = temp_store("resume");
         // Phase 1: the "crash" — only `cut` of the 4 cells complete.
-        let interrupted = run_sweep_resilient(&config, &ResilienceConfig {
-            max_cells: Some(cut),
-            checkpoint: Some(path.clone()),
-            ..Default::default()
-        }).expect("interrupted sweep");
+        let interrupted = run_sweep_resilient(&config, &with_store(&store, Some(cut)))
+            .expect("interrupted sweep");
         prop_assert_eq!(interrupted.ok_count(), cut);
         prop_assert_eq!(interrupted.skipped_count(), 4 - cut);
 
-        // Phase 2: resume from the checkpoint with a different thread count.
+        // Phase 2: resume from the store with a different thread count.
         let mut config2 = config.clone();
         config2.threads = threads;
-        let resumed = run_sweep_resilient(&config2, &ResilienceConfig {
-            checkpoint: Some(path.clone()),
-            resume: true,
-            ..Default::default()
-        }).expect("resumed sweep");
-        let _ = std::fs::remove_file(&path);
+        let resumed = run_sweep_resilient(&config2, &with_store(&store, None))
+            .expect("resumed sweep");
+        let _ = std::fs::remove_dir_all(&store);
 
         prop_assert!(resumed.is_complete());
         prop_assert_eq!(resumed.render_report(), baseline.render_report());
@@ -76,68 +104,129 @@ proptest! {
     }
 }
 
-/// Resuming with an empty cut (max_cells = 0) records nothing and the
+/// Resuming with an empty cut (max_cells = 0) stores nothing and the
 /// follow-up run computes everything itself — still byte-identical.
 #[test]
-fn resume_from_empty_checkpoint_matches_fresh_run() {
+fn resume_from_empty_store_matches_fresh_run() {
     let config = small_config();
     let baseline =
         run_sweep_resilient(&config, &ResilienceConfig::default()).expect("uninterrupted sweep");
 
-    let path = temp_path("empty");
-    let interrupted = run_sweep_resilient(
-        &config,
-        &ResilienceConfig {
-            max_cells: Some(0),
-            checkpoint: Some(path.clone()),
-            ..Default::default()
-        },
-    )
-    .expect("interrupted sweep");
+    let store = temp_store("empty");
+    let interrupted =
+        run_sweep_resilient(&config, &with_store(&store, Some(0))).expect("interrupted sweep");
     assert_eq!(interrupted.ok_count(), 0);
     assert_eq!(interrupted.skipped_count(), 4);
 
-    let resumed = run_sweep_resilient(
-        &config,
-        &ResilienceConfig {
-            checkpoint: Some(path.clone()),
-            resume: true,
-            ..Default::default()
-        },
-    )
-    .expect("resumed sweep");
-    let _ = std::fs::remove_file(&path);
+    let resumed = run_sweep_resilient(&config, &with_store(&store, None)).expect("resumed sweep");
+    let _ = std::fs::remove_dir_all(&store);
     assert_eq!(resumed.render_report(), baseline.render_report());
 }
 
-/// A checkpoint written against one grid refuses to resume a different one.
+/// A cell a sweep stores is the served job's entry: the disk tier returns
+/// it under the job's own key and canonical text, equal to `run_job`.
 #[test]
-fn checkpoint_header_mismatch_is_rejected() {
+fn stored_cell_is_the_served_jobs_entry() {
     let config = small_config();
-    let path = temp_path("mismatch");
-    run_sweep_resilient(
-        &config,
-        &ResilienceConfig {
-            max_cells: Some(1),
-            checkpoint: Some(path.clone()),
-            ..Default::default()
-        },
-    )
-    .expect("interrupted sweep");
+    let store = temp_store("shared");
+    let sweep = run_sweep_resilient(&config, &with_store(&store, None)).expect("sweep");
+    assert!(sweep.is_complete());
+    let tier = DiskTier::open(&store).expect("open store");
+    assert_eq!(tier.entry_count(), 4);
+    for o in sweep.outcomes() {
+        let CellStatus::Ok(cell) = &o.status else {
+            panic!("{}/{}: {:?}", o.workload, o.design, o.status)
+        };
+        let spec = cell_job(&config, &o.workload, o.design);
+        let stored = tier
+            .get_stats(spec.cache_key(), &spec.canonical())
+            .unwrap_or_else(|| panic!("no entry for {}", spec.canonical()));
+        let job = run_job(&spec).expect("job");
+        assert_eq!(
+            format!("{stored:?}"),
+            format!("{job:?}"),
+            "{}",
+            spec.canonical()
+        );
+        assert_eq!(
+            format!("{cell:?}"),
+            format!("{job:?}"),
+            "{}",
+            spec.canonical()
+        );
+    }
+    // The served spelling of a benchmark (`health`, not `olden.health`)
+    // reaches the same entry.
+    let served = cell_job(&config, "health", "CPP");
+    assert!(tier
+        .get_stats(served.cache_key(), &served.canonical())
+        .is_some());
+    let _ = std::fs::remove_dir_all(&store);
+}
 
-    let mut other = config.clone();
-    other.budget = 3_000;
-    let err = run_sweep_resilient(
-        &other,
-        &ResilienceConfig {
-            checkpoint: Some(path.clone()),
-            resume: true,
-            ..Default::default()
-        },
-    )
-    .expect_err("resume against a different grid must fail");
-    let _ = std::fs::remove_file(&path);
-    assert_eq!(err.class(), "corrupt");
+/// A store answers only the cells whose spec it holds: another budget
+/// restores nothing, and a superset grid restores exactly the overlap.
+#[test]
+fn store_restores_exactly_the_matching_cells() {
+    let config = small_config();
+    let store = temp_store("grids");
+    run_sweep_resilient(&config, &with_store(&store, None)).expect("fill");
+    let all = restorable(&config, &store);
+    assert_eq!(all.len(), 4, "{all:?}");
+
+    let mut other_budget = config.clone();
+    other_budget.budget = 3_000;
+    assert!(restorable(&other_budget, &store).is_empty());
+
+    let mut superset = config.clone();
+    superset.workloads.push("mst".into());
+    superset.designs.push("BCP".into());
+    let mut overlap = restorable(&superset, &store);
+    overlap.sort();
+    let mut expected = all.clone();
+    expected.sort();
+    assert_eq!(overlap, expected);
+    let _ = std::fs::remove_dir_all(&store);
+}
+
+/// A corrupt entry is quarantined and only its cell runs again; the
+/// resumed grid still equals a fresh run.
+#[test]
+fn corrupt_entry_is_quarantined_and_only_its_cell_recomputed() {
+    let config = small_config();
+    let store = temp_store("corrupt");
+    let fresh = run_sweep_resilient(&config, &with_store(&store, None)).expect("fill");
+    let tier = DiskTier::open(&store).expect("open store");
+    let spec = cell_job(&config, "olden.health", "CPP");
+    let path = tier.path_for(spec.cache_key());
+    let mut bytes = std::fs::read(&path).expect("stored cell");
+    let last = bytes.len() - 1;
+    bytes[last] ^= 0xFF;
+    write_atomic_bytes(&path, &bytes).expect("corrupt entry");
+
+    let mut left = restorable(&config, &store);
+    left.sort();
+    let mut expected = vec![
+        ("olden.health".to_string(), "BC"),
+        (fresh.workloads[1].clone(), "BC"),
+        (fresh.workloads[1].clone(), "CPP"),
+    ];
+    expected.sort();
+    assert_eq!(left, expected);
+    assert_eq!(
+        std::fs::read(tier.quarantine_path_for(spec.cache_key())).expect("quarantined"),
+        bytes
+    );
+
+    let resumed = run_sweep_resilient(&config, &with_store(&store, None)).expect("resume");
+    assert_eq!(resumed.render_report(), fresh.render_report());
+    assert_eq!(resumed.to_json().to_string(), fresh.to_json().to_string());
+    assert!(
+        tier.get_stats(spec.cache_key(), &spec.canonical())
+            .is_some(),
+        "healed"
+    );
+    let _ = std::fs::remove_dir_all(&store);
 }
 
 /// An unresolved workload name yields skipped cells while the rest of the

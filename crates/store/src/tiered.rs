@@ -8,7 +8,7 @@
 //! an entry count — entries carry their canonical text, whose length
 //! varies widely between benchmark names and long `workgen:` specs.
 
-use crate::disk::{DiskCounters, DiskTier};
+use crate::{DiskCounters, DiskTier};
 use ccp_pipeline::RunStats;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -171,7 +171,7 @@ impl TieredStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::disk::fnv1a;
+    use crate::fnv1a;
     use std::path::PathBuf;
 
     fn stats(cycles: u64) -> Arc<RunStats> {

@@ -320,7 +320,6 @@ mod tests {
         for text in ["addr=bogus", "small=2.0", "smal=0.5", "small"] {
             let e = WorkgenSpec::parse(text).unwrap_err();
             assert_eq!(e.class(), "spec", "{text}");
-            assert!(!e.is_transient());
         }
     }
 }

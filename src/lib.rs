@@ -26,7 +26,7 @@
 //! * [`served`] — simulation-as-a-service: the NDJSON-over-TCP job
 //!   server with single-flight result caching, and its client/loadgen,
 //! * [`store`] — the two-tier content-addressed result store (RAM LRU
-//!   over a compressed on-disk tier).
+//!   over the on-disk tier that `repro sweep --store` shares).
 //!
 //! ## Quickstart
 //!
