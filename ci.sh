@@ -108,9 +108,10 @@ echo "== perfbench: benchmark tests + a fingerprint-checked pass per workload"
 # target directory.
 CARGO_TARGET_DIR=.bench_build cargo test --release --offline -q \
     --manifest-path perfbench/Cargo.toml
-# paper-sweep runs a second seed too, so the pipeline scheduler is held to
-# recorded RunStats on streams beyond seed 0.
-for run in paper-sweep:0 paper-sweep:63 replay:0; do
+# Each workload runs a second seed too, so the pipeline scheduler and the
+# hierarchies are held to recorded RunStats and FastStats on streams beyond
+# seed 0.
+for run in paper-sweep:0 paper-sweep:63 replay:0 replay:63; do
     w="${run%:*}"; seed="${run#*:}"
     CARGO_TARGET_DIR=.bench_build cargo run --release --offline --quiet \
         --manifest-path perfbench/Cargo.toml -- --workload "$w" --seed "$seed" --seconds 1 \

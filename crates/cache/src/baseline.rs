@@ -24,7 +24,7 @@ use crate::set_assoc::SetAssocCache;
 use crate::stats::HierarchyStats;
 use crate::{AccessResult, Addr, CacheSim, HitSource, Word};
 use ccp_compress::bus_halfwords;
-use ccp_mem::MainMemory;
+use ccp_mem::{LineView, MainMemory};
 
 /// A small fully-associative LRU buffer of whole lines beside a cache
 /// level: BCP's and SPT's prefetch buffers (clean lines) and VC's victim
@@ -174,17 +174,21 @@ pub struct Levels {
 impl Levels {
     /// The bus cost of transferring the `words`-long line at `base`, in
     /// half-words: always `2 × words` on a conventional bus,
-    /// value-dependent on a compressed one.
+    /// value-dependent on a compressed one, where the line is classified
+    /// through one page walk.
     fn transfer(&self, base: Addr, words: u32) -> u64 {
         if !self.compress_bus {
             return u64::from(words) * 2;
         }
-        (0..words)
-            .map(|i| {
-                let a = base + i * 4;
-                bus_halfwords(self.mem.read(a), a)
-            })
-            .sum()
+        let at = |i: u32| base.wrapping_add(4 * i);
+        let cost = |i: u32, w: Word| bus_halfwords(w, at(i));
+        match self.mem.line_view(base, words) {
+            LineView::Resident(line) => (0..).zip(line).map(|(i, &w)| cost(i, w)).sum(),
+            // An untouched page reads as zeros, and zero is a small value.
+            LineView::Zero => u64::from(words),
+            // Only a run not aligned to its own size crosses a page.
+            LineView::Split => (0..words).map(|i| cost(i, self.mem.read(at(i)))).sum(),
+        }
     }
 
     /// Ensures `addr`'s L2 line is resident, from `l2_pb` or from memory.
@@ -408,13 +412,8 @@ impl<S: Side> TwoLevel<S> {
         if let Some(v) = write {
             self.lv.mem.write(addr, v);
         }
-        let value = write.unwrap_or_else(|| self.lv.mem.read(addr));
         self.side.after_access(&mut self.lv, base, missed);
-        AccessResult {
-            value,
-            latency,
-            source,
-        }
+        AccessResult { latency, source }
     }
 }
 
@@ -481,7 +480,6 @@ mod tests {
         let mut c = bc();
         c.mem_mut().write(0x1000, 77);
         let r = c.read(0x1000);
-        assert_eq!(r.value, 77);
         assert_eq!(r.source, HitSource::Memory);
         assert_eq!(r.latency, 100);
         let r2 = c.read(0x1000);
@@ -519,10 +517,9 @@ mod tests {
         assert_eq!(r.source, HitSource::Memory);
         assert_eq!(c.mem().read(0x3000), 0xAAAA_BBBB);
         assert_eq!(c.stats().l1.write_misses, 1);
-        // Subsequent read hits L1 and sees the stored value.
+        // Subsequent read hits L1.
         let r2 = c.read(0x3000);
         assert_eq!(r2.source, HitSource::L1);
-        assert_eq!(r2.value, 0xAAAA_BBBB);
     }
 
     #[test]
@@ -562,6 +559,25 @@ mod tests {
         }
         c.read(0x8000);
         assert_eq!(c.stats().mem_bus.in_halfwords, 16 + 32);
+    }
+
+    #[test]
+    fn bcc_transfer_equals_the_per_word_fold() {
+        let mut c = TwoLevelCache::paper(DesignKind::Bcc);
+        // Small, same-chunk pointer, incompressible and zero words.
+        let words = [5, 0x4000_1230, 0xDEAD_BEEF, 0, 0xFFFF_8000, 0x7FFF_0000];
+        let (resident, untouched, top) = (0x4000_0080, 0x9_0000, 0xFFFF_FF80);
+        for (i, &w) in words.iter().cycle().take(32).enumerate() {
+            c.mem_mut().write(resident + 4 * i as u32, w);
+            c.mem_mut().write(top + 4 * i as u32, w);
+        }
+        let hw = |a: u32| bus_halfwords(c.mem().read(a), a);
+        for base in [resident, untouched, top] {
+            for n in [16, 32] {
+                let fold: u64 = (0..n).map(|i| hw(base + 4 * i)).sum();
+                assert_eq!(c.lv.transfer(base, n), fold, "line {base:#x}, {n} words");
+            }
+        }
     }
 
     #[test]
@@ -630,7 +646,7 @@ mod tests {
         c.read(8 * 1024);
         c.read(32 * 1024);
         c.read(64 * 1024);
-        let r = c.read(0x0000);
-        assert_eq!(r.value, 123, "value survives full eviction cycle");
+        c.read(0x0000);
+        assert_eq!(c.mem().read(0x0000), 123, "value survives eviction");
     }
 }

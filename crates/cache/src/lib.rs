@@ -81,11 +81,10 @@ pub enum HitSource {
     Memory,
 }
 
-/// Outcome of a single word access through a hierarchy.
+/// Timing outcome of a single word access through a hierarchy. It carries
+/// no data: values are read from [`CacheSim::mem`] after the access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessResult {
-    /// The architectural value loaded (for writes: the value written).
-    pub value: Word,
     /// Total access latency in cycles, as seen by the pipeline.
     pub latency: u32,
     /// Where the word was found.
@@ -114,6 +113,8 @@ impl AccessResult {
 /// The pipeline drives this trait with word-granularity reads and writes;
 /// implementations update their timing metadata, charge a latency, account
 /// bus traffic, and keep the architectural image in [`MainMemory`] current.
+/// An access returns timing only ([`AccessResult`]); values are read
+/// through [`CacheSim::mem`].
 pub trait CacheSim {
     /// Performs a word-aligned read of `addr`.
     fn read(&mut self, addr: Addr) -> AccessResult;
@@ -174,11 +175,7 @@ mod tests {
 
     #[test]
     fn l1_miss_classification() {
-        let mk = |source| AccessResult {
-            value: 0,
-            latency: 1,
-            source,
-        };
+        let mk = |source| AccessResult { latency: 1, source };
         assert!(!mk(HitSource::L1).l1_miss());
         assert!(!mk(HitSource::L1Affiliated).l1_miss());
         assert!(!mk(HitSource::L1PrefetchBuffer).l1_miss());
@@ -188,11 +185,7 @@ mod tests {
 
     #[test]
     fn l2_miss_classification() {
-        let mk = |source| AccessResult {
-            value: 0,
-            latency: 1,
-            source,
-        };
+        let mk = |source| AccessResult { latency: 1, source };
         assert!(!mk(HitSource::L2).l2_miss());
         assert!(mk(HitSource::Memory).l2_miss());
         assert!(!mk(HitSource::L1).l2_miss());

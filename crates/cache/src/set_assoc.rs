@@ -1,19 +1,25 @@
 //! Generic set-associative tag array with true-LRU replacement.
 //!
 //! The array stores no data (the architectural image lives in
-//! [`ccp_mem::MainMemory`]); each line carries `valid`/`dirty`/`tag` plus a
+//! [`ccp_mem::MainMemory`]); each line carries a tag, a dirty bit and a
 //! design-specific payload `T` — empty for the baseline designs, the
 //! `PA`/`VCP`/`AA` flag bundle for CPP.
 //!
-//! Line state is held in structure-of-arrays form: the tag/valid words a
-//! lookup scans are contiguous per set (one or two cache lines of host
-//! memory for the whole probe), and the colder dirty/LRU/payload columns
-//! are only touched on the paths that need them. The way-count and set
-//! shift are precomputed so a probe is shift/mask arithmetic plus a short
-//! contiguous scan.
+//! Line state is held in structure-of-arrays form: the tag words a lookup
+//! scans are contiguous per set (one or two cache lines of host memory for
+//! the whole probe), and the colder dirty/LRU/payload columns are only
+//! touched on the paths that need them. An empty way holds the
+//! [`INVALID`] tag, which no address's tag can equal, so validity needs no
+//! column of its own and a probe is one compare per way. The way-count and
+//! set shift are precomputed so a probe is shift/mask arithmetic plus a
+//! short contiguous scan.
 
 use crate::geometry::CacheGeometry;
 use crate::Addr;
+
+/// The tag of an empty way: a tag drops at least the two offset bits of a
+/// 4-byte line, so it is below 2^30 and never equals this value.
+const INVALID: u32 = u32::MAX;
 
 /// Information about a line displaced by [`SetAssocCache::insert`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,8 +41,8 @@ pub struct SetAssocCache<T> {
     /// log2 of the way count: global index of `(set, way)` is
     /// `(set << assoc_shift) | way`.
     assoc_shift: u32,
+    /// One tag per way; [`INVALID`] marks an empty way.
     tags: Vec<u32>,
-    valid: Vec<bool>,
     dirty: Vec<bool>,
     lru_stamp: Vec<u64>,
     extra: Vec<T>,
@@ -51,8 +57,7 @@ impl<T: Default + Clone> SetAssocCache<T> {
             geom,
             assoc: geom.assoc() as usize,
             assoc_shift: geom.assoc().trailing_zeros(),
-            tags: vec![0; n],
-            valid: vec![false; n],
+            tags: vec![INVALID; n],
             dirty: vec![false; n],
             lru_stamp: vec![0; n],
             extra: vec![T::default(); n],
@@ -77,7 +82,7 @@ impl<T: Default + Clone> SetAssocCache<T> {
     pub fn lookup(&self, addr: Addr) -> Option<usize> {
         let tag = self.geom.tag(addr);
         let base = self.set_base(addr);
-        (base..base + self.assoc).find(|&i| self.valid[i] && self.tags[i] == tag)
+        (base..base + self.assoc).find(|&i| self.tags[i] == tag)
     }
 
     /// Marks line `idx` most-recently used.
@@ -90,7 +95,7 @@ impl<T: Default + Clone> SetAssocCache<T> {
     /// Whether line `idx` holds a valid (primary) tag.
     #[inline]
     pub fn is_valid(&self, idx: usize) -> bool {
-        self.valid[idx]
+        self.tags[idx] != INVALID
     }
 
     /// Whether line `idx` is dirty.
@@ -130,7 +135,7 @@ impl<T: Default + Clone> SetAssocCache<T> {
         let base = self.set_base(addr);
         let mut best = base;
         for i in base..base + self.assoc {
-            if !self.valid[i] {
+            if self.tags[i] == INVALID {
                 return i;
             }
             if self.lru_stamp[i] < self.lru_stamp[best] {
@@ -147,6 +152,7 @@ impl<T: Default + Clone> SetAssocCache<T> {
     /// # Panics
     /// In debug builds, panics if the line is already resident (duplicate
     /// copies are always a design bug in these hierarchies).
+    #[inline]
     pub fn insert(&mut self, addr: Addr, dirty: bool, extra: T) -> (Option<Evicted<T>>, usize) {
         debug_assert!(
             self.lookup(addr).is_none(),
@@ -154,7 +160,7 @@ impl<T: Default + Clone> SetAssocCache<T> {
             self.geom.line_base(addr)
         );
         let idx = self.victim_index(addr);
-        let evicted = if self.valid[idx] {
+        let evicted = if self.is_valid(idx) {
             Some(Evicted {
                 base: self.base_of(idx),
                 dirty: self.dirty[idx],
@@ -164,7 +170,6 @@ impl<T: Default + Clone> SetAssocCache<T> {
             None
         };
         self.clock += 1;
-        self.valid[idx] = true;
         self.tags[idx] = self.geom.tag(addr);
         self.dirty[idx] = dirty;
         self.lru_stamp[idx] = self.clock;
@@ -174,7 +179,7 @@ impl<T: Default + Clone> SetAssocCache<T> {
 
     /// Invalidates line `idx`, returning its prior state.
     pub fn invalidate(&mut self, idx: usize) -> Option<Evicted<T>> {
-        if !self.valid[idx] {
+        if !self.is_valid(idx) {
             return None;
         }
         let ev = Evicted {
@@ -182,8 +187,7 @@ impl<T: Default + Clone> SetAssocCache<T> {
             dirty: self.dirty[idx],
             extra: std::mem::take(&mut self.extra[idx]),
         };
-        self.valid[idx] = false;
-        self.tags[idx] = 0;
+        self.tags[idx] = INVALID;
         self.dirty[idx] = false;
         self.lru_stamp[idx] = 0;
         Some(ev)
@@ -191,12 +195,12 @@ impl<T: Default + Clone> SetAssocCache<T> {
 
     /// Number of currently valid lines.
     pub fn valid_count(&self) -> usize {
-        self.valid.iter().filter(|&&v| v).count()
+        self.tags.iter().filter(|&&t| t != INVALID).count()
     }
 
     /// Iterates over the global indices of valid lines.
     pub fn iter_valid(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.valid.len()).filter(|&i| self.valid[i])
+        (0..self.tags.len()).filter(|&i| self.is_valid(i))
     }
 }
 
@@ -218,6 +222,18 @@ mod tests {
         assert_eq!(c.lookup(0), None);
         assert_eq!(c.lookup(0xFFFF_FFC0), None);
         assert_eq!(c.valid_count(), 0);
+    }
+
+    #[test]
+    fn empty_array_misses_the_top_word_under_every_paper_geometry() {
+        use crate::config::{DesignKind, HierarchyConfig};
+        for design in DesignKind::ALL {
+            let cfg = HierarchyConfig::paper(design);
+            for geom in [cfg.l1, cfg.l2] {
+                let c: SetAssocCache<()> = SetAssocCache::new(geom);
+                assert_eq!(c.lookup(0xFFFF_FFFC), None, "{design:?} {geom:?}");
+            }
+        }
     }
 
     #[test]

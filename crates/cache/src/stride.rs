@@ -247,7 +247,8 @@ mod tests {
             c.write_pc(0xA_0000 + i * 128, i, 0x40_0200);
         }
         for i in 0..128u32 {
-            assert_eq!(c.read_pc(0xA_0000 + i * 128, 0x40_0204).value, i);
+            c.read_pc(0xA_0000 + i * 128, 0x40_0204);
+            assert_eq!(c.mem().read(0xA_0000 + i * 128), i);
         }
     }
 

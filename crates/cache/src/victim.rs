@@ -112,8 +112,8 @@ mod tests {
         c.write(0x0000, 42);
         c.read(8 * 1024); // evict dirty line into the buffer
         assert!(c.side().buf.contains(0x0000));
-        let r = c.read(0x0000); // swap back
-        assert_eq!(r.value, 42);
+        c.read(0x0000); // swap back
+        assert_eq!(c.mem().read(0x0000), 42);
         // Push it through the buffer entirely: 5 distinct conflicting lines.
         for k in 1..=5u32 {
             c.read(k * 8 * 1024);
@@ -123,7 +123,8 @@ mod tests {
             c.stats().l1_l2_bus.out_halfwords > 0,
             "dirty victim eventually written back"
         );
-        assert_eq!(c.read(0x0000).value, 42, "value survives the full path");
+        c.read(0x0000);
+        assert_eq!(c.mem().read(0x0000), 42, "value survives the full path");
     }
 
     #[test]

@@ -704,11 +704,10 @@ mod tests {
         let mem = MainMemory::new();
         let mut f = CppFlags::full_primary(16, 0xFFFF, 0);
         f.aa = 1; // claims pair 0x2040 affiliated
-        l.install_primary(0x2000, f, false);
+        let (_, idx) = l.install_primary(0x2000, f, false);
         // Force 0x2040 primary WITHOUT the install-time cleanup by abusing
         // flags_mut to re-add aa afterwards.
         l.install_primary(0x2040, CppFlags::full_primary(16, 0, 0), false);
-        let idx = l.lookup_primary(0x2000).unwrap();
         l.flags_mut(idx).aa = 1;
         let v = InvariantChecker::check_level(&l, &mem, true, "L1");
         assert!(

@@ -166,33 +166,41 @@ impl<S: CompressionScheme> CppLevel<S> {
     /// the victim way. Also clears any affiliated copy of `base` (the
     /// one-copy rule): an installed primary supersedes it.
     ///
-    /// Returns the displaced victim, if any; the caller must write it back
-    /// (if dirty) and may then [`CppLevel::park`] it.
+    /// Returns the displaced victim, if any, and the new line's index; the
+    /// caller must write the victim back (if dirty) and may then
+    /// [`CppLevel::park`] it.
     pub fn install_primary(
         &mut self,
         base: Addr,
         flags: CppFlags,
         dirty: bool,
-    ) -> Option<CppVictim> {
+    ) -> (Option<CppVictim>, usize) {
         debug_assert_eq!(self.geometry().line_base(base), base);
         debug_assert!(flags.broken_rules(self.words()).is_empty(), "{flags:x?}");
         // One-copy rule: drop the affiliated copy of this line, if present.
         if let Some(aidx) = self.lookup_affiliated(base) {
             self.arr.extra_mut(aidx).aa = 0;
         }
-        let (evicted, _idx) = self.arr.insert(base, dirty, flags);
-        evicted.map(|Evicted { base, dirty, extra }| CppVictim {
+        let (evicted, idx) = self.arr.insert(base, dirty, flags);
+        let victim = evicted.map(|Evicted { base, dirty, extra }| CppVictim {
             base,
             dirty,
             flags: extra,
-        })
+        });
+        (victim, idx)
     }
 
-    /// Parks the compressible present words of an evicted line into its
-    /// affiliated location, if its pair line is resident as primary there.
-    /// Parked copies are clean (the caller has already written back a dirty
-    /// victim). Returns the number of words parked.
-    pub fn park(&mut self, mem: &MainMemory, victim_base: Addr, victim_pa: u32) -> u32 {
+    /// Parks the compressible present words of an evicted line, whose
+    /// compressibility mask is `comp`, into its affiliated location, if its
+    /// pair line is resident as primary there. Parked copies are clean (the
+    /// caller has already written back a dirty victim). Returns the number
+    /// of words parked.
+    pub fn park(&mut self, mem: &MainMemory, victim_base: Addr, victim_pa: u32, comp: u32) -> u32 {
+        debug_assert_eq!(
+            comp,
+            self.line_mask(mem, victim_base),
+            "line {victim_base:#x}"
+        );
         let Some(pidx) = self.arr.lookup(self.pair_base(victim_base)) else {
             return 0;
         };
@@ -201,7 +209,6 @@ impl<S: CompressionScheme> CppLevel<S> {
             host.aa, 0,
             "one-copy rule: victim {victim_base:#x} was both primary and affiliated"
         );
-        let comp = self.line_mask(mem, victim_base);
         let parked = victim_pa & comp & host.affiliated_capacity(self.words());
         if parked != 0 {
             self.arr.extra_mut(pidx).aa = parked;
@@ -289,12 +296,11 @@ impl<S: CompressionScheme> CppLevel<S> {
     }
 
     /// Merges newly arrived primary words into an already-resident primary
-    /// line: sets `PA`, recomputes `VCP` from current values, and evicts
-    /// affiliated words whose slot is claimed by an incompressible arrival.
-    /// Returns the number of affiliated words displaced.
-    pub fn merge_primary_words(&mut self, mem: &MainMemory, idx: usize, new_mask: u32) -> u32 {
-        let base = self.base_of(idx);
-        let comp = self.line_mask(mem, base);
+    /// line whose compressibility mask is `comp`: sets `PA`, recomputes
+    /// `VCP` from current values, and evicts affiliated words whose slot is
+    /// claimed by an incompressible arrival. Returns the number of
+    /// affiliated words displaced.
+    pub fn merge_primary_words(&mut self, idx: usize, new_mask: u32, comp: u32) -> u32 {
         let f = self.arr.extra_mut(idx);
         f.pa |= new_mask;
         f.vcp = (f.vcp & !new_mask) | (comp & new_mask);
@@ -406,8 +412,9 @@ mod tests {
     fn install_then_lookup_primary() {
         let mut l = l1();
         let f = CppFlags::full_primary(16, 0, 0);
-        assert!(l.install_primary(0x2000, f, false).is_none());
-        assert!(l.lookup_primary(0x2000).is_some());
+        let (victim, idx) = l.install_primary(0x2000, f, false);
+        assert!(victim.is_none());
+        assert_eq!(l.lookup_primary(0x2000), Some(idx));
         assert!(l.lookup_primary(0x2040).is_none());
         // 0x2040's affiliated location is 0x2000's physical line.
         assert!(l.lookup_affiliated(0x2040).is_some());
@@ -420,14 +427,9 @@ mod tests {
         // 0x2000 primary hosts affiliated words of 0x2040.
         let mut f = CppFlags::full_primary(16, 0xFFFF, 0);
         f.aa = 0x000F;
-        l.install_primary(0x2000, f, false).unwrap_or(CppVictim {
-            base: 0,
-            dirty: false,
-            flags: CppFlags::empty(),
-        });
+        let (_, host) = l.install_primary(0x2000, f, false);
         // Now 0x2040 arrives as primary: its affiliated copy must vanish.
         l.install_primary(0x2040, CppFlags::full_primary(16, 0, 0), false);
-        let host = l.lookup_primary(0x2000).unwrap();
         assert_eq!(l.flags(host).aa, 0);
         assert!(InvariantChecker::check_level(&l, &mem, true, "L1").is_empty());
     }
@@ -440,11 +442,10 @@ mod tests {
                                      // (simulated via flags; memory says compressible but VCP is the
                                      // stored format, which may be conservative).
         let f = CppFlags::full_primary(16, 0x000F, 0);
-        l.install_primary(0x2000, f, false);
+        let (_, host) = l.install_primary(0x2000, f, false);
         // Victim 0x2040 (pair of 0x2000) parks: only slots 0..4 accept.
-        let parked = l.park(&mem, 0x2040, 0xFFFF);
+        let parked = l.park(&mem, 0x2040, 0xFFFF, 0xFFFF);
         assert_eq!(parked, 4);
-        let host = l.lookup_primary(0x2000).unwrap();
         assert_eq!(l.flags(host).aa, 0x000F);
     }
 
@@ -452,7 +453,7 @@ mod tests {
     fn park_without_resident_pair_is_noop() {
         let mut l = l1();
         let mem = MainMemory::new();
-        assert_eq!(l.park(&mem, 0x2040, 0xFFFF), 0);
+        assert_eq!(l.park(&mem, 0x2040, 0xFFFF, 0xFFFF), 0);
     }
 
     #[test]
@@ -461,10 +462,9 @@ mod tests {
         let mut mem = MainMemory::new();
         mem.write(0x2040, 0xDEAD_BEEF); // word 0 of victim incompressible
         let f = CppFlags::full_primary(16, 0xFFFF, 0);
-        l.install_primary(0x2000, f, false);
-        let parked = l.park(&mem, 0x2040, 0x0003);
+        let (_, host) = l.install_primary(0x2000, f, false);
+        let parked = l.park(&mem, 0x2040, 0x0003, 0xFFFE);
         assert_eq!(parked, 1, "only word 1 parks");
-        let host = l.lookup_primary(0x2000).unwrap();
         assert_eq!(l.flags(host).aa, 0x0002);
         assert!(InvariantChecker::check_level(&l, &mem, true, "L1").is_empty());
     }
@@ -484,8 +484,7 @@ mod tests {
         let mut l = l1();
         let mut f = CppFlags::full_primary(16, 0xFFFF, 0);
         f.aa = 0b0110;
-        l.install_primary(0x2000, f, false);
-        let idx = l.lookup_primary(0x2000).unwrap();
+        let (_, idx) = l.install_primary(0x2000, f, false);
         // Word 1 grows incompressible: its AA word is evicted, word 2's stays.
         let evicted = l.update_primary_word(idx, 1, false, false);
         assert_eq!(evicted, 1);
@@ -499,8 +498,7 @@ mod tests {
         let mut l = l1();
         let mut f = CppFlags::full_primary(16, 0xFFFF, 0);
         f.aa = 0b0110;
-        l.install_primary(0x2000, f, false);
-        let idx = l.lookup_primary(0x2000).unwrap();
+        let (_, idx) = l.install_primary(0x2000, f, false);
         let evicted = l.update_primary_word(idx, 1, false, true);
         assert_eq!(evicted, 2, "whole affiliated line evicted");
         assert_eq!(l.flags(idx).aa, 0);
@@ -510,8 +508,7 @@ mod tests {
     fn update_primary_word_compressible_is_free() {
         let mut l = l1();
         let f = CppFlags::full_primary(16, 0, 0);
-        l.install_primary(0x2000, f, false);
-        let idx = l.lookup_primary(0x2000).unwrap();
+        let (_, idx) = l.install_primary(0x2000, f, false);
         assert_eq!(l.update_primary_word(idx, 3, true, false), 0);
         assert!(l.flags(idx).vcp_bit(3));
     }
@@ -527,10 +524,9 @@ mod tests {
             aa: 0b0010, // affiliated word in then-empty slot 1
         };
         assert!(f.broken_rules(16).is_empty());
-        l.install_primary(0x2000, f, false);
-        let idx = l.lookup_primary(0x2000).unwrap();
+        let (_, idx) = l.install_primary(0x2000, f, false);
         // Words 1 and 2 arrive; word 1 is incompressible and claims slot 1.
-        let displaced = l.merge_primary_words(&mem, idx, 0b0110);
+        let displaced = l.merge_primary_words(idx, 0b0110, 0xFFFD);
         assert_eq!(displaced, 1);
         let f = l.flags(idx);
         assert_eq!(f.pa, 0b0111);
@@ -545,9 +541,8 @@ mod tests {
         let mut l = l1();
         let f = CppFlags::full_primary(16, 0x00FF, 0x00FF);
         l.install_primary(0x2000, f, true);
-        let v = l
-            .install_primary(0x2000 + 8 * 1024, CppFlags::full_primary(16, 0, 0), false)
-            .expect("direct-mapped conflict");
+        let (v, _) = l.install_primary(0x2000 + 8 * 1024, CppFlags::full_primary(16, 0, 0), false);
+        let v = v.expect("direct-mapped conflict");
         assert_eq!(v.base, 0x2000);
         assert!(v.dirty);
         assert_eq!(v.flags.aa, 0x00FF);

@@ -65,6 +65,9 @@ struct L2Response {
     avail: u32,
     /// Prefetched compressible words of the L1 line's affiliated line.
     aff: u32,
+    /// The requested L1 line's compressibility mask, so no later step of
+    /// the access asks the memo for it again.
+    comp: u32,
     /// Total latency of the request.
     latency: u32,
     /// L2 hit or memory.
@@ -202,33 +205,46 @@ impl<S: CompressionScheme> CppHierarchy<S> {
         self.l2.note_store(&self.mem, addr, value);
     }
 
-    /// Bus cost in half-words of transferring the masked words of the line
-    /// at `base` in compressed form, plus one half-word per affiliated word.
-    fn compressed_transfer_hw(&mut self, base: Addr, mask: u32, aff: u32) -> u64 {
+    /// Bus cost in half-words of transferring the masked words of the L1
+    /// line at `base`, whose compressibility mask is `comp`, in compressed
+    /// form, plus one half-word per affiliated word.
+    fn compressed_transfer_hw(&mut self, base: Addr, mask: u32, comp: u32, aff: u32) -> u64 {
+        debug_assert_eq!(comp, self.l1.line_mask(&self.mem, base), "line {base:#x}");
         // Compressible words cost one half-word, incompressible two:
         // |mask| + |mask \ comp|.
-        let comp = self.l1.line_mask(&self.mem, base);
         u64::from(mask.count_ones())
             + u64::from((mask & !comp).count_ones())
             + u64::from(aff.count_ones())
     }
 
-    /// Splits an L2-line availability mask into `(avail, aff)` for the
+    /// Splits an L2-line availability mask into the response to the
     /// requested L1 line: its own half, and the compressible words of the
     /// other half (its affiliated line) that fit in freed half-slots.
-    fn serve_masks(&mut self, avail32: u32, l1_base: Addr) -> (u32, u32) {
+    fn serve_masks(
+        &mut self,
+        pa: u32,
+        l1_base: Addr,
+        latency: u32,
+        source: HitSource,
+    ) -> L2Response {
         let w = self.l1.words(); // an L2 line is exactly two L1 lines
         let m = flags::mask_n(w);
         let shift = self.l2.geometry().word_offset(l1_base); // 0 or w
-        let my = (avail32 >> shift) & m;
-        let other = (avail32 >> (shift ^ w)) & m;
+        let avail = (pa >> shift) & m;
+        let other = (pa >> (shift ^ w)) & m;
         let pair = self.l1.pair_base(l1_base);
-        let my_comp = self.l1.line_mask(&self.mem, l1_base);
+        let comp = self.l1.line_mask(&self.mem, l1_base);
         let other_comp = self.l1.line_mask(&self.mem, pair);
         // An affiliated word rides only in a freed half (its counterpart is
         // compressed) or an empty slot (counterpart not transferred).
-        let aff = other & other_comp & (my_comp | !my) & m;
-        (my, aff)
+        let aff = other & other_comp & (comp | !avail) & m;
+        L2Response {
+            avail,
+            aff,
+            comp,
+            latency,
+            source,
+        }
     }
 
     /// Handles a demand request from L1 for `need_off` of the line at
@@ -242,17 +258,12 @@ impl<S: CompressionScheme> CppHierarchy<S> {
         let lat = self.cfg.latency;
         let need_bit = 1u32 << (self.l2.geometry().word_offset(l1_base) + need_off);
 
-        if let Some(idx) = self.l2.lookup_primary(l1_base) {
+        let primary = self.l2.lookup_primary(l1_base);
+        if let Some(idx) = primary {
             let f = self.l2.flags(idx);
             if f.pa & need_bit != 0 {
                 self.l2.touch(idx);
-                let (avail, aff) = self.serve_masks(f.pa, l1_base);
-                return L2Response {
-                    avail,
-                    aff,
-                    latency: lat.l2_hit,
-                    source: HitSource::L2,
-                };
+                return self.serve_masks(f.pa, l1_base, lat.l2_hit, HitSource::L2);
             }
             self.stats.l2.partial_line_misses += 1;
         } else if let Some(aidx) = self.l2.lookup_affiliated(l1_base) {
@@ -260,13 +271,7 @@ impl<S: CompressionScheme> CppHierarchy<S> {
             if f.aa & need_bit != 0 {
                 self.l2.touch(aidx);
                 self.stats.l2.affiliated_hits += 1;
-                let (avail, aff) = self.serve_masks(f.aa, l1_base);
-                return L2Response {
-                    avail,
-                    aff,
-                    latency: lat.l2_hit,
-                    source: HitSource::L2,
-                };
+                return self.serve_masks(f.aa, l1_base, lat.l2_hit, HitSource::L2);
             }
         }
 
@@ -275,22 +280,16 @@ impl<S: CompressionScheme> CppHierarchy<S> {
         } else {
             self.stats.l2.read_misses += 1;
         }
-        self.fetch_fill_l2(l1_base);
-        #[expect(clippy::expect_used, reason = "fetch_fill_l2 just installed the line")]
-        let idx = self.l2.lookup_primary(l1_base).expect("just filled");
-        let (avail, aff) = self.serve_masks(self.l2.flags(idx).pa, l1_base);
-        L2Response {
-            avail,
-            aff,
-            latency: lat.memory,
-            source: HitSource::Memory,
-        }
+        let idx = self.fetch_fill_l2(l1_base, primary);
+        let pa = self.l2.flags(idx).pa;
+        self.serve_masks(pa, l1_base, lat.memory, HitSource::Memory)
     }
 
     /// Fetches the L2 line containing `addr` (and, in compressed half-slots,
-    /// its affiliated L2 line) from memory, filling/merging it as a complete
-    /// primary line. Transfers exactly one line of bandwidth.
-    fn fetch_fill_l2(&mut self, addr: Addr) {
+    /// its affiliated L2 line) from memory, completing the partial primary
+    /// line at `resident` or installing a new one. Transfers exactly one
+    /// line of bandwidth. Returns the line's index.
+    fn fetch_fill_l2(&mut self, addr: Addr, resident: Option<usize>) -> usize {
         let base = self.l2.geometry().line_base(addr);
         let words = self.l2.words();
         self.stats.mem_bus.fetch_words(u64::from(words));
@@ -306,34 +305,34 @@ impl<S: CompressionScheme> CppHierarchy<S> {
             aa = 0;
         }
 
-        if let Some(idx) = self.l2.lookup_primary(base) {
+        if let Some(idx) = resident {
             // Complete a partial primary line.
             let full = self.l2.full_mask();
-            self.l2.merge_primary_words(&self.mem, idx, full);
+            self.l2.merge_primary_words(idx, full, comp);
             let f = self.l2.flags_mut(idx);
             f.aa = aa & (f.vcp | !f.pa);
             let issued = f.aa.count_ones();
             self.l2.touch(idx);
             self.stats.prefetches_issued += u64::from(issued);
+            idx
         } else {
-            // A partial affiliated copy, if any, is superseded by the full
-            // fetch.
-            self.l2.take_affiliated(base);
+            // The install supersedes a partial affiliated copy, if any.
             let flags = CppFlags::full_primary(words, comp, aa);
             self.stats.prefetches_issued += u64::from(flags.aa.count_ones());
-            let victim = self.l2.install_primary(base, flags, false);
+            let (victim, idx) = self.l2.install_primary(base, flags, false);
             self.handle_l2_victim(victim);
+            idx
         }
     }
 
-    /// Memory write-back cost of the masked words of the L2 line at `base`:
-    /// conventional bandwidth in the paper's design, compressed when the
-    /// `compress_writebacks` extension knob is on.
-    fn mem_writeback_hw(&mut self, base: Addr, mask: u32) -> u64 {
+    /// Memory write-back cost of the masked words of an L2 line whose
+    /// compressibility mask is `comp`: conventional bandwidth in the
+    /// paper's design, compressed when the `compress_writebacks` extension
+    /// knob is on.
+    fn mem_writeback_hw(&self, mask: u32, comp: u32) -> u64 {
         if !self.cfg.compress_writebacks {
             return 2 * u64::from(mask.count_ones());
         }
-        let comp = self.l2.line_mask(&self.mem, base);
         u64::from(mask.count_ones()) + u64::from((mask & !comp).count_ones())
     }
 
@@ -341,79 +340,78 @@ impl<S: CompressionScheme> CppHierarchy<S> {
     fn handle_l2_victim(&mut self, victim: Option<CppVictim>) {
         let Some(v) = victim else { return };
         self.stats.prefetches_discarded += u64::from(v.flags.aa.count_ones());
+        let comp = self.l2.line_mask(&self.mem, v.base);
         if v.dirty {
             // The paper's design spends freed halves only on fetch-side
             // prefetching; write-backs go at conventional bandwidth unless
             // the extension knob compresses them too.
-            let hw = self.mem_writeback_hw(v.base, v.flags.pa);
+            let hw = self.mem_writeback_hw(v.flags.pa, comp);
             self.stats.mem_bus.writeback_halfwords(hw);
         }
-        let parked = self.l2.park(&self.mem, v.base, v.flags.pa);
+        let parked = self.l2.park(&self.mem, v.base, v.flags.pa, comp);
         if parked > 0 {
             self.stats.parked_lines += 1;
         }
     }
 
-    /// Routes an L1 victim's dirty words down to L2 (merging, promoting an
-    /// affiliated copy, or writing straight to memory).
-    fn l2_writeback(&mut self, l1_base: Addr, mask16: u32) {
-        let hw = self.compressed_transfer_hw(l1_base, mask16, 0);
+    /// Routes the dirty words of an L1 victim, whose compressibility mask
+    /// is `comp16`, down to L2 (merging, promoting an affiliated copy, or
+    /// writing straight to memory).
+    fn l2_writeback(&mut self, l1_base: Addr, mask16: u32, comp16: u32) {
+        let hw = self.compressed_transfer_hw(l1_base, mask16, comp16, 0);
         self.stats.l1_l2_bus.writeback_halfwords(hw);
         let shift = self.l2.geometry().word_offset(l1_base);
         let mask32 = mask16 << shift;
+        let l2_base = self.l2.geometry().line_base(l1_base);
 
         if let Some(idx) = self.l2.lookup_primary(l1_base) {
-            let displaced = self.l2.merge_primary_words(&self.mem, idx, mask32);
+            let comp = self.l2.line_mask(&self.mem, l2_base);
+            let displaced = self.l2.merge_primary_words(idx, mask32, comp);
             self.stats.compressibility_evictions += u64::from(displaced);
             self.l2.set_dirty(idx);
             return;
         }
-        let l2_base = self.l2.geometry().line_base(l1_base);
-        if self.l2.lookup_affiliated(l1_base).is_some() {
-            let aa = self.l2.take_affiliated(l2_base);
-            if aa != 0 {
-                // A write into an affiliated copy promotes the line to its
-                // primary place (paper §3.3), then the merge applies.
-                self.stats.promotions += 1;
-                let comp = self.l2.line_mask(&self.mem, l2_base);
-                let flags = CppFlags {
-                    pa: aa,
-                    vcp: aa & comp,
-                    aa: 0,
-                };
-                let victim = self.l2.install_primary(l2_base, flags, false);
-                self.handle_l2_victim(victim);
-                #[expect(clippy::expect_used, reason = "the line was just promoted into L2")]
-                let idx = self.l2.lookup_primary(l1_base).expect("just promoted");
-                let displaced = self.l2.merge_primary_words(&self.mem, idx, mask32);
-                self.stats.compressibility_evictions += u64::from(displaced);
-                self.l2.set_dirty(idx);
-                return;
-            }
+        let aa = self.l2.take_affiliated(l2_base);
+        if aa != 0 {
+            // A write into an affiliated copy promotes the line to its
+            // primary place (paper §3.3), then the merge applies.
+            self.stats.promotions += 1;
+            let comp = self.l2.line_mask(&self.mem, l2_base);
+            let flags = CppFlags {
+                pa: aa,
+                vcp: aa & comp,
+                aa: 0,
+            };
+            let (victim, idx) = self.l2.install_primary(l2_base, flags, false);
+            self.handle_l2_victim(victim);
+            let displaced = self.l2.merge_primary_words(idx, mask32, comp);
+            self.stats.compressibility_evictions += u64::from(displaced);
+            self.l2.set_dirty(idx);
+            return;
         }
         // Not on chip at L2: write through to memory.
-        let shift2 = self.l2.geometry().word_offset(l1_base);
-        let hw = self.mem_writeback_hw(self.l2.geometry().line_base(l1_base), mask16 << shift2);
+        let comp = self.l2.line_mask(&self.mem, l2_base);
+        let hw = self.mem_writeback_hw(mask32, comp);
         self.stats.mem_bus.writeback_halfwords(hw);
     }
 
-    /// Write-back + parking for a line displaced from L1.
+    /// Write-back + parking for a line displaced from L1 (one mask for both).
     fn handle_l1_victim(&mut self, victim: Option<CppVictim>) {
         let Some(v) = victim else { return };
         self.stats.prefetches_discarded += u64::from(v.flags.aa.count_ones());
+        let comp = self.l1.line_mask(&self.mem, v.base);
         if v.dirty {
-            self.l2_writeback(v.base, v.flags.pa);
+            self.l2_writeback(v.base, v.flags.pa, comp);
         }
-        let parked = self.l1.park(&self.mem, v.base, v.flags.pa);
+        let parked = self.l1.park(&self.mem, v.base, v.flags.pa, comp);
         if parked > 0 {
             self.stats.parked_lines += 1;
         }
     }
 
-    /// Installs a fresh L1 primary line from an L2 response.
-    fn fill_l1(&mut self, l1_base: Addr, resp: &L2Response) {
-        let comp = self.l1.line_mask(&self.mem, l1_base);
-        let vcp = comp & resp.avail;
+    /// Installs a fresh L1 primary line from an L2 response; returns its index.
+    fn fill_l1(&mut self, l1_base: Addr, resp: &L2Response) -> usize {
+        let vcp = resp.comp & resp.avail;
         let mut aa = resp.aff;
         let pair = self.l1.pair_base(l1_base);
         if aa != 0 && self.l1.lookup_primary(pair).is_some() {
@@ -427,10 +425,11 @@ impl<S: CompressionScheme> CppHierarchy<S> {
         };
         flags.aa = aa & flags.affiliated_capacity(self.l1.words());
         self.stats.prefetches_issued += u64::from(flags.aa.count_ones());
-        let hw = self.compressed_transfer_hw(l1_base, resp.avail, flags.aa);
+        let hw = self.compressed_transfer_hw(l1_base, resp.avail, resp.comp, flags.aa);
         self.stats.l1_l2_bus.fetch_halfwords(hw);
-        let victim = self.l1.install_primary(l1_base, flags, false);
+        let (victim, idx) = self.l1.install_primary(l1_base, flags, false);
         self.handle_l1_victim(victim);
+        idx
     }
 
     /// Adds prefetched affiliated words to an existing L1 primary line
@@ -473,8 +472,8 @@ impl<S: CompressionScheme> CppHierarchy<S> {
     }
 
     /// Promotes `addr`'s line from its affiliated location to its primary
-    /// place (write hit in the affiliated line, paper §3.3).
-    fn promote_l1(&mut self, addr: Addr) {
+    /// place (write hit in the affiliated line, paper §3.3); returns its index.
+    fn promote_l1(&mut self, addr: Addr) -> usize {
         let base = self.l1.geometry().line_base(addr);
         let aa = self.l1.take_affiliated(base);
         debug_assert_ne!(aa, 0, "promotion without an affiliated copy");
@@ -485,8 +484,9 @@ impl<S: CompressionScheme> CppHierarchy<S> {
             vcp: aa & comp,
             aa: 0,
         };
-        let victim = self.l1.install_primary(base, flags, false);
+        let (victim, idx) = self.l1.install_primary(base, flags, false);
         self.handle_l1_victim(victim);
+        idx
     }
 
     fn access(&mut self, addr: Addr, write: Option<Word>) -> AccessResult {
@@ -510,7 +510,6 @@ impl<S: CompressionScheme> CppHierarchy<S> {
                     self.do_primary_write(idx, addr, off, v);
                 }
                 return AccessResult {
-                    value: write.unwrap_or_else(|| self.mem.read(addr)),
                     latency: lat.l1_hit,
                     source: HitSource::L1,
                 };
@@ -523,17 +522,16 @@ impl<S: CompressionScheme> CppHierarchy<S> {
                 self.stats.l1.read_misses += 1;
             }
             let resp = self.l2_request(l1_base, off, is_write);
-            let displaced = self.l1.merge_primary_words(&self.mem, idx, resp.avail);
+            let displaced = self.l1.merge_primary_words(idx, resp.avail, resp.comp);
             self.stats.compressibility_evictions += u64::from(displaced);
             self.merge_aff_into_l1(idx, l1_base, resp.aff);
-            let hw = self.compressed_transfer_hw(l1_base, resp.avail, 0);
+            let hw = self.compressed_transfer_hw(l1_base, resp.avail, resp.comp, 0);
             self.stats.l1_l2_bus.fetch_halfwords(hw);
             self.l1.touch(idx);
             if let Some(v) = write {
                 self.do_primary_write(idx, addr, off, v);
             }
             return AccessResult {
-                value: write.unwrap_or_else(|| self.mem.read(addr)),
                 latency: resp.latency,
                 source: resp.source,
             };
@@ -543,27 +541,16 @@ impl<S: CompressionScheme> CppHierarchy<S> {
         if let Some(aidx) = self.l1.lookup_affiliated(addr) {
             if self.l1.flags(aidx).aa & bit != 0 {
                 self.stats.l1.affiliated_hits += 1;
-                if write.is_none() {
-                    self.l1.touch(aidx);
-                    return AccessResult {
-                        value: self.mem.read(addr),
-                        latency: lat.l1_hit + lat.affiliated_extra,
-                        source: HitSource::L1Affiliated,
-                    };
+                match write {
+                    None => self.l1.touch(aidx),
+                    // A write hit in the affiliated line brings the line to
+                    // its primary place first (paper §3.3).
+                    Some(v) => {
+                        let idx = self.promote_l1(addr);
+                        self.do_primary_write(idx, addr, off, v);
+                    }
                 }
-                // A write hit in the affiliated line brings the line to its
-                // primary place first (paper §3.3).
-                self.promote_l1(addr);
-                #[expect(
-                    clippy::expect_used,
-                    reason = "promote_l1 just moved the line to its primary place"
-                )]
-                let idx = self.l1.lookup_primary(addr).expect("just promoted");
-                #[expect(clippy::expect_used, reason = "this branch handles writes only")]
-                self.do_primary_write(idx, addr, off, write.expect("write path"));
-                #[expect(clippy::expect_used, reason = "this branch handles writes only")]
                 return AccessResult {
-                    value: write.expect("write path"),
                     latency: lat.l1_hit + lat.affiliated_extra,
                     source: HitSource::L1Affiliated,
                 };
@@ -577,14 +564,11 @@ impl<S: CompressionScheme> CppHierarchy<S> {
             self.stats.l1.read_misses += 1;
         }
         let resp = self.l2_request(l1_base, off, is_write);
-        self.fill_l1(l1_base, &resp);
+        let idx = self.fill_l1(l1_base, &resp);
         if let Some(v) = write {
-            #[expect(clippy::expect_used, reason = "fill_l1 just installed the line")]
-            let idx = self.l1.lookup_primary(addr).expect("just filled");
             self.do_primary_write(idx, addr, off, v);
         }
         AccessResult {
-            value: write.unwrap_or_else(|| self.mem.read(addr)),
             latency: resp.latency,
             source: resp.source,
         }
@@ -768,7 +752,7 @@ mod tests {
             .lookup_primary(0x3040)
             .expect("promoted to primary");
         assert!(c.l1_level().dirty(idx));
-        assert_eq!(c.read(0x3044).value, 9);
+        assert_eq!(c.mem().read(0x3044), 9);
         assert_eq!(c.read(0x3044).source, HitSource::L1);
         c.check_invariants().unwrap();
     }
@@ -830,7 +814,8 @@ mod tests {
         // The parked copy still serves reads from the affiliated location.
         let r = c.read(0x6000);
         assert_eq!(r.source, HitSource::L1Affiliated);
-        assert_eq!(c.read(0x6004).value, 3);
+        c.read(0x6004);
+        assert_eq!(c.mem().read(0x6004), 3);
         c.check_invariants().unwrap();
     }
 
@@ -849,7 +834,7 @@ mod tests {
         );
         // Parked copy is clean and readable.
         let r = c.read(0x6004);
-        assert_eq!(r.value, 42);
+        assert_eq!(c.mem().read(0x6004), 42);
         assert_eq!(r.source, HitSource::L1Affiliated);
         c.check_invariants().unwrap();
     }
@@ -894,15 +879,12 @@ mod tests {
         let mut misses = 0u32;
         let mut p = heap;
         while p != 0 {
-            let next = {
-                let r = c.read(p);
-                if r.l1_miss() {
-                    misses += 1;
-                }
-                r.value
-            };
-            let ty = c.read(p + 4).value;
-            if ty == 0 {
+            if c.read(p).l1_miss() {
+                misses += 1;
+            }
+            let next = c.mem().read(p);
+            c.read(p + 4);
+            if c.mem().read(p + 4) == 0 {
                 c.read(p + 8); // info
             }
             p = next;
@@ -936,7 +918,8 @@ mod tests {
                 golden.insert(addr, v);
             } else {
                 let expect = golden.get(&addr).copied().unwrap_or(0);
-                assert_eq!(c.read(addr).value, expect, "addr {addr:#x} at op {i}");
+                c.read(addr);
+                assert_eq!(c.mem().read(addr), expect, "addr {addr:#x} at op {i}");
             }
         }
         c.check_invariants().unwrap();

@@ -1,10 +1,10 @@
 //! The per-level memo of line compressibility masks.
 //!
 //! A line's mask (bit *i* set iff word *i* compresses under the level's
-//! scheme) changes only when memory changes, yet a miss asks for it several
-//! times: the L2 fill, the L1 split of the L2 line, the L1 install, the bus
-//! costing of the transfer, and again for a victim's write-back and parking.
-//! [`MaskMemo`] answers those repeats from a table instead of re-scanning
+//! scheme) changes only when memory changes, yet every access that fills,
+//! splits, installs, costs, writes back or parks the line needs it (one
+//! query per line per access; the hierarchy hands it down from there).
+//! [`MaskMemo`] answers the repeats from a table instead of re-scanning
 //! memory. It is exact, not a cache of guesses: the owner fills an entry
 //! from a full scan on first use, patches it on every store
 //! ([`MaskMemo::note_store`]) and drops everything when memory is replaced
@@ -81,6 +81,7 @@ impl MaskMemo {
     }
 
     /// The entry of `addr`'s line, allocating its page on first use.
+    #[inline]
     fn entry_or_alloc(&mut self, addr: Addr) -> &mut u64 {
         let (slot, lines) = (self.slot(addr), self.lines_per_page());
         let page = (addr >> PAGE_SHIFT) as usize;

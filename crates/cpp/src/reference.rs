@@ -793,7 +793,6 @@ impl RefCppHierarchy {
                     self.do_primary_write(idx, addr, off, v);
                 }
                 return AccessResult {
-                    value: write.unwrap_or_else(|| self.shadow.read(addr)),
                     latency: lat.l1_hit,
                     source: HitSource::L1,
                 };
@@ -815,7 +814,6 @@ impl RefCppHierarchy {
                 self.do_primary_write(idx, addr, off, v);
             }
             return AccessResult {
-                value: write.unwrap_or_else(|| self.shadow.read(addr)),
                 latency: resp.latency,
                 source: resp.source,
             };
@@ -825,25 +823,19 @@ impl RefCppHierarchy {
         if let Some(aidx) = self.l1.lookup_affiliated(addr) {
             if self.l1.lines[aidx].flags.aa[off as usize] {
                 self.stats.l1.affiliated_hits += 1;
-                if write.is_none() {
-                    self.l1.touch(aidx);
-                    return AccessResult {
-                        value: self.shadow.read(addr),
-                        latency: lat.l1_hit + lat.affiliated_extra,
-                        source: HitSource::L1Affiliated,
-                    };
+                match write {
+                    None => self.l1.touch(aidx),
+                    Some(v) => {
+                        self.promote_l1(addr);
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "promote_l1 just moved the line to its primary place"
+                        )]
+                        let idx = self.l1.lookup(addr).expect("just promoted");
+                        self.do_primary_write(idx, addr, off, v);
+                    }
                 }
-                self.promote_l1(addr);
-                #[expect(
-                    clippy::expect_used,
-                    reason = "promote_l1 just moved the line to its primary place"
-                )]
-                let idx = self.l1.lookup(addr).expect("just promoted");
-                #[expect(clippy::expect_used, reason = "this branch handles writes only")]
-                self.do_primary_write(idx, addr, off, write.expect("write path"));
-                #[expect(clippy::expect_used, reason = "this branch handles writes only")]
                 return AccessResult {
-                    value: write.expect("write path"),
                     latency: lat.l1_hit + lat.affiliated_extra,
                     source: HitSource::L1Affiliated,
                 };
@@ -864,7 +856,6 @@ impl RefCppHierarchy {
             self.do_primary_write(idx, addr, off, v);
         }
         AccessResult {
-            value: write.unwrap_or_else(|| self.shadow.read(addr)),
             latency: resp.latency,
             source: resp.source,
         }

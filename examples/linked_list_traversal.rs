@@ -45,10 +45,10 @@ fn traverse(cache: &mut dyn CacheSim) -> (u64, u64, u64) {
     while p != 0 {
         let r = cache.read(p); // (2) p = p->next
         chase += r.l1_miss() as u64;
-        let next = r.value;
+        let next = cache.mem().read(p);
         let r = cache.read(p + 4); // (4) if (p->type == T)
         tag += r.l1_miss() as u64;
-        if r.value == 0 {
+        if cache.mem().read(p + 4) == 0 {
             let r = cache.read(p + 8); // (3) sum += p->info
             info += r.l1_miss() as u64;
         }

@@ -86,7 +86,8 @@ mod tests {
         let mut cpp = CppHierarchy::paper();
         cpp.mem_mut().write(0x1000, 5);
         let r = cpp.read(0x1000);
-        assert_eq!(r.value, 5);
+        assert_eq!(r.source, HitSource::Memory);
+        assert_eq!(cpp.mem().read(0x1000), 5);
         assert!(is_compressible(5, 0x1000));
     }
 
