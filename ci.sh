@@ -24,6 +24,16 @@ CARGO_TARGET_DIR="$CLIPPY_TARGET" cargo clippy --workspace --all-targets -- -D w
 echo "== tier-1: cargo build --release"
 cargo build --release
 
+echo "== pipeline inlining: the in-flight ring's helpers have no symbol of their own"
+# DESIGN.md §4: run_cycles is fast only while rustc inlines these per-cycle
+# helpers into it; a standalone symbol for any of them means it stopped.
+SYMS="$(nm -C target/release/repro)"
+for f in dispatch issue settle promote next_ready; do
+    if printf '%s\n' "$SYMS" | grep -Eq " ccp_pipeline::InFlight::$f\$"; then
+        echo "ccp_pipeline::InFlight::$f is no longer inlined into run_cycles"; exit 1
+    fi
+done
+
 echo "== tier-1: cargo test"
 cargo test -q
 

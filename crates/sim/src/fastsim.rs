@@ -10,30 +10,15 @@
 //! don't reorder around them — loads may issue out of order there, so small
 //! divergences are expected and tested for).
 //!
-//! Replay is batched: a block of instructions is first *decoded* into a
-//! dense buffer of memory operations (discarding ALU/branch filler), then
-//! the whole block is driven through the cache in a tight loop. The decode
-//! loop touches only trace data and the drive loop only cache state, so
-//! neither evicts the other's working set, and the per-op virtual dispatch
-//! into `dyn CacheSim` runs over a dense array instead of interleaving with
-//! stream decoding. Results are identical to one-at-a-time replay (stores
-//! stay in program order; the warm-up boundary is honored per operation).
+//! Each memory operation is driven into the hierarchy from the `match`
+//! that decodes it. Decoding a block of operations into a buffer first and
+//! then driving the block (an earlier design, 4096 operations per block)
+//! only added a 64 KB buffer to write and read back: deleting it saved
+//! 0.2–0.4 ms of the 1–5.5 ms a 200k-instruction benchmark replay takes
+//! under CPP (DESIGN.md §13, "Why replay is not batched").
 
-use ccp_cache::{Addr, CacheSim, HierarchyStats, Word};
+use ccp_cache::{CacheSim, HierarchyStats};
 use ccp_trace::{Inst, Op, Trace, TraceSource};
-
-/// Decoded memory operations per drive block.
-const BATCH_OPS: usize = 4096;
-
-/// One decoded memory operation.
-#[derive(Debug, Clone, Copy)]
-struct MemOp {
-    addr: Addr,
-    /// Store value; unused for loads.
-    value: Word,
-    pc: Addr,
-    is_store: bool,
-}
 
 /// Results of a functional run.
 #[derive(Debug, Clone)]
@@ -91,52 +76,28 @@ fn replay<I: Iterator<Item = Inst>>(
     if !warm {
         cache.reset_stats();
     }
-    let mut batch: Vec<MemOp> = Vec::with_capacity(BATCH_OPS);
-    let mut insts = insts.fuse();
-    loop {
-        // Decode phase: fill the block with this stretch's memory ops.
-        batch.clear();
-        for inst in insts.by_ref() {
-            match inst.op {
-                Op::Load { addr } => batch.push(MemOp {
-                    addr,
-                    value: 0,
-                    pc: inst.pc,
-                    is_store: false,
-                }),
-                Op::Store { addr, value } => batch.push(MemOp {
-                    addr,
-                    value,
-                    pc: inst.pc,
-                    is_store: true,
-                }),
-                _ => continue,
+    for inst in insts {
+        let is_store = match inst.op {
+            Op::Load { addr } => {
+                cache.read_pc(addr, inst.pc);
+                false
             }
-            if batch.len() == BATCH_OPS {
-                break;
+            Op::Store { addr, value } => {
+                cache.write_pc(addr, value, inst.pc);
+                true
             }
-        }
-        if batch.is_empty() {
-            break;
-        }
-        // Drive phase: replay the dense block through the cache.
-        for op in &batch {
-            if op.is_store {
-                cache.write_pc(op.addr, op.value, op.pc);
+            _ => continue,
+        };
+        seen += 1;
+        if warm {
+            if is_store {
+                stats.stores += 1;
             } else {
-                cache.read_pc(op.addr, op.pc);
+                stats.loads += 1;
             }
-            seen += 1;
-            if warm {
-                if op.is_store {
-                    stats.stores += 1;
-                } else {
-                    stats.loads += 1;
-                }
-            } else if seen >= warmup_mem_ops {
-                cache.reset_stats();
-                warm = true;
-            }
+        } else if seen >= warmup_mem_ops {
+            cache.reset_stats();
+            warm = true;
         }
     }
     if !warm {
@@ -152,8 +113,12 @@ fn replay<I: Iterator<Item = Inst>>(
 mod tests {
     use super::*;
     use crate::build_design;
-    use ccp_cache::DesignKind;
+    use ccp_cache::{
+        AccessResult, Addr, DesignKind, HitSource, LatencyConfig, StrideHierarchy, Word,
+    };
+    use ccp_mem::MainMemory;
     use ccp_trace::benchmark_by_name;
+    use ccp_workgen::{SynthSource, WorkgenSpec};
 
     #[test]
     fn functional_run_counts_mem_ops() {
@@ -218,16 +183,15 @@ mod tests {
     }
 
     #[test]
-    fn warmup_boundary_is_exact_at_batch_edges() {
-        // The warm-up window ends per operation, not per decoded batch:
-        // boundaries on either side of a batch edge and of the trace end
-        // must leave exactly the remaining operations measured.
+    fn warmup_boundary_is_exact_per_operation() {
+        // The warm-up window ends per operation: boundaries around 4096
+        // (the block edge of an earlier batched replay) and around the
+        // trace end must leave exactly the remaining operations measured.
         let t = benchmark_by_name("olden.health").unwrap().trace(30_000, 1);
         let m = t.mix();
         let total = m.loads + m.stores;
-        let batch = BATCH_OPS as u64;
-        assert!(total > batch + 1, "trace must span more than one batch");
-        for w in [1, batch - 1, batch, batch + 1, total - 1, total, total + 1] {
+        assert!(total > 4097, "trace must outlast every fixed boundary");
+        for w in [1, 4095, 4096, 4097, total - 1, total, total + 1] {
             let mut c = build_design(DesignKind::Cpp);
             let s = run_functional(&t, c.as_mut(), w);
             assert_eq!(s.mem_ops, total.saturating_sub(w), "warmup={w}: mem_ops");
@@ -236,6 +200,123 @@ mod tests {
                 s.mem_ops,
                 "warmup={w}: L1 accesses"
             );
+        }
+    }
+
+    #[test]
+    fn entry_points_agree() {
+        // A materialized trace replayed through either entry point, and the
+        // streaming source it was collected from, give the same counters —
+        // for a PC-indexed design (SPT) too, and across warm-up boundaries.
+        let spec = WorkgenSpec::parse("addr=zipf,small=0.5,store=0.3").unwrap();
+        let stream = SynthSource::new(spec, 5, 20_000);
+        let t = stream.materialize();
+        let m = t.mix();
+        let total = m.loads + m.stores;
+        assert!(total > 4096, "trace must outlast a 4096-op warm-up");
+        let make = |name: &str| -> Box<dyn CacheSim> {
+            match name {
+                "SPT" => Box::new(StrideHierarchy::paper()),
+                "BC" => build_design(DesignKind::Bc),
+                _ => build_design(DesignKind::Cpp),
+            }
+        };
+        for name in ["BC", "SPT", "CPP"] {
+            for w in [0, 1, 4096, total - 1] {
+                let key = |s: FastStats| (s.loads, s.stores, s.mem_ops, s.hierarchy);
+                let a = key(run_functional(&t, make(name).as_mut(), w));
+                let b = key(run_functional_source(&t, make(name).as_mut(), w));
+                let c = key(run_functional_source(&stream, make(name).as_mut(), w));
+                assert_eq!(a, b, "{name} warmup={w}: trace vs trace source");
+                assert_eq!(a, c, "{name} warmup={w}: trace vs stream");
+            }
+        }
+    }
+
+    /// One access as a [`Recorder`] saw it; the PC is `None` when the
+    /// access came through the PC-less `read`/`write`.
+    #[derive(Debug, PartialEq)]
+    enum Issued {
+        Read(Addr, Option<u32>),
+        Write(Addr, Word, Option<u32>),
+    }
+
+    /// A hierarchy that only records what it is asked to do.
+    #[derive(Default)]
+    struct Recorder {
+        issued: Vec<Issued>,
+        mem: MainMemory,
+        stats: HierarchyStats,
+    }
+
+    const HIT: AccessResult = AccessResult {
+        latency: 1,
+        source: HitSource::L1,
+    };
+
+    impl CacheSim for Recorder {
+        fn read(&mut self, addr: Addr) -> AccessResult {
+            self.issued.push(Issued::Read(addr, None));
+            HIT
+        }
+        fn write(&mut self, addr: Addr, value: Word) -> AccessResult {
+            self.issued.push(Issued::Write(addr, value, None));
+            HIT
+        }
+        fn read_pc(&mut self, addr: Addr, pc: u32) -> AccessResult {
+            self.issued.push(Issued::Read(addr, Some(pc)));
+            HIT
+        }
+        fn write_pc(&mut self, addr: Addr, value: Word, pc: u32) -> AccessResult {
+            self.issued.push(Issued::Write(addr, value, Some(pc)));
+            HIT
+        }
+        fn probe_l1(&self, _addr: Addr) -> bool {
+            true
+        }
+        fn stats(&self) -> &HierarchyStats {
+            &self.stats
+        }
+        fn reset_stats(&mut self) {}
+        fn latencies(&self) -> LatencyConfig {
+            LatencyConfig::paper()
+        }
+        fn set_latencies(&mut self, _lat: LatencyConfig) {}
+        fn mem(&self) -> &MainMemory {
+            &self.mem
+        }
+        fn mem_mut(&mut self) -> &mut MainMemory {
+            &mut self.mem
+        }
+        fn name(&self) -> &'static str {
+            "recorder"
+        }
+    }
+
+    #[test]
+    fn replay_issues_exactly_the_traces_memory_ops() {
+        // Every load and store reaches the hierarchy once, in program order,
+        // with its PC (and a store with its value); ALU and branch ops
+        // reach it not at all. Warm-up hides counters, never accesses.
+        let t = benchmark_by_name("mst").unwrap().trace(5_000, 3);
+        let m = t.mix();
+        assert!(m.ialu > 0 && m.branches > 0 && m.stores > 0);
+        let expected: Vec<Issued> = t
+            .insts
+            .iter()
+            .filter_map(|i| match i.op {
+                Op::Load { addr } => Some(Issued::Read(addr, Some(i.pc))),
+                Op::Store { addr, value } => Some(Issued::Write(addr, value, Some(i.pc))),
+                _ => None,
+            })
+            .collect();
+        for w in [0, 100] {
+            let mut r = Recorder::default();
+            run_functional(&t, &mut r, w);
+            assert_eq!(r.issued, expected, "run_functional, warmup={w}");
+            let mut r = Recorder::default();
+            run_functional_source(&t, &mut r, w);
+            assert_eq!(r.issued, expected, "run_functional_source, warmup={w}");
         }
     }
 }

@@ -6,7 +6,7 @@
 //! throughput, and the speedup of the optimized engine. The reference
 //! engine preserves the pre-overhaul representation (per-word flag
 //! booleans, per-word memory reads, scan-based lookup), so the speedup
-//! column is the measured value of the storage/batching overhaul — and the
+//! column is the measured value of the storage overhaul — and the
 //! difftest guarantees the two engines are observably identical, so the
 //! comparison is apples to apples.
 //!
