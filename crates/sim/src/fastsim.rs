@@ -221,9 +221,9 @@ mod tests {
                 _ => build_design(DesignKind::Cpp),
             }
         };
+        let key = |s: FastStats| (s.loads, s.stores, s.mem_ops, s.hierarchy);
         for name in ["BC", "SPT", "CPP"] {
             for w in [0, 1, 4096, total - 1] {
-                let key = |s: FastStats| (s.loads, s.stores, s.mem_ops, s.hierarchy);
                 let a = key(run_functional(&t, make(name).as_mut(), w));
                 let b = key(run_functional_source(&t, make(name).as_mut(), w));
                 let c = key(run_functional_source(&stream, make(name).as_mut(), w));
