@@ -1297,6 +1297,48 @@ mod tests {
         assert_eq!(schedule_pin(&s), (860, 200, 41, 0));
     }
 
+    /// The two largest machines whose in-flight window (RUU + IFQ + one
+    /// unfetched instruction) is exactly 64 slots: a deep RUU behind a
+    /// 16-entry IFQ, and a 62-entry RUU behind a 1-entry IFQ.
+    fn full_rings() -> [PipelineConfig; 2] {
+        [(47, 16), (62, 1)].map(|(ruu_size, ifq_size)| PipelineConfig {
+            ruu_size,
+            ifq_size,
+            lsq_size: 32,
+            ..PipelineConfig::paper()
+        })
+    }
+
+    #[test]
+    fn full_ring_keeps_exact_counters_on_health() {
+        let t = ccp_trace::benchmark_by_name("health")
+            .unwrap()
+            .trace(5000, 3);
+        let pins = full_rings().map(|cfg| {
+            let bc = run_source(&t, &mut bc(), &cfg);
+            let cpp = run_source(&t, &mut CppHierarchy::paper(), &cfg);
+            assert_eq!(bc.instructions, t.len() as u64);
+            (schedule_pin(&bc), schedule_pin(&cpp))
+        });
+        assert_eq!(
+            pins,
+            [
+                ((8961, 0, 113, 3657), (8191, 0, 113, 3810)),
+                ((8373, 0, 113, 4107), (8075, 0, 113, 3876)),
+            ]
+        );
+    }
+
+    #[test]
+    fn full_ring_keeps_exact_counters_on_same_word_stores() {
+        let pins = full_rings().map(|cfg| {
+            let s = run_source(&same_word_store_loop(), &mut bc(), &cfg);
+            assert_eq!(s.instructions, 800);
+            schedule_pin(&s)
+        });
+        assert_eq!(pins, [(860, 200, 41, 0), (1018, 0, 41, 0)]);
+    }
+
     /// [`run_source`] stepping through every cycle.
     fn run_source_stepped(
         source: &dyn TraceSource,
