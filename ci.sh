@@ -153,6 +153,11 @@ before=$( (grep -o '"pipeline_minst_s":' BENCH_core.json 2>/dev/null || true) | 
 after=$(grep -o '"pipeline_minst_s":' "$SCRATCH/BENCH_core.json" | wc -l)
 [ "$after" -eq $((before + 1)) ] || {
     echo "appended perf row lacks pipeline_minst_s ($before -> $after)"; exit 1; }
+# ... and records how many repetitions each column's fastest time is of.
+before=$( (grep -o '"repetitions":' BENCH_core.json 2>/dev/null || true) | wc -l)
+after=$(grep -o '"repetitions":' "$SCRATCH/BENCH_core.json" | wc -l)
+[ "$after" -eq $((before + 1)) ] || {
+    echo "appended perf row lacks repetitions ($before -> $after)"; exit 1; }
 
 echo "== compare-schemes smoke: scheme axis reports and stays cache-distinct"
 # Tiny grid, two schemes: the study must write its report and prove the

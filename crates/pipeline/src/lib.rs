@@ -58,7 +58,8 @@ pub struct PipelineConfig {
     pub issue_width: u32,
     /// Instructions committed per cycle.
     pub commit_width: u32,
-    /// Instruction fetch queue entries.
+    /// Instruction fetch queue entries. IFQ + RUU + 1 may be at most 64,
+    /// the out-of-order run's in-flight ring ([`Pipeline::run_stream`]).
     pub ifq_size: usize,
     /// Register update unit (instruction window) entries.
     pub ruu_size: usize,
@@ -308,8 +309,9 @@ impl Pipeline {
     /// event, its skipped cycles credited in bulk, so memory stalls cost
     /// host time per event rather than per cycle. Instructions are pulled
     /// from `stream` on demand and held only while in flight, in one ring
-    /// of IFQ + RUU + 1 slots (rounded up to a power of two, at least 64),
-    /// so a 100M-instruction synthetic stream never materializes. Operand
+    /// of 64 slots, so a 100M-instruction synthetic stream never
+    /// materializes; a machine whose IFQ + RUU + 1 exceeds 64 is refused
+    /// with a panic before the first cycle. Operand
     /// readiness is pushed, not polled: an issuing instruction wakes the
     /// dispatched consumers waiting on it (DESIGN.md §4). The cache's
     /// memory must already hold the stream's initial image (see
@@ -637,39 +639,40 @@ impl Pipeline {
     }
 }
 
-/// The in-flight slice of the stream: one ring of slots indexed by stream
-/// index modulo its power-of-two size. Stream indices `[head, disp)` are
-/// the RUU (oldest first), `[disp, fetch)` the IFQ, and `[fetch, end)`
-/// holds at most one instruction pulled from the stream but not yet
-/// fetched.
+/// The in-flight slice of the stream: one ring of [`RING`] slots indexed by
+/// stream index modulo [`RING`]. Stream indices `[head, disp)` are the RUU
+/// (oldest first), `[disp, fetch)` the IFQ, and `[fetch, end)` holds at
+/// most one instruction pulled from the stream but not yet fetched.
 ///
-/// Readiness lives in bitsets over the same slots. Each slot has the set
-/// of dispatched consumers waiting on its result. An unissued RUU entry
-/// whose producers have all issued has a final `ready_at`, and sits in
-/// the *ready* set once its operands have arrived. Until then it is
-/// pending: in the wheel bucket of cycle `ready_at` when that is less
-/// than [`WHEEL`] cycles away, in the *far* set otherwise.
+/// Readiness lives in one-word bitsets over the same slots. Each slot has
+/// the set of dispatched consumers waiting on its result. An unissued RUU
+/// entry whose producers have all issued has a final `ready_at`, and sits
+/// in the *ready* set once its operands have arrived. Until then it is
+/// pending: in the wheel bucket of cycle `ready_at` when that is less than
+/// [`WHEEL`] cycles away, in the *far* set otherwise.
 struct InFlight {
-    slots: Box<[Slot]>,
-    mask: u64,
-    /// `u64` words per bitset: the slot count is a multiple of 64.
-    words: usize,
+    slots: Box<[Slot; RING]>,
     /// Unissued RUU entries whose operands have arrived.
-    ready: Box<[u64]>,
-    /// [`WHEEL`] buckets of `words` words: bucket `c % WHEEL` holds the
-    /// pending entries whose operands arrive in cycle `c`.
-    wheel: Box<[u64]>,
+    ready: u64,
+    /// Bucket `c % WHEEL` holds the pending entries whose operands arrive
+    /// in cycle `c`.
+    wheel: [u64; WHEEL as usize],
     /// Pending entries whose operands arrive beyond the wheel's reach.
-    far: Box<[u64]>,
+    far: u64,
     /// The earliest `ready_at` in `far`; `u64::MAX` when it is empty.
     far_min: u64,
-    /// `words` words per slot: the consumers waiting on that slot's result.
-    consumers: Box<[u64]>,
+    /// Per slot, the consumers waiting on that slot's result.
+    consumers: [u64; RING],
     head: u64,
     disp: u64,
     fetch: u64,
     end: u64,
 }
+
+/// Slots in the in-flight ring, one bit each in a `u64`: the largest
+/// in-flight window (IFQ + RUU + 1) a machine may have. The paper's takes
+/// 33.
+const RING: usize = 64;
 
 /// Cycles the wheel of pending entries spans: more than a memory access
 /// at the paper's latencies, so a load's consumers rarely wait in the far
@@ -684,20 +687,26 @@ const NOP: Inst = Inst {
     dep2: 0,
 };
 
+/// The ring slot of stream index `i`.
+fn pos(i: u64) -> usize {
+    (i % RING as u64) as usize
+}
+
 impl InFlight {
-    /// A ring holding up to `capacity` instructions.
+    /// A ring holding up to `capacity` instructions, which must fit in
+    /// [`RING`] slots.
     fn new(capacity: usize) -> Self {
-        let n = capacity.next_power_of_two().max(64);
-        let words = n / 64;
+        assert!(
+            capacity <= RING,
+            "in-flight window IFQ + RUU + 1 = {capacity} exceeds the ring's {RING} slots"
+        );
         InFlight {
-            slots: vec![Slot::pulled(NOP); n].into_boxed_slice(),
-            mask: n as u64 - 1,
-            words,
-            ready: vec![0; words].into_boxed_slice(),
-            wheel: vec![0; WHEEL as usize * words].into_boxed_slice(),
-            far: vec![0; words].into_boxed_slice(),
+            slots: Box::new([Slot::pulled(NOP); RING]),
+            ready: 0,
+            wheel: [0; WHEEL as usize],
+            far: 0,
             far_min: u64::MAX,
-            consumers: vec![0; n * words].into_boxed_slice(),
+            consumers: [0; RING],
             head: 0,
             disp: 0,
             fetch: 0,
@@ -705,17 +714,12 @@ impl InFlight {
         }
     }
 
-    fn pos(&self, i: u64) -> usize {
-        (i & self.mask) as usize
-    }
-
     fn slot(&self, i: u64) -> &Slot {
-        &self.slots[self.pos(i)]
+        &self.slots[pos(i)]
     }
 
     fn slot_mut(&mut self, i: u64) -> &mut Slot {
-        let pos = self.pos(i);
-        &mut self.slots[pos]
+        &mut self.slots[pos(i)]
     }
 
     /// The oldest RUU entry, if any.
@@ -725,12 +729,8 @@ impl InFlight {
 
     /// Appends the next stream instruction.
     fn push(&mut self, inst: Inst) {
-        assert!(
-            self.end - self.head < self.slots.len() as u64,
-            "ring overflow"
-        );
-        let pos = self.pos(self.end);
-        self.slots[pos] = Slot::pulled(inst);
+        assert!(self.end - self.head < RING as u64, "ring overflow");
+        *self.slot_mut(self.end) = Slot::pulled(inst);
         self.end += 1;
     }
 
@@ -744,8 +744,8 @@ impl InFlight {
     fn dispatch(&mut self, now: u64) {
         let idx = self.disp;
         self.disp += 1;
-        let pos = self.pos(idx);
-        let inst = self.slots[pos].inst;
+        let at = pos(idx);
+        let inst = self.slots[at].inst;
         let (mut waiting, mut ready_at) = (0, 0);
         // A producer named twice is one dependence.
         let dep2 = if inst.dep2 == inst.dep1 { 0 } else { inst.dep2 };
@@ -754,19 +754,19 @@ impl InFlight {
             if d == 0 || producer < self.head || producer >= idx {
                 continue;
             }
-            let p = self.pos(producer);
+            let p = pos(producer);
             if self.slots[p].issued {
                 ready_at = ready_at.max(self.slots[p].done);
             } else {
-                set_bit(&mut self.consumers[p * self.words..], pos);
+                self.consumers[p] |= 1 << at;
                 waiting += 1;
             }
         }
-        let s = &mut self.slots[pos];
+        let s = &mut self.slots[at];
         s.waiting = waiting;
         s.ready_at = ready_at;
         if waiting == 0 {
-            self.settle(pos, now);
+            self.settle(at, now);
         }
     }
 
@@ -775,37 +775,34 @@ impl InFlight {
     /// one with no producer left unissued becomes ready or pending.
     #[inline]
     fn issue(&mut self, i: u64, done: u64, now: u64) {
-        let pos = self.pos(i);
-        self.slots[pos].issued = true;
-        self.slots[pos].done = done;
-        clear_bit(&mut self.ready, pos);
-        for w in 0..self.words {
-            let mut bits = std::mem::take(&mut self.consumers[pos * self.words + w]);
-            while bits != 0 {
-                let c = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let s = &mut self.slots[c];
-                s.ready_at = s.ready_at.max(done);
-                s.waiting -= 1;
-                if s.waiting == 0 {
-                    self.settle(c, now);
-                }
+        let at = pos(i);
+        self.slots[at].issued = true;
+        self.slots[at].done = done;
+        self.ready &= !(1 << at);
+        let mut bits = std::mem::take(&mut self.consumers[at]);
+        while bits != 0 {
+            let c = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            let s = &mut self.slots[c];
+            s.ready_at = s.ready_at.max(done);
+            s.waiting -= 1;
+            if s.waiting == 0 {
+                self.settle(c, now);
             }
         }
     }
 
-    /// Files slot `pos`, whose `ready_at` is final, as ready or pending.
+    /// Files slot `at`, whose `ready_at` is final, as ready or pending.
     #[inline]
-    fn settle(&mut self, pos: usize, now: u64) {
-        let at = self.slots[pos].ready_at;
-        if at <= now {
-            set_bit(&mut self.ready, pos);
-        } else if at - now < WHEEL {
-            let bucket = (at % WHEEL) as usize * self.words;
-            set_bit(&mut self.wheel[bucket..], pos);
+    fn settle(&mut self, at: usize, now: u64) {
+        let ready_at = self.slots[at].ready_at;
+        if ready_at <= now {
+            self.ready |= 1 << at;
+        } else if ready_at - now < WHEEL {
+            self.wheel[(ready_at % WHEEL) as usize] |= 1 << at;
         } else {
-            set_bit(&mut self.far, pos);
-            self.far_min = self.far_min.min(at);
+            self.far |= 1 << at;
+            self.far_min = self.far_min.min(ready_at);
         }
     }
 
@@ -817,41 +814,35 @@ impl InFlight {
     /// RUU entry, which the jump never passes.
     #[inline]
     fn promote(&mut self, now: u64) {
-        let bucket = (now % WHEEL) as usize * self.words;
-        for (ready, due) in self.ready.iter_mut().zip(&mut self.wheel[bucket..]) {
-            *ready |= std::mem::take(due);
-        }
+        self.ready |= std::mem::take(&mut self.wheel[(now % WHEEL) as usize]);
         if self.far_min < now + WHEEL {
             self.far_min = u64::MAX;
-            for w in 0..self.words {
-                let mut bits = std::mem::take(&mut self.far[w]);
-                while bits != 0 {
-                    let pos = w * 64 + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    self.settle(pos, now);
-                }
+            let mut bits = std::mem::take(&mut self.far);
+            while bits != 0 {
+                let at = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                self.settle(at, now);
             }
         }
     }
 
     /// The size of the ready set: Figure 15's ready-queue length.
     fn ready_count(&self) -> u64 {
-        self.ready.iter().map(|w| u64::from(w.count_ones())).sum()
+        u64::from(self.ready.count_ones())
     }
 
-    /// The oldest ready RUU entry at or after stream index `from`.
+    /// The oldest ready RUU entry at or after stream index `from`, for
+    /// `head <= from <= disp`. Rotated to start at `from`'s slot, bit `t`
+    /// of the ready set is stream index `from + t`, or, for a ready entry
+    /// older than `from`, `from + t - RING`. The RUU holds fewer than
+    /// [`RING`] entries, so the first set bit names an index below `disp`
+    /// exactly when some entry at or after `from` is ready; an empty set
+    /// names `from + RING`.
     #[inline]
-    fn next_ready(&self, mut from: u64) -> Option<u64> {
-        while from < self.disp {
-            let pos = self.pos(from);
-            let bits = self.ready[pos / 64] >> (pos % 64);
-            if bits != 0 {
-                let i = from + u64::from(bits.trailing_zeros());
-                return (i < self.disp).then_some(i);
-            }
-            from += 64 - (pos % 64) as u64;
-        }
-        None
+    fn next_ready(&self, from: u64) -> Option<u64> {
+        let bits = self.ready.rotate_right(pos(from) as u32);
+        let i = from + u64::from(bits.trailing_zeros());
+        (i < self.disp).then_some(i)
     }
 
     /// The ready set, oldest first.
@@ -878,14 +869,6 @@ impl InFlight {
             })
             .collect()
     }
-}
-
-fn set_bit(set: &mut [u64], pos: usize) {
-    set[pos / 64] |= 1 << (pos % 64);
-}
-
-fn clear_bit(set: &mut [u64], pos: usize) {
-    set[pos / 64] &= !(1 << (pos % 64));
 }
 
 /// The CPI-stack bucket of a cycle in which nothing commits: memory when
@@ -1257,17 +1240,6 @@ mod tests {
         ctx.finish()
     }
 
-    /// A machine whose in-flight window (RUU + IFQ + one unfetched
-    /// instruction, 97 slots) spans more than one 64-bit word.
-    fn wide_window() -> PipelineConfig {
-        PipelineConfig {
-            ruu_size: 64,
-            ifq_size: 32,
-            lsq_size: 32,
-            ..PipelineConfig::paper()
-        }
-    }
-
     /// The counters a change of scheduler could move.
     fn schedule_pin(s: &RunStats) -> (u64, u64, u64, u64) {
         (
@@ -1279,22 +1251,15 @@ mod tests {
     }
 
     #[test]
-    fn wide_window_keeps_exact_counters_on_health() {
-        let t = ccp_trace::benchmark_by_name("health")
-            .unwrap()
-            .trace(5000, 3);
-        let bc = run_source(&t, &mut bc(), &wide_window());
-        let cpp = run_source(&t, &mut CppHierarchy::paper(), &wide_window());
-        assert_eq!(bc.instructions, t.len() as u64);
-        assert_eq!(schedule_pin(&bc), (6754, 0, 113, 4600));
-        assert_eq!(schedule_pin(&cpp), (6768, 0, 113, 4429));
-    }
-
-    #[test]
-    fn wide_window_keeps_exact_counters_on_same_word_stores() {
-        let s = run_source(&same_word_store_loop(), &mut bc(), &wide_window());
-        assert_eq!(s.instructions, 800);
-        assert_eq!(schedule_pin(&s), (860, 200, 41, 0));
+    #[should_panic(expected = "IFQ + RUU + 1 = 97 exceeds the ring's 64 slots")]
+    fn a_window_wider_than_the_ring_is_refused() {
+        let cfg = PipelineConfig {
+            ruu_size: 64,
+            ifq_size: 32,
+            lsq_size: 32,
+            ..PipelineConfig::paper()
+        };
+        run_source(&same_word_store_loop(), &mut bc(), &cfg);
     }
 
     /// The two largest machines whose in-flight window (RUU + IFQ + one

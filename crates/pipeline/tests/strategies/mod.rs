@@ -7,18 +7,24 @@ use super::{PipelineConfig, PredictorKind};
 use ccp_trace::{Op, ProgramCtx, Trace, H};
 use proptest::prelude::*;
 
-/// A random small machine: every width, queue and unit count at least one.
+/// A random machine: every width, queue and unit count at least one. One
+/// draw in four fills the out-of-order run's 64-slot in-flight ring
+/// (IFQ + RUU + 1 = 64), so its wrap is exercised at full occupancy.
 pub fn config_strategy() -> impl Strategy<Value = PipelineConfig> {
+    let queues = prop_oneof![
+        3 => (1usize..=8, 1usize..=16),
+        1 => (1usize..=62).prop_map(|ruu| (63 - ruu, ruu)),
+    ];
     (
         (1u32..=4, 1u32..=4, 1u32..=4, 1u32..=4),
-        (1usize..=8, 1usize..=16, 1usize..=8, 1usize..=8),
+        (queues, 1usize..=8, 1usize..=8),
         (1u32..=4, 1u32..=2, 1u32..=4, 1u32..=2, 1u32..=2),
         (0u32..=20, any::<bool>()),
     )
         .prop_map(
             |(
                 (fw, dw, iw, cw),
-                (ifq, ruu, lsq, mshrs),
+                ((ifq, ruu), lsq, mshrs),
                 (ialu, imd, falu, fmd, ports),
                 (pen, gs),
             )| {

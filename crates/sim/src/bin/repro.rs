@@ -646,8 +646,9 @@ fn git_rev() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// `perf`: times optimized vs reference replay and one pipeline run per
-/// benchmark, and appends a row to the BENCH_core.json trajectory.
+/// `perf`: times optimized vs reference replay and a pipeline run per
+/// benchmark, each the fastest of five alternated repetitions, and
+/// appends a row to the BENCH_core.json trajectory.
 fn perf(c: &Ctx) -> SimResult<Option<Json>> {
     eprintln!(
         "running core hot-path benchmark: {} benchmarks x (2 engines + pipeline), {} instructions each...",

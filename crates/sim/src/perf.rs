@@ -10,9 +10,13 @@
 //! difftest guarantees the two engines are observably identical, so the
 //! comparison is apples to apples.
 //!
-//! Beside the replay, each benchmark also times one out-of-order pipeline
+//! Beside the replay, each benchmark also times an out-of-order pipeline
 //! run ([`run_source`] under CPP at paper latencies), the layer `repro all`
 //! spends its time in, so the trajectory shows pipeline speedups too.
+//!
+//! Each column is timed [`REPETITIONS`] times, the three columns taking
+//! turns, and reports its fastest run; each trajectory row records the
+//! repetitions and every column's spread across them.
 //!
 //! Results are written to `BENCH_core.json` (atomic temp-then-rename) so
 //! the committed snapshot regenerates with one command; see DESIGN.md §10.
@@ -49,7 +53,16 @@ pub struct PerfRow {
     pub instructions: u64,
     /// Out-of-order pipeline wall time in seconds.
     pub pipeline_secs: f64,
+    /// Every timed repetition in run order, one time per [`COLUMNS`]
+    /// entry; each `*_secs` field is its column's fastest.
+    pub reps: Vec<[f64; 3]>,
 }
+
+/// Timed repetitions of each column per benchmark.
+pub const REPETITIONS: usize = 5;
+
+/// The timed columns, in the order of [`PerfRow::reps`].
+pub const COLUMNS: [&str; 3] = ["optimized", "reference", "pipeline"];
 
 impl PerfRow {
     /// Reference time over optimized time (>1 means the overhaul pays).
@@ -105,6 +118,27 @@ impl PerfReport {
         }
     }
 
+    /// Timed repetitions per column.
+    pub fn repetitions(&self) -> usize {
+        self.rows.first().map_or(0, |r| r.reps.len())
+    }
+
+    /// How far apart the repetitions of column `col` (an index into
+    /// [`COLUMNS`]) lie: the slowest repetition's total over every row
+    /// divided by the fastest's, minus one; 0 with nothing to compare.
+    pub fn spread(&self, col: usize) -> f64 {
+        let (lo, hi) = (0..self.repetitions())
+            .map(|r| self.rows.iter().map(|row| row.reps[r][col]).sum::<f64>())
+            .fold((f64::INFINITY, 0.0_f64), |(lo, hi), t| {
+                (lo.min(t), hi.max(t))
+            });
+        if lo > 0.0 && lo.is_finite() {
+            hi / lo - 1.0
+        } else {
+            0.0
+        }
+    }
+
     /// Aggregate speedup: total reference time over total optimized time.
     pub fn total_speedup(&self) -> f64 {
         let opt: f64 = self.rows.iter().map(|r| r.optimized_secs).sum();
@@ -140,25 +174,34 @@ fn time_pipeline(trace: &Trace) -> f64 {
 
 /// Times one benchmark on both engines and through the pipeline. The
 /// trace is generated once and shared. Each engine and the pipeline get an
-/// untimed warm-up run (allocator, branch predictors, frequency scaling)
-/// on a hierarchy of their own, then the timed run on another fresh one,
-/// so both engines time the same workload from empty caches.
+/// untimed warm-up run (allocator, branch predictors, frequency scaling),
+/// then [`REPETITIONS`] timed runs, the three columns taking turns, each
+/// run on a fresh hierarchy, so both engines time the same workload from
+/// empty caches.
 pub fn perf_benchmark(bench: &Benchmark, budget: usize, seed: u64) -> PerfRow {
     let trace = bench.trace(budget, seed);
-    time_replay(&trace, &mut CppHierarchy::paper()); // warm-up, untimed
-    let (optimized_secs, mem_ops) = time_replay(&trace, &mut CppHierarchy::paper());
+    let (_, mem_ops) = time_replay(&trace, &mut CppHierarchy::paper()); // warm-up, untimed
     time_replay(&trace, &mut RefCppHierarchy::paper()); // warm-up, untimed
-    let (reference_secs, _) = time_replay(&trace, &mut RefCppHierarchy::paper());
     time_pipeline(&trace); // warm-up, untimed
-    let pipeline_secs = time_pipeline(&trace);
+    let reps: Vec<[f64; 3]> = (0..REPETITIONS)
+        .map(|_| {
+            [
+                time_replay(&trace, &mut CppHierarchy::paper()).0,
+                time_replay(&trace, &mut RefCppHierarchy::paper()).0,
+                time_pipeline(&trace),
+            ]
+        })
+        .collect();
+    let fastest = |col: usize| reps.iter().map(|r| r[col]).fold(f64::INFINITY, f64::min);
     PerfRow {
         benchmark: bench.full_name(),
         scheme: ccp_schemes::SchemeKind::Cpp.name().to_string(),
         mem_ops,
-        optimized_secs,
-        reference_secs,
+        optimized_secs: fastest(0),
+        reference_secs: fastest(1),
         instructions: trace.len() as u64,
-        pipeline_secs,
+        pipeline_secs: fastest(2),
+        reps,
     }
 }
 
@@ -224,6 +267,14 @@ pub fn render_perf(report: &PerfReport) -> String {
         report.total_speedup(),
         report.pipeline_minst_s()
     ));
+    s.push_str(&format!(
+        "fastest of {} alternated repetitions; spread (max/min - 1)",
+        report.repetitions()
+    ));
+    for (col, name) in COLUMNS.iter().enumerate() {
+        s.push_str(&format!(" {name} {:.1}%", report.spread(col) * 100.0));
+    }
+    s.push('\n');
     s
 }
 
@@ -258,6 +309,10 @@ pub fn perf_json(report: &PerfReport) -> Json {
         ("geomean_speedup", Json::from(report.geomean_speedup())),
         ("total_speedup", Json::from(report.total_speedup())),
         ("pipeline_minst_s", Json::from(report.pipeline_minst_s())),
+        ("repetitions", Json::from(report.repetitions() as u64)),
+        ("optimized_spread", Json::from(report.spread(0))),
+        ("reference_spread", Json::from(report.spread(1))),
+        ("pipeline_spread", Json::from(report.spread(2))),
     ])
 }
 
@@ -343,6 +398,7 @@ mod tests {
             reference_secs: 2.0,
             instructions: 0,
             pipeline_secs: 0.0,
+            reps: Vec::new(),
         };
         assert!((r.speedup() - 4.0).abs() < 1e-12);
         assert!((r.optimized_mops() - 4.0).abs() < 1e-12);
@@ -360,6 +416,7 @@ mod tests {
                     reference_secs: 2.0,
                     instructions: 3_000_000,
                     pipeline_secs: 1.0,
+                    reps: vec![[1.0, 2.0, 1.0], [1.5, 2.0, 1.0]],
                 },
                 PerfRow {
                     benchmark: "b".into(),
@@ -369,6 +426,7 @@ mod tests {
                     reference_secs: 8.0,
                     instructions: 1_000_000,
                     pipeline_secs: 1.0,
+                    reps: vec![[1.0, 8.0, 1.0], [1.5, 8.0, 3.0]],
                 },
             ],
             budget: 0,
@@ -377,6 +435,13 @@ mod tests {
         assert!((report.geomean_speedup() - 4.0).abs() < 1e-9);
         assert!((report.total_speedup() - 5.0).abs() < 1e-9);
         assert!((report.pipeline_minst_s() - 2.0).abs() < 1e-9);
+        assert_eq!(report.repetitions(), 2);
+        // Per-repetition column totals: optimized 2 then 3, reference
+        // 10 both times, pipeline 2 then 4.
+        let spreads = [0, 1, 2].map(|col| report.spread(col));
+        assert!((spreads[0] - 0.5).abs() < 1e-9);
+        assert!(spreads[1].abs() < 1e-9);
+        assert!((spreads[2] - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -391,9 +456,19 @@ mod tests {
         assert!(r.optimized_secs >= 0.0 && r.reference_secs >= 0.0);
         assert!(r.instructions >= 5_000, "the trace fills the budget");
         assert!(r.pipeline_secs > 0.0, "the pipeline run is timed");
+        assert_eq!(r.reps.len(), REPETITIONS);
+        for (col, name) in COLUMNS.iter().enumerate() {
+            let fastest = r.reps.iter().map(|t| t[col]).fold(f64::INFINITY, f64::min);
+            let secs = [r.optimized_secs, r.reference_secs, r.pipeline_secs][col];
+            assert_eq!(secs, fastest, "{name} reports its fastest repetition");
+        }
         let doc = perf_json(&report).to_string();
         assert!(doc.contains("core_hotpath") && doc.contains("geomean_speedup"));
         assert!(doc.contains("\"pipeline_secs\":") && doc.contains("\"pipeline_minst_s\":"));
+        assert!(doc.contains("\"repetitions\":5"));
+        for name in COLUMNS {
+            assert!(doc.contains(&format!("\"{name}_spread\":")), "{name}");
+        }
         assert!(
             doc.contains("\"scheme\":\"CPP\""),
             "rows carry the scheme tag"
@@ -410,6 +485,7 @@ mod tests {
                 reference_secs: 3.0,
                 instructions: 1,
                 pipeline_secs: 1.0,
+                reps: vec![[1.0, 3.0, 1.0]],
             }],
             budget: 100,
             seed: 1,
