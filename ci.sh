@@ -158,6 +158,11 @@ before=$( (grep -o '"repetitions":' BENCH_core.json 2>/dev/null || true) | wc -l
 after=$(grep -o '"repetitions":' "$SCRATCH/BENCH_core.json" | wc -l)
 [ "$after" -eq $((before + 1)) ] || {
     echo "appended perf row lacks repetitions ($before -> $after)"; exit 1; }
+# ... and the bytes of the traces it materialized.
+before=$( (grep -o '"trace_mb":' BENCH_core.json 2>/dev/null || true) | wc -l)
+after=$(grep -o '"trace_mb":' "$SCRATCH/BENCH_core.json" | wc -l)
+[ "$after" -eq $((before + 1)) ] || {
+    echo "appended perf row lacks trace_mb ($before -> $after)"; exit 1; }
 
 echo "== compare-schemes smoke: scheme axis reports and stays cache-distinct"
 # Tiny grid, two schemes: the study must write its report and prove the

@@ -16,7 +16,7 @@
 
 use crate::{Bimod, ICache, PipelineConfig, RunStats};
 use ccp_cache::CacheSim;
-use ccp_trace::{Op, Trace};
+use ccp_trace::{Op, Trace, DEP_WINDOW};
 
 /// Runs `trace` on a scalar in-order core over `cache`, reusing the
 /// front-end parameters (predictor size, mispredict penalty) of `cfg`.
@@ -27,8 +27,9 @@ pub fn run_inorder(trace: &Trace, cache: &mut dyn CacheSim, cfg: &PipelineConfig
 
     let mut stats = RunStats::default();
 
-    // ready[i % RING] = cycle instruction i's result is available.
-    const RING: usize = 4096;
+    // ready[i % RING] = cycle instruction i's result is available; a
+    // dependence reaches at most RING - 1 instructions back.
+    const RING: usize = DEP_WINDOW as usize;
     let mut ready = vec![0u64; RING];
 
     let mut now: u64 = 0;
@@ -46,13 +47,9 @@ pub fn run_inorder(trace: &Trace, cache: &mut dyn CacheSim, cfg: &PipelineConfig
         now += 1;
 
         // Stall until sources are ready.
-        for d in [inst.dep1, inst.dep2] {
-            if d == 0 {
-                continue;
-            }
-            let producer = (d - 1) as usize;
-            if i - producer < RING {
-                let avail = ready[producer % RING];
+        for d in inst.deps() {
+            if d != 0 {
+                let avail = ready[(i - d as usize) % RING];
                 if avail > now {
                     now = avail;
                 }
@@ -60,7 +57,7 @@ pub fn run_inorder(trace: &Trace, cache: &mut dyn CacheSim, cfg: &PipelineConfig
         }
 
         // Execute.
-        let done = match inst.op {
+        let done = match inst.op() {
             Op::IAlu { lat } | Op::FAlu { lat } => now + u64::from(lat),
             Op::Load { addr } => {
                 stats.loads += 1;

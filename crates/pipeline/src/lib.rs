@@ -240,10 +240,15 @@ impl RunStats {
 }
 
 /// One in-flight instruction: fetched into the IFQ, then dispatched into
-/// the RUU, until it commits.
+/// the RUU, until it commits. It holds the instruction decoded once, as it
+/// enters the ring, so no stage unpacks the trace record again.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
-    inst: Inst,
+    op: Op,
+    pc: u32,
+    /// Stream indices of the producers; `u64::MAX` for none, and a
+    /// producer named twice is named once.
+    producers: [u64; 2],
     /// First cycle the instruction may dispatch (the cycle after its fetch).
     avail: u64,
     issued: bool,
@@ -258,10 +263,21 @@ struct Slot {
 }
 
 impl Slot {
-    /// The slot of `inst` as it is pulled from the stream.
-    fn pulled(inst: Inst) -> Self {
+    /// The slot of `inst`, stream index `i`, as it is pulled from the
+    /// stream.
+    fn pulled(inst: Inst, i: u64) -> Self {
+        let [d1, d2] = inst.deps();
+        let producer = |d: u32| {
+            if d == 0 {
+                u64::MAX
+            } else {
+                i.wrapping_sub(u64::from(d))
+            }
+        };
         Slot {
-            inst,
+            op: inst.op(),
+            pc: inst.pc,
+            producers: [producer(d1), if d2 == d1 { u64::MAX } else { producer(d2) }],
             avail: 0,
             issued: false,
             waiting: 0,
@@ -384,10 +400,10 @@ impl Pipeline {
                     break;
                 }
                 w.head += 1;
-                match s.inst.op {
+                match s.op {
                     Op::Store { addr, value } => {
                         // The architectural write happens at commit.
-                        cache.write_pc(addr, value, s.inst.pc);
+                        cache.write_pc(addr, value, s.pc);
                         stats.stores += 1;
                         lsq_used -= 1;
                     }
@@ -448,7 +464,7 @@ impl Pipeline {
                     break;
                 };
                 from = i + 1;
-                let done = match w.slot(i).inst.op {
+                let done = match w.slot(i).op {
                     Op::IAlu { lat } => {
                         let unit = if lat <= 1 { &mut fu_ialu } else { &mut fu_imd };
                         if *unit == 0 {
@@ -497,7 +513,7 @@ impl Pipeline {
                         let mut blocked = false;
                         for j in (w.head..i).rev() {
                             let s = w.slot(j);
-                            if let Op::Store { addr: saddr, .. } = s.inst.op {
+                            if let Op::Store { addr: saddr, .. } = s.op {
                                 if saddr == addr {
                                     if s.issued {
                                         forward_at = Some(s.done.max(now) + 1);
@@ -524,7 +540,7 @@ impl Pipeline {
                             stats.forwarded_loads += 1;
                             done
                         } else {
-                            let r = cache.read_pc(addr, w.slot(i).inst.pc);
+                            let r = cache.read_pc(addr, w.slot(i).pc);
                             stats.load_sources.record(r.source);
                             let done = now + u64::from(r.latency.max(l1_hit_lat));
                             if r.l1_miss() {
@@ -545,7 +561,7 @@ impl Pipeline {
                 if s.avail > now || w.disp - w.head >= cfg.ruu_size as u64 {
                     break;
                 }
-                if s.inst.op.is_mem() {
+                if s.op.is_mem() {
                     if lsq_used >= cfg.lsq_size {
                         break;
                     }
@@ -570,10 +586,10 @@ impl Pipeline {
                             }
                         }
                     }
-                    let inst = w.slot(w.fetch).inst;
-                    let block = inst.pc & !63;
+                    let Slot { op, pc, .. } = *w.slot(w.fetch);
+                    let block = pc & !63;
                     if block != cur_iblock {
-                        let lat = self.icache.access(inst.pc);
+                        let lat = self.icache.access(pc);
                         cur_iblock = block;
                         if lat > 1 {
                             // Block arrives later; retry the same PC then.
@@ -584,9 +600,9 @@ impl Pipeline {
                     w.slot_mut(w.fetch).avail = now + 1;
                     w.fetch += 1;
                     fetched += 1;
-                    if let Op::Branch { taken } = inst.op {
-                        let predicted = self.bimod.predict(inst.pc);
-                        self.bimod.update(inst.pc, taken);
+                    if let Op::Branch { taken } = op {
+                        let predicted = self.bimod.predict(pc);
+                        self.bimod.update(pc, taken);
                         if predicted != taken {
                             stats.branch_mispredicts += 1;
                             waiting_branch = Some(w.fetch - 1);
@@ -680,11 +696,15 @@ const RING: usize = 64;
 const WHEEL: u64 = 128;
 
 /// Placeholder filling the ring's slots before their first use.
-const NOP: Inst = Inst {
+const EMPTY: Slot = Slot {
     op: Op::IAlu { lat: 1 },
     pc: 0,
-    dep1: 0,
-    dep2: 0,
+    producers: [u64::MAX; 2],
+    avail: 0,
+    issued: false,
+    waiting: 0,
+    done: u64::MAX,
+    ready_at: 0,
 };
 
 /// The ring slot of stream index `i`.
@@ -701,7 +721,7 @@ impl InFlight {
             "in-flight window IFQ + RUU + 1 = {capacity} exceeds the ring's {RING} slots"
         );
         InFlight {
-            slots: Box::new([Slot::pulled(NOP); RING]),
+            slots: Box::new([EMPTY; RING]),
             ready: 0,
             wheel: [0; WHEEL as usize],
             far: 0,
@@ -730,7 +750,7 @@ impl InFlight {
     /// Appends the next stream instruction.
     fn push(&mut self, inst: Inst) {
         assert!(self.end - self.head < RING as u64, "ring overflow");
-        *self.slot_mut(self.end) = Slot::pulled(inst);
+        *self.slot_mut(self.end) = Slot::pulled(inst, self.end);
         self.end += 1;
     }
 
@@ -738,20 +758,16 @@ impl InFlight {
     /// issued producers set its ready cycle; it registers as a consumer of
     /// each producer still unissued, and if there is none it is ready or
     /// pending at once. Committed producers have delivered, and a
-    /// dependence on a later instruction (which validated traces never
-    /// hold) is ignored.
+    /// producer before the stream's start (which validated traces never
+    /// name) is ignored.
     #[inline]
     fn dispatch(&mut self, now: u64) {
         let idx = self.disp;
         self.disp += 1;
         let at = pos(idx);
-        let inst = self.slots[at].inst;
         let (mut waiting, mut ready_at) = (0, 0);
-        // A producer named twice is one dependence.
-        let dep2 = if inst.dep2 == inst.dep1 { 0 } else { inst.dep2 };
-        for d in [inst.dep1, dep2] {
-            let producer = u64::from(d).wrapping_sub(1);
-            if d == 0 || producer < self.head || producer >= idx {
+        for producer in self.slots[at].producers {
+            if producer < self.head || producer >= idx {
                 continue;
             }
             let p = pos(producer);
@@ -859,9 +875,8 @@ impl InFlight {
             .filter(|&i| {
                 let s = self.slot(i);
                 !s.issued
-                    && [s.inst.dep1, s.inst.dep2].into_iter().all(|d| {
-                        let producer = u64::from(d).wrapping_sub(1);
-                        d == 0 || producer < self.head || producer >= i || {
+                    && s.producers.into_iter().all(|producer| {
+                        producer < self.head || producer >= i || {
                             let p = self.slot(producer);
                             p.issued && p.done <= now
                         }
@@ -876,7 +891,7 @@ impl InFlight {
 /// when it waits on operands or a unit, front end when the window is empty.
 fn stall_bucket<'a>(stack: &'a mut CpiStack, head: Option<&Slot>, now: u64) -> &'a mut u64 {
     match head {
-        Some(h) if h.inst.op.is_mem() && h.issued && h.done > now => &mut stack.memory,
+        Some(h) if h.op.is_mem() && h.issued && h.done > now => &mut stack.memory,
         Some(_) => &mut stack.core,
         None => &mut stack.frontend,
     }
@@ -1154,11 +1169,9 @@ mod tests {
             name: "zero-latency chain".into(),
             initial_mem: ccp_mem::MainMemory::new(),
             insts: (0..n)
-                .map(|i| Inst {
-                    op: Op::IAlu { lat: 0 },
-                    pc: 0x0040_0000 + 4 * (i % 16),
-                    dep1: i,
-                    dep2: 0,
+                .map(|i| {
+                    let back = u64::from(i.min(1));
+                    Inst::new(Op::IAlu { lat: 0 }, 0x0040_0000 + 4 * (i % 16), [back, 0])
                 })
                 .collect(),
         }
@@ -1221,6 +1234,55 @@ mod tests {
         let stepped = run_source_stepped(&t, &mut slow(), &cfg);
         assert_eq!(skipped.cycles, 50 * 300 + 14);
         assert_eq!(format!("{skipped:?}"), format!("{stepped:?}"));
+    }
+
+    /// Two cold loads, ALUs up to index 4095, then at index 4096 an ALU
+    /// that uses the load `back` instructions before it (4095 for the
+    /// second, 4096 for the first, 0 for none), then ten more ALUs.
+    fn far_consumer(back: u32) -> ccp_trace::Trace {
+        let mut ctx = ProgramCtx::new("t");
+        let first = ctx.load(0x10_0000, H::NONE).0;
+        let second = ctx.load(0x20_0000, H::NONE).0;
+        while ctx.len() < 4096 {
+            ctx.alu(H::NONE, H::NONE);
+        }
+        let used = match back {
+            4095 => second,
+            4096 => first,
+            _ => H::NONE,
+        };
+        ctx.alu(used, H::NONE);
+        for _ in 0..10 {
+            ctx.alu(H::NONE, H::NONE);
+        }
+        ctx.finish()
+    }
+
+    #[test]
+    fn dependences_reach_back_4095_instructions_and_no_further() {
+        // A memory slower than 4095 single-issue cycles keeps both loads
+        // outstanding when the in-order core reaches the consumer: it
+        // stalls on the load 4095 back and runs as if independent of the
+        // one 4096 back. The out-of-order window commits both loads long
+        // before the consumer enters it, so all three runs agree there.
+        let slow = || {
+            let mut c = bc();
+            let lat = c.latencies();
+            c.set_latencies(ccp_cache::LatencyConfig {
+                memory: 10_000,
+                ..lat
+            });
+            c
+        };
+        let cfg = PipelineConfig::paper();
+        let inorder = |back| run_inorder(&far_consumer(back), &mut slow(), &cfg);
+        let (near, far, none) = (inorder(4095), inorder(4096), inorder(0));
+        assert!(near.cycles > 10_000, "stalls on the load: {}", near.cycles);
+        assert!(far.cycles < 10_000, "ignores the load: {}", far.cycles);
+        assert_eq!(format!("{far:?}"), format!("{none:?}"));
+        let ooo = |back| format!("{:?}", run_source(&far_consumer(back), &mut slow(), &cfg));
+        assert_eq!(ooo(4095), ooo(4096));
+        assert_eq!(ooo(4096), ooo(0));
     }
 
     /// A loop of 200 iterations, each storing to one of three words and

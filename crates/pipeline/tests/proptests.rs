@@ -145,12 +145,12 @@ proptest! {
         run_source(&trace, &mut c, &PipelineConfig::paper());
         let mut functional = trace.initial_mem.clone();
         for i in &trace.insts {
-            if let ccp_trace::Op::Store { addr, value } = i.op {
+            if let ccp_trace::Op::Store { addr, value } = i.op() {
                 functional.write(addr, value);
             }
         }
         for i in &trace.insts {
-            if let ccp_trace::Op::Load { addr } | ccp_trace::Op::Store { addr, .. } = i.op {
+            if let ccp_trace::Op::Load { addr } | ccp_trace::Op::Store { addr, .. } = i.op() {
                 prop_assert_eq!(c.mem().read(addr), functional.read(addr), "at {:#x}", addr);
             }
         }

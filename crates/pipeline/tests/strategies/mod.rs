@@ -4,7 +4,7 @@
 //! and `PredictorKind` into scope.
 
 use super::{PipelineConfig, PredictorKind};
-use ccp_trace::{Op, ProgramCtx, Trace, H};
+use ccp_trace::{Inst, Op, ProgramCtx, Trace, H};
 use proptest::prelude::*;
 
 /// A random machine: every width, queue and unit count at least one. One
@@ -97,7 +97,8 @@ pub fn dataflow_trace_strategy() -> impl Strategy<Value = Trace> {
         }
         let mut trace = ctx.finish();
         for i in zero_latency {
-            trace.insts[i].op = Op::IAlu { lat: 0 };
+            let inst = trace.insts[i];
+            trace.insts[i] = Inst::new(Op::IAlu { lat: 0 }, inst.pc, inst.deps().map(u64::from));
         }
         trace
     })

@@ -388,7 +388,7 @@ pub fn transition_study(benchmarks: &[Benchmark], budget: usize, seed: u64) -> V
             let mut mem = trace.initial_mem.clone();
             let (mut stores, mut grow, mut shrink) = (0u64, 0u64, 0u64);
             for i in &trace.insts {
-                if let ccp_trace::Op::Store { addr, value } = i.op {
+                if let ccp_trace::Op::Store { addr, value } = i.op() {
                     stores += 1;
                     let was = is_compressible(mem.read(addr), addr);
                     let now = is_compressible(value, addr);

@@ -77,7 +77,7 @@ fn replay<I: Iterator<Item = Inst>>(
         cache.reset_stats();
     }
     for inst in insts {
-        let is_store = match inst.op {
+        let is_store = match inst.op() {
             Op::Load { addr } => {
                 cache.read_pc(addr, inst.pc);
                 false
@@ -304,7 +304,7 @@ mod tests {
         let expected: Vec<Issued> = t
             .insts
             .iter()
-            .filter_map(|i| match i.op {
+            .filter_map(|i| match i.op() {
                 Op::Load { addr } => Some(Issued::Read(addr, Some(i.pc))),
                 Op::Store { addr, value } => Some(Issued::Write(addr, value, Some(i.pc))),
                 _ => None,

@@ -16,7 +16,9 @@
 //!
 //! Each column is timed [`REPETITIONS`] times, the three columns taking
 //! turns, and reports its fastest run; each trajectory row records the
-//! repetitions and every column's spread across them.
+//! repetitions, every column's spread across them, and `trace_mb`, the
+//! bytes of every trace it materialized (instruction records and initial
+//! image pages).
 //!
 //! Results are written to `BENCH_core.json` (atomic temp-then-rename) so
 //! the committed snapshot regenerates with one command; see DESIGN.md §10.
@@ -56,6 +58,8 @@ pub struct PerfRow {
     /// Every timed repetition in run order, one time per [`COLUMNS`]
     /// entry; each `*_secs` field is its column's fastest.
     pub reps: Vec<[f64; 3]>,
+    /// Bytes the materialized trace held ([`Trace::footprint_bytes`]).
+    pub trace_bytes: u64,
 }
 
 /// Timed repetitions of each column per benchmark.
@@ -116,6 +120,12 @@ impl PerfReport {
         } else {
             f64::INFINITY
         }
+    }
+
+    /// Megabytes (10^6 bytes) of materialized traces, summed over every
+    /// row.
+    pub fn trace_mb(&self) -> f64 {
+        self.rows.iter().map(|r| r.trace_bytes).sum::<u64>() as f64 / 1.0e6
     }
 
     /// Timed repetitions per column.
@@ -202,6 +212,7 @@ pub fn perf_benchmark(bench: &Benchmark, budget: usize, seed: u64) -> PerfRow {
         instructions: trace.len() as u64,
         pipeline_secs: fastest(2),
         reps,
+        trace_bytes: trace.footprint_bytes(),
     }
 }
 
@@ -262,10 +273,11 @@ pub fn render_perf(report: &PerfReport) -> String {
         ));
     }
     s.push_str(&format!(
-        "geomean speedup {:.2}x, aggregate {:.2}x; pipeline (CPP) {:.2} Minst/s\n",
+        "geomean speedup {:.2}x, aggregate {:.2}x; pipeline (CPP) {:.2} Minst/s; traces {:.1} MB\n",
         report.geomean_speedup(),
         report.total_speedup(),
-        report.pipeline_minst_s()
+        report.pipeline_minst_s(),
+        report.trace_mb()
     ));
     s.push_str(&format!(
         "fastest of {} alternated repetitions; spread (max/min - 1)",
@@ -309,6 +321,7 @@ pub fn perf_json(report: &PerfReport) -> Json {
         ("geomean_speedup", Json::from(report.geomean_speedup())),
         ("total_speedup", Json::from(report.total_speedup())),
         ("pipeline_minst_s", Json::from(report.pipeline_minst_s())),
+        ("trace_mb", Json::from(report.trace_mb())),
         ("repetitions", Json::from(report.repetitions() as u64)),
         ("optimized_spread", Json::from(report.spread(0))),
         ("reference_spread", Json::from(report.spread(1))),
@@ -399,6 +412,7 @@ mod tests {
             instructions: 0,
             pipeline_secs: 0.0,
             reps: Vec::new(),
+            trace_bytes: 0,
         };
         assert!((r.speedup() - 4.0).abs() < 1e-12);
         assert!((r.optimized_mops() - 4.0).abs() < 1e-12);
@@ -417,6 +431,7 @@ mod tests {
                     instructions: 3_000_000,
                     pipeline_secs: 1.0,
                     reps: vec![[1.0, 2.0, 1.0], [1.5, 2.0, 1.0]],
+                    trace_bytes: 1_500_000,
                 },
                 PerfRow {
                     benchmark: "b".into(),
@@ -427,6 +442,7 @@ mod tests {
                     instructions: 1_000_000,
                     pipeline_secs: 1.0,
                     reps: vec![[1.0, 8.0, 1.0], [1.5, 8.0, 3.0]],
+                    trace_bytes: 500_000,
                 },
             ],
             budget: 0,
@@ -436,6 +452,7 @@ mod tests {
         assert!((report.total_speedup() - 5.0).abs() < 1e-9);
         assert!((report.pipeline_minst_s() - 2.0).abs() < 1e-9);
         assert_eq!(report.repetitions(), 2);
+        assert!((report.trace_mb() - 2.0).abs() < 1e-9);
         // Per-repetition column totals: optimized 2 then 3, reference
         // 10 both times, pipeline 2 then 4.
         let spreads = [0, 1, 2].map(|col| report.spread(col));
@@ -466,6 +483,9 @@ mod tests {
         assert!(doc.contains("core_hotpath") && doc.contains("geomean_speedup"));
         assert!(doc.contains("\"pipeline_secs\":") && doc.contains("\"pipeline_minst_s\":"));
         assert!(doc.contains("\"repetitions\":5"));
+        let trace = benchmark_by_name("health").expect("health").trace(5_000, 1);
+        assert_eq!(r.trace_bytes, trace.footprint_bytes());
+        assert!(doc.contains(&format!("\"trace_mb\":{}", report.trace_mb())));
         for name in COLUMNS {
             assert!(doc.contains(&format!("\"{name}_spread\":")), "{name}");
         }
@@ -486,6 +506,7 @@ mod tests {
                 instructions: 1,
                 pipeline_secs: 1.0,
                 reps: vec![[1.0, 3.0, 1.0]],
+                trace_bytes: 16,
             }],
             budget: 100,
             seed: 1,

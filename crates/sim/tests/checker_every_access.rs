@@ -23,7 +23,7 @@ fn replay_checked<S: CompressionScheme>(bench: &str, trace: &Trace) -> u64 {
     *h.mem_mut() = trace.initial_mem.clone();
     let mut accesses = 0u64;
     for inst in &trace.insts {
-        let (kind, addr) = match inst.op {
+        let (kind, addr) = match inst.op() {
             Op::Load { addr } => {
                 h.read_pc(addr, inst.pc);
                 ("load", addr)

@@ -21,13 +21,27 @@ use crate::{
 use ccp_mem::MainMemory;
 
 /// A dataflow handle: the producing instruction's index + 1, with 0 meaning
-/// "no dependence" (an immediate or a value older than the window).
+/// "no dependence" (an immediate or a value older than the window). An
+/// emitted [`Inst`] stores the distance back to the producer instead, and
+/// a handle [`DEP_WINDOW`](crate::DEP_WINDOW) or more instructions old
+/// becomes no dependence there.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct H(pub u32);
 
 impl H {
     /// No dependence.
     pub const NONE: H = H(0);
+
+    /// How many instructions before instruction `index` the producer is;
+    /// 0 for [`H::NONE`]. The producer must precede `index`.
+    #[inline]
+    pub fn back_from(self, index: u64) -> u64 {
+        if self.0 == 0 {
+            0
+        } else {
+            index + 1 - u64::from(self.0)
+        }
+    }
 }
 
 /// Base PC for generated code (arbitrary, word-aligned).
@@ -95,21 +109,26 @@ impl ProgramCtx {
         self.insts.is_empty()
     }
 
+    /// Appends `op`. Inlined into each emitter, where `op` is a constant,
+    /// so packing it costs no branch on its kind.
+    #[inline(always)]
     fn emit(&mut self, op: Op, d1: H, d2: H) -> H {
         if self.initial.is_none() {
-            self.initial = Some(self.mem.clone());
+            self.snapshot();
         }
         debug_assert!(d1.0 as usize <= self.insts.len());
         debug_assert!(d2.0 as usize <= self.insts.len());
-        let inst = Inst {
-            op,
-            pc: self.pc,
-            dep1: d1.0,
-            dep2: d2.0,
-        };
+        let n = self.insts.len() as u64;
+        let inst = Inst::new(op, self.pc, [d1.back_from(n), d2.back_from(n)]);
         self.pc = self.pc.wrapping_add(4);
         self.insts.push(inst);
         H(self.insts.len() as u32)
+    }
+
+    /// Takes the initial image: memory as the first instruction finds it.
+    #[cold]
+    fn snapshot(&mut self) {
+        self.initial = Some(self.mem.clone());
     }
 
     /// Emits a 1-cycle integer ALU op.
@@ -168,6 +187,8 @@ impl ProgramCtx {
     /// image if nothing was emitted).
     pub fn finish(mut self) -> Trace {
         let initial_mem = self.initial.take().unwrap_or_else(|| self.mem.clone());
+        // The records' growth left up to twice their size allocated.
+        self.insts.shrink_to_fit();
         Trace {
             name: self.name,
             initial_mem,
@@ -216,7 +237,21 @@ mod tests {
         assert_eq!(a, H(1));
         assert_eq!(b, H(2));
         let t = ctx.finish();
-        assert_eq!(t.insts[1].dep1, 1);
+        assert_eq!(t.insts[1].deps(), [1, 0], "one instruction back");
+    }
+
+    #[test]
+    fn handles_older_than_the_window_become_no_dependence() {
+        let mut ctx = ProgramCtx::new("t");
+        let first = ctx.div(H::NONE, H::NONE);
+        let second = ctx.div(H::NONE, H::NONE);
+        for _ in 2..crate::DEP_WINDOW {
+            ctx.alu(H::NONE, H::NONE);
+        }
+        ctx.alu(second, first);
+        let t = ctx.finish();
+        assert_eq!(t.insts[4096].deps(), [4095, 0]);
+        assert!(t.validate().is_ok());
     }
 
     #[test]

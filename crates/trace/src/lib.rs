@@ -98,20 +98,105 @@ impl Op {
     }
 }
 
-/// A fully-decoded trace instruction: operation, fetch PC, and up to two
-/// dataflow dependences, expressed as absolute indices of earlier
-/// instructions (see [`H`]).
-#[derive(Debug, Clone, Copy)]
+/// How far back a dependence may reach: an [`Inst`] names producers 1 to
+/// `DEP_WINDOW - 1` instructions before it, and drops a dependence that
+/// reaches farther. No timing model can see one: the out-of-order window
+/// holds at most 62 instructions, and the in-order core keeps the results
+/// of the last `DEP_WINDOW` instructions only.
+pub const DEP_WINDOW: u64 = 4096;
+
+/// One trace instruction, packed into 16 bytes: operation, fetch PC, and
+/// up to two dataflow dependences, each a distance back to its producer.
+///
+/// `head` holds the op kind in bits 0–2 and the two 12-bit distances in
+/// bits 3–14 and 15–26; a distance of 0 is no dependence. `a` holds the
+/// address, the latency or the taken flag, and `b` a store's value.
+/// [`Inst::op`] rebuilds the [`Op`].
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct Inst {
-    /// The operation.
-    pub op: Op,
+    head: u32,
     /// The instruction's fetch address (basic-block PCs repeat across loop
     /// iterations, so the branch predictor and I-cache behave realistically).
     pub pc: u32,
-    /// First source dependence (0 = none, else producer index + 1).
-    pub dep1: u32,
-    /// Second source dependence (0 = none, else producer index + 1).
-    pub dep2: u32,
+    a: u32,
+    b: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Inst>() == 16);
+
+const KIND_IALU: u32 = 0;
+const KIND_FALU: u32 = 1;
+const KIND_LOAD: u32 = 2;
+const KIND_STORE: u32 = 3;
+const KIND_BRANCH: u32 = 4;
+const DEP_BITS: u32 = 12;
+const DEP_MASK: u32 = (1 << DEP_BITS) - 1;
+const _: () = assert!(DEP_WINDOW == 1 << DEP_BITS);
+
+impl Inst {
+    /// Packs `op` at `pc` whose sources are produced `deps` instructions
+    /// earlier, 0 meaning none. A distance of [`DEP_WINDOW`] or more is
+    /// dropped.
+    #[inline]
+    pub fn new(op: Op, pc: u32, deps: [u64; 2]) -> Inst {
+        let (kind, a, b) = match op {
+            Op::IAlu { lat } => (KIND_IALU, u32::from(lat), 0),
+            Op::FAlu { lat } => (KIND_FALU, u32::from(lat), 0),
+            Op::Load { addr } => (KIND_LOAD, addr, 0),
+            Op::Store { addr, value } => (KIND_STORE, addr, value),
+            Op::Branch { taken } => (KIND_BRANCH, u32::from(taken), 0),
+        };
+        let dist = |d: u64| if d < DEP_WINDOW { d as u32 } else { 0 };
+        Inst {
+            head: kind | dist(deps[0]) << 3 | dist(deps[1]) << (3 + DEP_BITS),
+            pc,
+            a,
+            b,
+        }
+    }
+
+    /// The operation. An if-chain in order of frequency rather than a
+    /// `match`, which compiles to a jump table whose indirect branch the
+    /// hot loops mispredict on a mixed stream (DESIGN.md §4, "Trace
+    /// records are 16 bytes").
+    #[inline]
+    pub fn op(&self) -> Op {
+        let k = self.head & 7;
+        if k == KIND_IALU {
+            Op::IAlu { lat: self.a as u8 }
+        } else if k == KIND_LOAD {
+            Op::Load { addr: self.a }
+        } else if k == KIND_BRANCH {
+            Op::Branch { taken: self.a != 0 }
+        } else if k == KIND_STORE {
+            Op::Store {
+                addr: self.a,
+                value: self.b,
+            }
+        } else {
+            Op::FAlu { lat: self.a as u8 }
+        }
+    }
+
+    /// How many instructions before this one each source's producer is,
+    /// 0 for none; each is below [`DEP_WINDOW`].
+    #[inline]
+    pub fn deps(&self) -> [u32; 2] {
+        [
+            self.head >> 3 & DEP_MASK,
+            self.head >> (3 + DEP_BITS) & DEP_MASK,
+        ]
+    }
+}
+
+impl std::fmt::Debug for Inst {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Inst")
+            .field("op", &self.op())
+            .field("pc", &self.pc)
+            .field("deps", &self.deps())
+            .finish()
+    }
 }
 
 /// A complete workload trace: the initial memory image plus the
@@ -154,7 +239,7 @@ impl Trace {
     pub fn mix(&self) -> TraceMix {
         let mut m = TraceMix::default();
         for i in &self.insts {
-            match i.op {
+            match i.op() {
                 Op::IAlu { .. } => m.ialu += 1,
                 Op::FAlu { .. } => m.falu += 1,
                 Op::Load { .. } => m.loads += 1,
@@ -175,13 +260,20 @@ impl Trace {
         self.insts.is_empty()
     }
 
+    /// Bytes the materialized trace holds: its instruction records and the
+    /// 4 KB pages of its initial image.
+    pub fn footprint_bytes(&self) -> u64 {
+        let records = self.insts.len() * std::mem::size_of::<Inst>();
+        (records + self.initial_mem.page_numbers().len() * 4096) as u64
+    }
+
     /// Walks the trace functionally (replaying stores into a scratch copy of
     /// the initial image) and feeds every accessed `(value, addr)` pair to
     /// `f` — the measurement loop behind the paper's Figure 3.
     pub fn profile_values<F: FnMut(Word, Addr)>(&self, mut f: F) {
         let mut mem = self.initial_mem.clone();
         for i in &self.insts {
-            match i.op {
+            match i.op() {
                 Op::Load { addr } => f(mem.read(addr), addr),
                 Op::Store { addr, value } => {
                     f(value, addr);
@@ -192,19 +284,20 @@ impl Trace {
         }
     }
 
-    /// Validates internal consistency: dependence indices point strictly
-    /// backwards and word accesses are aligned. Returns the first problem.
+    /// Validates internal consistency: no dependence reaches before the
+    /// first instruction, and word accesses are aligned. Returns the first
+    /// problem.
     pub fn validate(&self) -> ccp_errors::SimResult<()> {
         use ccp_errors::SimError;
         for (n, i) in self.insts.iter().enumerate() {
-            for d in [i.dep1, i.dep2] {
-                if d != 0 && (d - 1) as usize >= n {
+            for d in i.deps() {
+                if d as usize > n {
                     return Err(SimError::trace(format!(
-                        "inst {n}: dependence {d} not strictly earlier"
+                        "inst {n}: dependence {d} back reaches before the first instruction"
                     )));
                 }
             }
-            match i.op {
+            match i.op() {
                 Op::Load { addr } | Op::Store { addr, .. } if addr & 3 != 0 => {
                     return Err(SimError::trace(format!(
                         "inst {n}: unaligned address {addr:#x}"
@@ -244,22 +337,64 @@ mod tests {
     }
 
     #[test]
+    fn footprint_counts_records_and_image_pages() {
+        let t = tiny_trace();
+        assert_eq!(t.initial_mem.page_numbers().len(), 1);
+        assert_eq!(t.footprint_bytes(), 4 * 16 + 4096);
+    }
+
+    #[test]
     fn validate_accepts_wellformed() {
         assert!(tiny_trace().validate().is_ok());
     }
 
     #[test]
-    fn validate_rejects_forward_dependence() {
+    fn validate_rejects_dependence_before_the_first_instruction() {
         let mut t = tiny_trace();
-        t.insts[0].dep1 = 3; // points at itself/forward
+        t.insts[1] = Inst::new(Op::IAlu { lat: 1 }, t.insts[1].pc, [2, 0]);
         assert!(t.validate().is_err());
+        t.insts[1] = Inst::new(Op::IAlu { lat: 1 }, t.insts[1].pc, [0, 1]);
+        assert!(t.validate().is_ok());
     }
 
     #[test]
     fn validate_rejects_unaligned_access() {
         let mut t = tiny_trace();
-        t.insts[0].op = Op::Load { addr: 0x1001 };
+        t.insts[0] = Inst::new(Op::Load { addr: 0x1001 }, t.insts[0].pc, [0, 0]);
         assert!(t.validate().is_err());
+    }
+
+    #[test]
+    fn inst_packs_every_op_and_distance() {
+        let ops = [
+            Op::IAlu { lat: LAT_IDIV },
+            Op::IAlu { lat: 0 },
+            Op::FAlu { lat: LAT_FDIV },
+            Op::Load { addr: 0xFFFF_FFFC },
+            Op::Store {
+                addr: 0x1000,
+                value: u32::MAX,
+            },
+            Op::Branch { taken: true },
+            Op::Branch { taken: false },
+        ];
+        for op in ops {
+            for deps in [[0, 0], [1, 4095], [4095, 1], [17, 17]] {
+                let i = Inst::new(op, 0x0040_0004, deps);
+                assert_eq!(i.op(), op);
+                assert_eq!(i.pc, 0x0040_0004);
+                assert_eq!(i.deps(), [deps[0] as u32, deps[1] as u32]);
+            }
+        }
+    }
+
+    #[test]
+    fn inst_drops_dependences_beyond_the_window() {
+        let op = Op::IAlu { lat: 1 };
+        let i = Inst::new(op, 0, [DEP_WINDOW, DEP_WINDOW - 1]);
+        assert_eq!(i.deps(), [0, 4095]);
+        let i = Inst::new(op, 0, [u64::MAX, 1 << 20]);
+        assert_eq!(i.deps(), [0, 0]);
     }
 
     #[test]

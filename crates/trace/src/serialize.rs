@@ -9,11 +9,19 @@
 //! version  u32               format version (1)
 //! name     u32 len + bytes   benchmark name (UTF-8)
 //! pages    u32 count, then per page: u32 page number + 1024 × u32 words
-//! insts    u64 count, then per instruction a fixed 18-byte record:
+//! insts    u64 count, then per instruction a fixed 21-byte record:
 //!          tag u8 | payload u64 (op-specific) | pc u32 | dep1 u32 | dep2 u32
 //! ```
+//!
+//! A dependence on disk is absolute, the producer's index + 1 with 0 for
+//! none (an [`H`] handle), while an [`Inst`] holds the distance back to
+//! its producer. Decoding converts each dependence and drops one that
+//! reaches [`DEP_WINDOW`](crate::DEP_WINDOW) or more instructions back,
+//! which no timing model sees; encoding converts back, so such a
+//! dependence is written again as 0. A dependence on the instruction
+//! itself or a later one is refused.
 
-use crate::{Inst, Op, Trace};
+use crate::{Inst, Op, Trace, H};
 use ccp_mem::MainMemory;
 use std::io::{self, Read, Write};
 
@@ -76,8 +84,8 @@ pub fn write_trace<W: Write>(trace: &Trace, w: &mut W) -> io::Result<()> {
     }
 
     w64(w, trace.insts.len() as u64)?;
-    for inst in &trace.insts {
-        let (tag, payload): (u8, u64) = match inst.op {
+    for (n, inst) in (0u32..).zip(&trace.insts) {
+        let (tag, payload): (u8, u64) = match inst.op() {
             Op::IAlu { lat } => (TAG_IALU, u64::from(lat)),
             Op::FAlu { lat } => (TAG_FALU, u64::from(lat)),
             Op::Load { addr } => (TAG_LOAD, u64::from(addr)),
@@ -87,8 +95,16 @@ pub fn write_trace<W: Write>(trace: &Trace, w: &mut W) -> io::Result<()> {
         w.write_all(&[tag])?;
         w64(w, payload)?;
         w32(w, inst.pc)?;
-        w32(w, inst.dep1)?;
-        w32(w, inst.dep2)?;
+        // A distance reaching before the first instruction (which
+        // `Trace::validate` rejects) is written as a forward dependence,
+        // which `read_trace` refuses.
+        for d in inst.deps() {
+            let handle = match d {
+                0 => 0,
+                _ => n.checked_sub(d).map_or(u32::MAX, |p| p + 1),
+            };
+            w32(w, handle)?;
+        }
     }
     Ok(())
 }
@@ -125,7 +141,7 @@ pub fn read_trace<R: Read>(r: &mut R) -> io::Result<Trace> {
 
     let n = r64(r)? as usize;
     let mut insts = Vec::with_capacity(n.min(1 << 24));
-    for _ in 0..n {
+    for i in 0..n as u64 {
         let mut tag = [0u8; 1];
         r.read_exact(&mut tag)?;
         let payload = r64(r)?;
@@ -147,7 +163,15 @@ pub fn read_trace<R: Read>(r: &mut R) -> io::Result<Trace> {
             },
             t => return Err(bad(&format!("unknown op tag {t}"))),
         };
-        insts.push(Inst { op, pc, dep1, dep2 });
+        for d in [dep1, dep2] {
+            if u64::from(d) > i {
+                return Err(bad(&format!(
+                    "inst {i}: dependence {d} is not strictly earlier"
+                )));
+            }
+        }
+        let deps = [H(dep1).back_from(i), H(dep2).back_from(i)];
+        insts.push(Inst::new(op, pc, deps));
     }
     let trace = Trace {
         name,
@@ -226,10 +250,7 @@ mod tests {
         let t2 = Trace::from_bytes(&bytes).expect("well-formed");
         assert_eq!(t2.name, t.name);
         assert_eq!(t2.len(), t.len());
-        for (a, b) in t.insts.iter().zip(t2.insts.iter()) {
-            assert_eq!(a.op, b.op);
-            assert_eq!((a.pc, a.dep1, a.dep2), (b.pc, b.dep1, b.dep2));
-        }
+        assert_eq!(t2.insts, t.insts);
         assert_eq!(t2.initial_mem.read(0x1000), 0xABCD_1234);
         assert_eq!(t2.initial_mem.read(0x9_F000), 77);
         assert_eq!(t2.initial_mem.read(0x2000), 0);
@@ -274,21 +295,43 @@ mod tests {
         }
     }
 
+    /// Bytes before the first instruction record: magic, version, name,
+    /// the page count and pages, and the instruction count.
+    fn header_len(t: &Trace) -> usize {
+        4 + 4 + 4 + t.name.len() + 4 + t.initial_mem.page_numbers().len() * (4 + 4096) + 8
+    }
+
+    #[test]
+    fn encoded_length_is_header_pages_and_21_bytes_per_instruction() {
+        let t = sample_trace();
+        assert_eq!(t.initial_mem.page_numbers().len(), 2);
+        assert_eq!(t.to_bytes().len(), header_len(&t) + 21 * t.len());
+    }
+
     #[test]
     fn corrupt_dependence_rejected_by_validation() {
-        let t = sample_trace();
-        let mut bytes = t.to_bytes();
-        // The first instruction record's dep1 lives 13 bytes before the end
-        // of its 21-byte record; easier: flip dep1 of inst 0 to a forward
-        // reference by scanning for the inst section. Instead, corrupt via
-        // a rebuilt trace to keep the test robust to layout drift.
-        let mut t2 = Trace::from_bytes(&bytes).unwrap();
-        t2.insts[0].dep1 = 999;
-        bytes = t2.to_bytes();
-        assert!(
-            Trace::from_bytes(&bytes).is_err(),
-            "validation must catch forward dependences"
-        );
+        let bytes = sample_trace().to_bytes();
+        // Instruction 2's dep1 field, 13 bytes into its 21-byte record,
+        // made a dependence on itself (handle 3) and then on a later
+        // instruction.
+        let at = header_len(&sample_trace()) + 2 * 21 + 13;
+        assert_eq!(&bytes[at..at + 4], &1u32.to_le_bytes(), "the store's dep1");
+        for handle in [3u32, 999] {
+            let mut bad = bytes.clone();
+            bad[at..at + 4].copy_from_slice(&handle.to_le_bytes());
+            let err = Trace::from_bytes(&bad).expect_err("must be refused");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("inst 2:"), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_dependence_before_the_first_instruction_is_written_as_refused() {
+        let mut t = sample_trace();
+        t.insts[0] = Inst::new(Op::IAlu { lat: 1 }, t.insts[0].pc, [1, 0]);
+        assert!(t.validate().is_err());
+        let err = Trace::from_bytes(&t.to_bytes()).expect_err("refused");
+        assert!(err.to_string().contains("inst 0:"), "{err}");
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub trait TraceSource: Sync {
     fn mix(&self) -> TraceMix {
         let mut m = TraceMix::default();
         for i in self.stream() {
-            match i.op {
+            match i.op() {
                 Op::IAlu { .. } => m.ialu += 1,
                 Op::FAlu { .. } => m.falu += 1,
                 Op::Load { .. } => m.loads += 1,
@@ -143,7 +143,7 @@ impl TraceSource for BenchSource {
 pub fn profile_source_values<F: FnMut(Word, Addr)>(source: &dyn TraceSource, mut f: F) {
     let mut mem = source.initial_mem();
     for i in source.stream() {
-        match i.op {
+        match i.op() {
             Op::Load { addr } => f(mem.read(addr), addr),
             Op::Store { addr, value } => {
                 f(value, addr);

@@ -249,8 +249,7 @@ mod tests {
             let t2 = b.trace(2000, 7);
             assert_eq!(t1.len(), t2.len(), "{}", b.full_name());
             for (a, b_) in t1.insts.iter().zip(t2.insts.iter()) {
-                assert_eq!(a.op, b_.op);
-                assert_eq!((a.pc, a.dep1, a.dep2), (b_.pc, b_.dep1, b_.dep2));
+                assert_eq!(a, b_);
             }
         }
     }
@@ -264,7 +263,7 @@ mod tests {
             .insts
             .iter()
             .zip(t2.insts.iter())
-            .all(|(a, b)| a.op == b.op);
+            .all(|(a, b)| a.op() == b.op());
         assert!(!same, "different seeds should differ somewhere");
     }
 

@@ -146,8 +146,8 @@ mod tests {
     fn synth_source_streams_are_replayable() {
         let spec = WorkgenSpec::parse("addr=stride,stride=16,small=0.3").unwrap();
         let src = SynthSource::new(spec, 11, 4_000);
-        let a: Vec<_> = src.stream().map(|i| (i.pc, i.dep1, i.dep2)).collect();
-        let b: Vec<_> = src.stream().map(|i| (i.pc, i.dep1, i.dep2)).collect();
+        let a: Vec<_> = src.stream().collect();
+        let b: Vec<_> = src.stream().collect();
         assert_eq!(a, b);
         assert_eq!(a.len(), 4_000);
         assert_eq!(src.len_hint(), Some(4_000));
@@ -195,7 +195,7 @@ mod tests {
         let src = SynthSource::new(spec, 9, 50_000);
         let mem = TraceSource::initial_mem(&src);
         for inst in src.stream() {
-            if let Op::Load { addr } = inst.op {
+            if let Op::Load { addr } = inst.op() {
                 // MainMemory::read of an untouched word returns 0; the
                 // image fills pointer words with heap addresses, which are
                 // never 0.

@@ -13,7 +13,7 @@
 use crate::spec::{AddrModel, ValueModel, WorkgenSpec};
 use crate::zipf::ZipfSampler;
 use ccp_mem::MainMemory;
-use ccp_trace::{Addr, Inst, Op, Word, LAT_FALU, LAT_IALU};
+use ccp_trace::{Addr, Inst, Op, Word, H, LAT_FALU, LAT_IALU};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
 /// Base of the flat data region used by all address models but `chase`.
@@ -165,9 +165,9 @@ pub struct WorkgenStream {
     addr_rng: SmallRng,
     value_rng: SmallRng,
     mix_rng: SmallRng,
-    /// Producer handles for dependence edges: absolute index + 1, 0 = none.
-    last_alu: u32,
-    last_load: u32,
+    /// Producer handles for dependence edges.
+    last_alu: H,
+    last_load: H,
 }
 
 impl WorkgenStream {
@@ -185,8 +185,8 @@ impl WorkgenStream {
             addr_rng: sub_rng(seed, TAG_ADDR),
             value_rng: sub_rng(seed, TAG_VALUE),
             mix_rng: sub_rng(seed, TAG_MIX),
-            last_alu: 0,
-            last_load: 0,
+            last_alu: H::NONE,
+            last_load: H::NONE,
         }
     }
 
@@ -261,65 +261,43 @@ impl Iterator for WorkgenStream {
         }
         let i = self.emitted;
         let pc = CODE_BASE + ((i % LOOP_SLOTS) as u32) * 4;
-        let handle = (i + 1) as u32;
+        let handle = H((i + 1) as u32);
         let mix = self.spec.mix;
         let u: f64 = self.mix_rng.gen();
-        let inst = if u < mix.mem_fraction {
+        let (op, deps) = if u < mix.mem_fraction {
             if self.mix_rng.gen_bool(mix.store_fraction) {
                 let addr = self.store_addr();
                 let value = self.spec.value.sample(addr, &mut self.value_rng);
-                Inst {
-                    op: Op::Store { addr, value },
-                    pc,
-                    dep1: self.last_alu,
-                    dep2: self.last_load,
-                }
+                (Op::Store { addr, value }, [self.last_alu, self.last_load])
             } else {
                 let (addr, chased) = self.load_addr();
-                let inst = Inst {
-                    op: Op::Load { addr },
-                    pc,
-                    // A pointer-follow load is serialized on the previous
-                    // load — the address *is* the previous load's result.
-                    dep1: if chased {
-                        self.last_load
-                    } else {
-                        self.last_alu
-                    },
-                    dep2: 0,
+                // A pointer-follow load is serialized on the previous
+                // load — the address *is* the previous load's result.
+                let dep = if chased {
+                    self.last_load
+                } else {
+                    self.last_alu
                 };
                 self.last_load = handle;
-                inst
+                (Op::Load { addr }, [dep, H::NONE])
             }
         } else if u < mix.mem_fraction + mix.branch_fraction {
-            Inst {
-                op: Op::Branch {
-                    taken: self.mix_rng.gen_bool(0.85),
-                },
-                pc,
-                dep1: self.last_alu,
-                dep2: 0,
-            }
+            let taken = self.mix_rng.gen_bool(0.85);
+            (Op::Branch { taken }, [self.last_alu, H::NONE])
         } else if u < mix.mem_fraction + mix.branch_fraction + mix.falu_fraction {
-            Inst {
-                op: Op::FAlu { lat: LAT_FALU },
-                pc,
-                dep1: self.last_alu,
-                dep2: 0,
-            }
+            (Op::FAlu { lat: LAT_FALU }, [self.last_alu, H::NONE])
         } else {
             // Integer work: consume the latest load half the time so loads
             // feed real dataflow, but leave headroom for ILP.
             let feed_load = self.mix_rng.gen_bool(0.5);
-            let inst = Inst {
-                op: Op::IAlu { lat: LAT_IALU },
-                pc,
-                dep1: self.last_alu,
-                dep2: if feed_load { self.last_load } else { 0 },
-            };
+            let deps = [
+                self.last_alu,
+                if feed_load { self.last_load } else { H::NONE },
+            ];
             self.last_alu = handle;
-            inst
+            (Op::IAlu { lat: LAT_IALU }, deps)
         };
+        let inst = Inst::new(op, pc, deps.map(|d| d.back_from(i)));
         self.emitted += 1;
         Some(inst)
     }
@@ -357,12 +335,9 @@ mod tests {
         let a = collect(&s, 42, 10_000);
         let b = collect(&s, 42, 10_000);
         assert_eq!(a.len(), b.len());
-        assert!(a
-            .iter()
-            .zip(&b)
-            .all(|(x, y)| x.op == y.op && x.pc == y.pc && x.dep1 == y.dep1 && x.dep2 == y.dep2));
+        assert!(a.iter().zip(&b).all(|(x, y)| x == y));
         let c = collect(&s, 43, 10_000);
-        assert!(a.iter().zip(&c).any(|(x, y)| x.op != y.op));
+        assert!(a.iter().zip(&c).any(|(x, y)| x.op() != y.op()));
     }
 
     #[test]
@@ -372,7 +347,7 @@ mod tests {
         let lo = spec("addr=uniform,small=0.0,ptr=0.0");
         let hi = spec("addr=uniform,small=1.0,ptr=0.0");
         for (a, b) in collect(&lo, 9, 20_000).iter().zip(&collect(&hi, 9, 20_000)) {
-            match (a.op, b.op) {
+            match (a.op(), b.op()) {
                 (Op::Load { addr: x }, Op::Load { addr: y }) => assert_eq!(x, y),
                 (Op::Store { addr: x, .. }, Op::Store { addr: y, .. }) => assert_eq!(x, y),
                 (x, y) => assert_eq!(std::mem::discriminant(&x), std::mem::discriminant(&y)),
@@ -433,7 +408,7 @@ mod tests {
         let mem = build_initial_mem(&s, 5);
         let mut expected = HEAP_BASE; // cur starts at node 0
         for inst in WorkgenStream::new(&s, 5, 2_000) {
-            if let Op::Load { addr } = inst.op {
+            if let Op::Load { addr } = inst.op() {
                 if addr % NODE_BYTES == 0 {
                     assert_eq!(addr, expected, "follow-load visits the current node");
                     expected = mem.read(addr);
@@ -452,7 +427,7 @@ mod tests {
         ] {
             let s = spec(text);
             for inst in WorkgenStream::new(&s, 2, 10_000) {
-                if let Op::Load { addr } | Op::Store { addr, .. } = inst.op {
+                if let Op::Load { addr } | Op::Store { addr, .. } = inst.op() {
                     assert!(
                         (DATA_BASE..DATA_BASE + 128 * 4).contains(&addr),
                         "{text}: {addr:#x}"
@@ -467,8 +442,8 @@ mod tests {
     fn dependences_point_strictly_backwards() {
         let s = spec("addr=chase,nodes=128");
         for (n, inst) in WorkgenStream::new(&s, 8, 5_000).enumerate() {
-            for d in [inst.dep1, inst.dep2] {
-                assert!(d == 0 || (d - 1) as usize <= n, "inst {n} dep {d}");
+            for d in inst.deps() {
+                assert!(d as usize <= n, "inst {n} dep {d} back");
             }
         }
     }

@@ -50,15 +50,11 @@ proptest! {
         let xs: Vec<_> = a.stream().collect();
         let ys: Vec<_> = b.stream().collect();
         prop_assert_eq!(xs.len(), ys.len());
-        for (x, y) in xs.iter().zip(&ys) {
-            prop_assert_eq!(x.op, y.op);
-            prop_assert_eq!(x.pc, y.pc);
-            prop_assert_eq!((x.dep1, x.dep2), (y.dep1, y.dep2));
-        }
+        prop_assert_eq!(&xs, &ys);
         let c = SynthSource::new(spec, seed ^ 0x5555, 3_000);
         let zs: Vec<_> = c.stream().collect();
         prop_assert!(
-            xs.iter().zip(&zs).any(|(x, z)| x.op != z.op),
+            xs.iter().zip(&zs).any(|(x, z)| x.op() != z.op()),
             "independent seeds should diverge somewhere in 3k instructions"
         );
     }
@@ -71,7 +67,7 @@ proptest! {
         let mut n = 0u64;
         for inst in src.stream() {
             n += 1;
-            if let Op::Load { addr } | Op::Store { addr, .. } = inst.op {
+            if let Op::Load { addr } | Op::Store { addr, .. } = inst.op() {
                 prop_assert_eq!(addr % 4, 0, "unaligned access {:#x}", addr);
                 prop_assert!(addr >= ccp_workgen::DATA_BASE, "address {:#x} below data", addr);
             }
