@@ -21,6 +21,10 @@ echo "== cargo clippy (-D warnings)"
 CLIPPY_TARGET="target/clippy-$(cksum < clippy.toml | cut -d' ' -f1)"
 CARGO_TARGET_DIR="$CLIPPY_TARGET" cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc (-D warnings)"
+# A broken or ambiguous intra-doc link, or one to a private item, fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== tier-1: cargo build --release"
 cargo build --release
 

@@ -108,12 +108,6 @@ pub struct HierarchyConfig {
     pub l1_prefetch_entries: u32,
     /// L2 prefetch-buffer entries (BCP only).
     pub l2_prefetch_entries: u32,
-    /// CPP §3.3 policy: when a primary word turns incompressible, evict only
-    /// the conflicting affiliated word (`false`) or the whole affiliated
-    /// line (`true`). The paper's text supports either reading; the default
-    /// (word-only) retains more prefetched data. An ablation bench compares
-    /// both.
-    pub evict_whole_affiliated_line: bool,
     /// CPP extension: transfer write-backs to memory in compressed form
     /// (the paper spends freed bandwidth only on fetch-side prefetching;
     /// `true` additionally shrinks the write-back stream, a natural
@@ -135,7 +129,6 @@ impl HierarchyConfig {
             latency: LatencyConfig::paper(),
             l1_prefetch_entries: 8,
             l2_prefetch_entries: 32,
-            evict_whole_affiliated_line: false,
             compress_writebacks: false,
         }
     }

@@ -9,7 +9,7 @@
 //! scans are contiguous per set (one or two cache lines of host memory for
 //! the whole probe), and the colder dirty/LRU/payload columns are only
 //! touched on the paths that need them. An empty way holds the
-//! [`INVALID`] tag, which no address's tag can equal, so validity needs no
+//! `INVALID` tag, which no address's tag can equal, so validity needs no
 //! column of its own and a probe is one compare per way. The way-count and
 //! set shift are precomputed so a probe is shift/mask arithmetic plus a
 //! short contiguous scan.

@@ -232,13 +232,7 @@ impl<S: CompressionScheme> CppLevel<S> {
     /// line `idx` (which must have `PA[off]` set): updates `VCP` and evicts
     /// conflicting affiliated words. Returns the number of affiliated words
     /// evicted by the change (the paper's §3.3 hazard).
-    pub fn update_primary_word(
-        &mut self,
-        idx: usize,
-        off: u32,
-        now_compressible: bool,
-        evict_whole_affiliated_line: bool,
-    ) -> u32 {
+    pub fn update_primary_word(&mut self, idx: usize, off: u32, now_compressible: bool) -> u32 {
         let bit = 1u32 << off;
         let f = self.arr.extra_mut(idx);
         debug_assert!(f.pa & bit != 0, "updating an absent primary word");
@@ -252,15 +246,8 @@ impl<S: CompressionScheme> CppLevel<S> {
         }
         // The freed half-slot is reclaimed by the grown primary word; the
         // affiliated word (priority to primary, paper §3.3) is evicted.
-
-        if evict_whole_affiliated_line {
-            let n = f.aa.count_ones();
-            f.aa = 0;
-            n
-        } else {
-            f.aa &= !bit;
-            1
-        }
+        f.aa &= !bit;
+        1
     }
 
     /// Re-derives the whole line's `VCP` from current memory values and
@@ -270,29 +257,15 @@ impl<S: CompressionScheme> CppLevel<S> {
     /// [`CompressionScheme::BASE_SENSITIVE`]` = true` re-classifies every
     /// word of the line, not just the stored one. Returns the number of
     /// affiliated words evicted.
-    pub fn refresh_primary_flags(
-        &mut self,
-        mem: &MainMemory,
-        idx: usize,
-        evict_whole_affiliated_line: bool,
-    ) -> u32 {
+    pub fn refresh_primary_flags(&mut self, mem: &MainMemory, idx: usize) -> u32 {
         let base = self.base_of(idx);
         let words = self.words();
         let comp = self.line_mask(mem, base);
         let f = self.arr.extra_mut(idx);
         f.vcp = f.pa & comp;
         let conflict = f.aa & !f.affiliated_capacity(words);
-        if conflict == 0 {
-            return 0;
-        }
-        if evict_whole_affiliated_line {
-            let n = f.aa.count_ones();
-            f.aa = 0;
-            n
-        } else {
-            f.aa &= !conflict;
-            conflict.count_ones()
-        }
+        f.aa &= !conflict;
+        conflict.count_ones()
     }
 
     /// Merges newly arrived primary words into an already-resident primary
@@ -486,7 +459,7 @@ mod tests {
         f.aa = 0b0110;
         let (_, idx) = l.install_primary(0x2000, f, false);
         // Word 1 grows incompressible: its AA word is evicted, word 2's stays.
-        let evicted = l.update_primary_word(idx, 1, false, false);
+        let evicted = l.update_primary_word(idx, 1, false);
         assert_eq!(evicted, 1);
         let f = l.flags(idx);
         assert_eq!(f.aa, 0b0100);
@@ -494,22 +467,11 @@ mod tests {
     }
 
     #[test]
-    fn update_primary_word_whole_line_policy() {
-        let mut l = l1();
-        let mut f = CppFlags::full_primary(16, 0xFFFF, 0);
-        f.aa = 0b0110;
-        let (_, idx) = l.install_primary(0x2000, f, false);
-        let evicted = l.update_primary_word(idx, 1, false, true);
-        assert_eq!(evicted, 2, "whole affiliated line evicted");
-        assert_eq!(l.flags(idx).aa, 0);
-    }
-
-    #[test]
     fn update_primary_word_compressible_is_free() {
         let mut l = l1();
         let f = CppFlags::full_primary(16, 0, 0);
         let (_, idx) = l.install_primary(0x2000, f, false);
-        assert_eq!(l.update_primary_word(idx, 3, true, false), 0);
+        assert_eq!(l.update_primary_word(idx, 3, true), 0);
         assert!(l.flags(idx).vcp_bit(3));
     }
 

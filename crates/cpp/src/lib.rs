@@ -456,18 +456,14 @@ impl<S: CompressionScheme> CppHierarchy<S> {
         self.l1.set_dirty(idx);
         if S::BASE_SENSITIVE && off == 0 {
             // Rewriting the base word re-classifies every word of the line.
-            let evicted =
-                self.l1
-                    .refresh_primary_flags(&self.mem, idx, self.cfg.evict_whole_affiliated_line);
+            let evicted = self.l1.refresh_primary_flags(&self.mem, idx);
             self.stats.compressibility_evictions += u64::from(evicted);
             return;
         }
         // `store_word` has just re-tested this word in the line's memo.
         let base = self.l1.geometry().line_base(addr);
         let now_c = self.l1.line_mask(&self.mem, base) & (1 << off) != 0;
-        let evicted =
-            self.l1
-                .update_primary_word(idx, off, now_c, self.cfg.evict_whole_affiliated_line);
+        let evicted = self.l1.update_primary_word(idx, off, now_c);
         self.stats.compressibility_evictions += u64::from(evicted);
     }
 
@@ -1020,25 +1016,6 @@ mod tests {
         c.set_latencies(c.latencies().halved_miss_penalty());
         assert_eq!(c.read(0xC000).latency, 50);
         assert_eq!(c.read(0xC000).latency, 1);
-    }
-
-    #[test]
-    fn whole_line_eviction_policy() {
-        let mut cfg = HierarchyConfig::paper(DesignKind::Cpp);
-        cfg.evict_whole_affiliated_line = true;
-        let mut c = CppHierarchy::new(cfg);
-        fill_small(&mut c, 0x4000);
-        fill_small(&mut c, 0x4040);
-        c.read(0x4000);
-        c.write(0x4014, 0xDEAD_BEEF);
-        let idx = c.l1_level().lookup_primary(0x4000).unwrap();
-        assert_eq!(
-            c.l1_level().flags(idx).aa,
-            0,
-            "whole affiliated line evicted"
-        );
-        assert_eq!(c.stats().compressibility_evictions, 16);
-        c.check_invariants().unwrap();
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! preserving the pre-overhaul representations end to end: per-line flag
 //! state as **per-word `bool` arrays** (one flag per word slot, the way
 //! Figure 7 draws them), cache geometry as division/modulo arithmetic, a
-//! hashed page directory ([`ShadowMemory`]) paying one hash lookup per word
+//! hashed page directory (`ShadowMemory`) paying one hash lookup per word
 //! read, and every compressibility decision as an individual
 //! [`is_compressible`] call against a single word. It shares no storage
 //! layout, no mask arithmetic, and no line-view fast path with
@@ -346,13 +346,7 @@ impl RefLevel {
         }
     }
 
-    fn update_primary_word(
-        &mut self,
-        idx: usize,
-        off: u32,
-        now_compressible: bool,
-        evict_whole_affiliated_line: bool,
-    ) -> u64 {
+    fn update_primary_word(&mut self, idx: usize, off: u32, now_compressible: bool) -> u64 {
         let off = off as usize;
         let f = &mut self.lines[idx].flags;
         if now_compressible {
@@ -363,14 +357,8 @@ impl RefLevel {
         if !f.aa[off] {
             return 0;
         }
-        if evict_whole_affiliated_line {
-            let n = count(&f.aa);
-            f.aa = NO_WORDS;
-            n
-        } else {
-            f.aa[off] = false;
-            1
-        }
+        f.aa[off] = false;
+        1
     }
 
     fn merge_primary_words(&mut self, mem: &ShadowMemory, idx: usize, new_mask: &WordMask) -> u64 {
@@ -751,9 +739,7 @@ impl RefCppHierarchy {
         self.shadow.write(addr, value);
         self.l1.lines[idx].dirty = true;
         let now_c = is_compressible(value, addr);
-        let evicted =
-            self.l1
-                .update_primary_word(idx, off, now_c, self.cfg.evict_whole_affiliated_line);
+        let evicted = self.l1.update_primary_word(idx, off, now_c);
         self.stats.compressibility_evictions += evicted;
     }
 

@@ -3,7 +3,7 @@
 //! promotion of L2-affiliated copies, partial L2 primaries completed from
 //! memory, and L2-level parking.
 
-use ccp_cache::{CacheSim, DesignKind, HierarchyConfig, HitSource};
+use ccp_cache::{CacheSim, HitSource};
 use ccp_cpp::CppHierarchy;
 
 fn cpp() -> CppHierarchy {
@@ -126,36 +126,6 @@ fn l2_parking_preserves_values() {
     c.read(0x8004);
     c.read(0x8000);
     c.check_invariants().unwrap();
-}
-
-#[test]
-fn whole_line_policy_matches_word_policy_functionally() {
-    // The §3.3 policy knob changes performance only: both policies keep
-    // every invariant on the same program.
-    let mut word = CppHierarchy::paper();
-    let mut cfg = HierarchyConfig::paper(DesignKind::Cpp);
-    cfg.evict_whole_affiliated_line = true;
-    let mut line = CppHierarchy::new(cfg);
-    let mut x: u32 = 0x1234_5678;
-    for c in [&mut word, &mut line] {
-        fill_small(c, 0x9000, 64);
-    }
-    for i in 0..3000u32 {
-        x ^= x << 13;
-        x ^= x >> 17;
-        x ^= x << 5;
-        let addr = 0x9000 + ((x % 0x4000) & !3);
-        if i % 4 == 0 {
-            let v = if i % 8 == 0 { x } else { x & 0x1FFF };
-            word.write(addr, v);
-            line.write(addr, v);
-        } else {
-            word.read(addr);
-            line.read(addr);
-        }
-    }
-    word.check_invariants().unwrap();
-    line.check_invariants().unwrap();
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! One field list per counter struct.
 //!
-//! A stats struct declared inside [`counters!`](crate::counters) is
+//! A stats struct declared inside [`counters!`](macro@crate::counters) is
 //! emitted exactly as written and also implements [`Counters`], so every
 //! site that must list each counter — the stats JSON codec, checkpoint and
 //! disk decode, shard merges — walks the visitor instead of naming fields.
@@ -13,7 +13,7 @@ pub type Visit<'a> = dyn FnMut(&[&'static str], u64) + 'a;
 pub type VisitMut<'a> = dyn FnMut(&[&'static str], &mut u64) + 'a;
 
 /// Named `u64` event counters, possibly nested. Implemented by
-/// [`counters!`](crate::counters); a bare `u64` is the one-leaf case.
+/// [`counters!`](macro@crate::counters); a bare `u64` is the one-leaf case.
 pub trait Counters {
     /// Calls `f` on every leaf counter, depth first in declaration order.
     /// `path` holds the names leading to `self` and is restored on return.

@@ -929,7 +929,7 @@ fn trace_info(args: &Args) -> SimResult<()> {
 fn trace_profile(args: &Args) -> SimResult<()> {
     let t = load(&args.names[0])?;
     let mut p = ValueProfile::new();
-    t.profile_values(|v, a| p.record(v, a));
+    profile_source_values(&t, |v, a| p.record(v, a));
     println!(
         "{}: {} accessed values — {:.1}% small, {:.1}% pointer, {:.1}% compressible",
         t.name,

@@ -41,7 +41,7 @@ pub fn figure3(budget: usize, seed: u64) -> Vec<Fig3Row> {
         .map(|b| {
             let t = b.trace(budget, seed);
             let mut p = ValueProfile::new();
-            t.profile_values(|v, a| p.record(v, a));
+            profile_source_values(&t, |v, a| p.record(v, a));
             Fig3Row {
                 benchmark: b.full_name(),
                 small: p.small_fraction(),

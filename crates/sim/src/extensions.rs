@@ -16,7 +16,7 @@ use ccp_compress::fvc::FrequentValueTable;
 use ccp_compress::{bus_halfwords, is_compressible};
 use ccp_pipeline::{run_inorder, run_source, CpiStack, PipelineConfig, RunStats};
 use ccp_schemes::SchemeKind;
-use ccp_trace::{all_benchmarks, Benchmark, Trace};
+use ccp_trace::{all_benchmarks, profile_source_values, Benchmark, Trace};
 use serde::Serialize;
 
 /// One row of the prefetcher-policy comparison.
@@ -132,7 +132,7 @@ pub fn fvc_comparison(benchmarks: &[Benchmark], budget: usize, seed: u64) -> Vec
             let mut paper_hits = 0u64;
             let mut fvc_stats = ccp_compress::fvc::FvcStats::default();
             let mut total = 0u64;
-            trace.profile_values(|v, a| {
+            profile_source_values(&trace, |v, a| {
                 total += 1;
                 // Paper scheme: VC flag + 16-bit or full word.
                 if is_compressible(v, a) {

@@ -96,7 +96,7 @@ mod tests {
     #[test]
     fn factory_respects_custom_config() {
         let mut cfg = HierarchyConfig::paper(DesignKind::Cpp);
-        cfg.evict_whole_affiliated_line = true;
+        cfg.compress_writebacks = true;
         let d = build_design_scheme(cfg, SchemeKind::Cpp);
         assert_eq!(d.name(), "CPP");
     }

@@ -35,7 +35,7 @@ pub mod workloads;
 
 pub use builder::{ProgramCtx, H};
 pub use source::{profile_source_values, BenchSource, TraceSource};
-pub use workloads::{all_benchmarks, benchmark_by_name, extra_benchmarks, Benchmark, Suite};
+pub use workloads::{all_benchmarks, benchmark_by_name, Benchmark, Suite};
 
 use ccp_mem::MainMemory;
 
@@ -267,23 +267,6 @@ impl Trace {
         (records + self.initial_mem.page_numbers().len() * 4096) as u64
     }
 
-    /// Walks the trace functionally (replaying stores into a scratch copy of
-    /// the initial image) and feeds every accessed `(value, addr)` pair to
-    /// `f` — the measurement loop behind the paper's Figure 3.
-    pub fn profile_values<F: FnMut(Word, Addr)>(&self, mut f: F) {
-        let mut mem = self.initial_mem.clone();
-        for i in &self.insts {
-            match i.op() {
-                Op::Load { addr } => f(mem.read(addr), addr),
-                Op::Store { addr, value } => {
-                    f(value, addr);
-                    mem.write(addr, value);
-                }
-                _ => {}
-            }
-        }
-    }
-
     /// Validates internal consistency: no dependence reaches before the
     /// first instruction, and word accesses are aligned. Returns the first
     /// problem.
@@ -401,7 +384,7 @@ mod tests {
     fn profile_values_sees_loads_and_stores() {
         let t = tiny_trace();
         let mut seen = Vec::new();
-        t.profile_values(|v, a| seen.push((v, a)));
+        profile_source_values(&t, |v, a| seen.push((v, a)));
         assert_eq!(seen, vec![(7, 0x1000), (99, 0x1004)]);
     }
 
@@ -412,7 +395,7 @@ mod tests {
         ctx.load(0x2000, H::NONE);
         let t = ctx.finish();
         let mut vals = Vec::new();
-        t.profile_values(|v, _| vals.push(v));
+        profile_source_values(&t, |v, _| vals.push(v));
         assert_eq!(vals, vec![5, 5], "load observes the earlier store");
     }
 

@@ -229,6 +229,7 @@ impl Trace {
 mod tests {
     use super::*;
     use crate::builder::{ProgramCtx, H};
+    use crate::profile_source_values;
 
     fn sample_trace() -> Trace {
         let mut ctx = ProgramCtx::new("serialize-sample");
@@ -265,8 +266,8 @@ mod tests {
         // Same value profile ⇒ same memory image and mem-op stream.
         let mut p1 = Vec::new();
         let mut p2 = Vec::new();
-        t.profile_values(|v, a| p1.push((v, a)));
-        t2.profile_values(|v, a| p2.push((v, a)));
+        profile_source_values(&t, |v, a| p1.push((v, a)));
+        profile_source_values(&t2, |v, a| p2.push((v, a)));
         assert_eq!(p1, p2);
     }
 

@@ -140,39 +140,18 @@ pub fn all_benchmarks() -> Vec<Benchmark> {
     ]
 }
 
-/// Extra benchmarks beyond the paper's evaluated fourteen: the remaining
-/// Olden programs. Not part of any figure; available to the tools and
-/// extension experiments.
-pub fn extra_benchmarks() -> Vec<Benchmark> {
-    vec![
-        Benchmark {
-            name: "bh",
-            suite: Suite::Olden,
-            generate: olden::bh,
-        },
-        Benchmark {
-            name: "voronoi",
-            suite: Suite::Olden,
-            generate: olden::voronoi,
-        },
-    ]
-}
-
-/// Finds a benchmark by name (case-insensitive) among the paper's fourteen
-/// and the [`extra_benchmarks`]. Accepts the full paper spelling
+/// Finds a benchmark by name (case-insensitive) among the paper's
+/// fourteen. Accepts the full paper spelling
 /// (`"spec2000.181.mcf"`), the suite-local name (`"181.mcf"`), or the bare
 /// program name (`"mcf"`).
 pub fn benchmark_by_name(name: &str) -> Option<Benchmark> {
     let lower = name.to_ascii_lowercase();
-    all_benchmarks()
-        .into_iter()
-        .chain(extra_benchmarks())
-        .find(|b| {
-            let full = b.full_name().to_ascii_lowercase();
-            let short = b.name.to_ascii_lowercase();
-            let bare = short.rsplit('.').next().unwrap_or(&short);
-            full == lower || short == lower || bare == lower
-        })
+    all_benchmarks().into_iter().find(|b| {
+        let full = b.full_name().to_ascii_lowercase();
+        let short = b.name.to_ascii_lowercase();
+        let bare = short.rsplit('.').next().unwrap_or(&short);
+        full == lower || short == lower || bare == lower
+    })
 }
 
 #[cfg(test)]
@@ -204,21 +183,6 @@ mod tests {
         assert!(benchmark_by_name("OLDEN.HEALTH").is_some());
         assert!(benchmark_by_name("300.twolf").is_some());
         assert!(benchmark_by_name("nonexistent").is_none());
-    }
-
-    #[test]
-    fn extras_are_registered_and_wellformed() {
-        let extras = extra_benchmarks();
-        assert_eq!(extras.len(), 2);
-        for b in &extras {
-            let t = b.trace(5000, 1);
-            assert!(t.len() >= 5000, "{}", b.full_name());
-            t.validate().unwrap();
-        }
-        assert!(benchmark_by_name("bh").is_some());
-        assert!(benchmark_by_name("olden.voronoi").is_some());
-        // Extras never leak into the paper's figure set.
-        assert_eq!(all_benchmarks().len(), 14);
     }
 
     #[test]

@@ -620,120 +620,3 @@ pub fn tsp(budget: usize, seed: u64) -> Trace {
     }
     ctx.finish()
 }
-
-/// olden.bh — Barnes-Hut N-body (an Olden program the paper's figures omit;
-/// registered as an *extra*): an octree of cells over FP bodies, walked
-/// with a multipole-acceptance test per body.
-pub fn bh(budget: usize, seed: u64) -> Trace {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut ctx = ProgramCtx::new("olden.bh");
-    let mut heap = ChunkAllocator::new(0x1800_0000, 1 << 22);
-
-    // Cell: {type, c0..c7} padded to 48 B; Body: {mass, x, y, z} 16 B (all
-    // large FP patterns except the type word).
-    fn build_cell(
-        heap: &mut ChunkAllocator,
-        ctx: &mut ProgramCtx,
-        rng: &mut SmallRng,
-        depth: u32,
-    ) -> u32 {
-        if depth == 0 || rng.gen_bool(0.35) {
-            let b = heap.alloc_aligned(16, 16);
-            ctx.init_write(b, big(rng)); // mass
-            ctx.init_write(b + 4, big(rng)); // x
-            ctx.init_write(b + 8, big(rng)); // y
-            ctx.init_write(b + 12, big(rng)); // z
-            return b | 1; // tagged pointer: low bit = leaf/body
-        }
-        let c = heap.alloc_aligned(48, 16);
-        ctx.init_write(c, 0); // internal-cell tag word
-        for k in 0..8 {
-            let child = if rng.gen_bool(0.6) {
-                build_cell(heap, ctx, rng, depth - 1)
-            } else {
-                0
-            };
-            ctx.init_write(c + 4 + k * 4, child);
-        }
-        c
-    }
-    let root = build_cell(&mut heap, &mut ctx, &mut rng, 5);
-
-    let walk = ctx.label();
-    while ctx.len() < budget {
-        // One body's force walk: descend, applying the opening test.
-        let mut stack = vec![(root & !1, H::NONE)];
-        while let Some((cell, dep)) = stack.pop() {
-            if ctx.len() >= budget + 64 {
-                break;
-            }
-            ctx.at(walk);
-            let (ht, tag) = ctx.load(cell, dep);
-            let accept = rng.gen_bool(0.4);
-            let t1 = ctx.falu(ht, H::NONE);
-            let t2 = ctx.fmul(t1, t1);
-            ctx.branch(accept, t2);
-            if tag != 0 || accept {
-                // Leaf body or accepted multipole: force contribution.
-                let (hm, _) = ctx.load(cell + 4, dep);
-                let f = ctx.fdiv(hm, t2);
-                ctx.falu(f, H::NONE);
-                continue;
-            }
-            for k in 0..8u32 {
-                let (hc, child) = ctx.load(cell + 4 + k * 4, dep);
-                if child != 0 && rng.gen_bool(0.5) {
-                    stack.push((child & !1, hc));
-                }
-            }
-        }
-    }
-    ctx.finish()
-}
-
-/// olden.voronoi — Delaunay/Voronoi construction (an Olden extra): quad-edge
-/// records allocated in waves and spliced, a heavy pointer-store workload.
-pub fn voronoi(budget: usize, seed: u64) -> Trace {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut ctx = ProgramCtx::new("olden.voronoi");
-    let mut heap = ChunkAllocator::new(0x1900_0000, 1 << 22);
-
-    // Quad-edge record: {next, rot, org_x, org_y} — next/rot pointers,
-    // coordinates large FP patterns.
-    let n = 4096u32;
-    let edges: Vec<u32> = (0..n).map(|_| heap.alloc_aligned(16, 16)).collect();
-    for (i, &e) in edges.iter().enumerate() {
-        ctx.init_write(e, edges[(i + 1) % n as usize]);
-        ctx.init_write(e + 4, edges[(i + n as usize / 2) % n as usize]);
-        ctx.init_write(e + 8, big(&mut rng));
-        ctx.init_write(e + 12, big(&mut rng));
-    }
-
-    let splice = ctx.label();
-    while ctx.len() < budget {
-        ctx.at(splice);
-        // Locate: short next-walk from a random edge.
-        let mut e = edges[rng.gen_range(0..edges.len())];
-        let mut dep = H::NONE;
-        for _ in 0..rng.gen_range(2..6) {
-            let (hx, _) = ctx.load(e + 8, dep);
-            let (hy, _) = ctx.load(e + 12, dep);
-            let orient = ctx.fmul(hx, hy);
-            let c = ctx.falu(orient, H::NONE);
-            let (hn, next) = ctx.load(e, dep);
-            ctx.branch(rng.gen_bool(0.7), c);
-            e = next;
-            dep = hn;
-        }
-        // Splice: swap the next pointers of e and a second edge (the
-        // quad-edge primitive) — two loads, two pointer stores.
-        let f = edges[rng.gen_range(0..edges.len())];
-        if f != e {
-            let (he, en) = ctx.load(e, dep);
-            let (hf, fn_) = ctx.load(f, H::NONE);
-            ctx.store(e, fn_, dep, hf);
-            ctx.store(f, en, H::NONE, he);
-        }
-    }
-    ctx.finish()
-}

@@ -1,7 +1,7 @@
 //! Property tests for the trace substrate: builder well-formedness and
 //! serialization fidelity under arbitrary programs.
 
-use ccp_trace::{Op, ProgramCtx, Trace, DEP_WINDOW, H};
+use ccp_trace::{profile_source_values, Op, ProgramCtx, Trace, DEP_WINDOW, H};
 use proptest::prelude::*;
 
 /// Random builder scripts.
@@ -86,11 +86,11 @@ proptest! {
         }
     }
 
-    /// profile_values visits exactly the memory operations, in order.
+    /// profile_source_values visits exactly the memory operations, in order.
     #[test]
     fn profile_visits_mem_ops_in_order(trace in program_strategy()) {
         let mut visited = Vec::new();
-        trace.profile_values(|_, a| visited.push(a));
+        profile_source_values(&trace, |_, a| visited.push(a));
         let expected: Vec<u32> = trace
             .insts
             .iter()

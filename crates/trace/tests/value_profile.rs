@@ -3,13 +3,13 @@
 //! `compress` low).
 
 use ccp_compress::profile::ValueProfile;
-use ccp_trace::all_benchmarks;
+use ccp_trace::{all_benchmarks, profile_source_values};
 
 fn profile_of(name: &str, budget: usize) -> ValueProfile {
     let b = ccp_trace::benchmark_by_name(name).expect(name);
     let t = b.trace(budget, 1);
     let mut p = ValueProfile::new();
-    t.profile_values(|v, a| p.record(v, a));
+    profile_source_values(&t, |v, a| p.record(v, a));
     p
 }
 
@@ -22,7 +22,7 @@ fn average_compressibility_is_paper_like() {
     for b in all_benchmarks() {
         let t = b.trace(30_000, 1);
         let mut p = ValueProfile::new();
-        t.profile_values(|v, a| p.record(v, a));
+        profile_source_values(&t, |v, a| p.record(v, a));
         println!(
             "{:22} small={:5.1}% ptr={:5.1}% comp={:5.1}%",
             b.full_name(),

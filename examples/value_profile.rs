@@ -8,6 +8,7 @@
 
 use ccp::compress::profile::ValueProfile;
 use ccp::prelude::*;
+use ccp::trace::profile_source_values;
 
 fn main() {
     let budget: usize = std::env::args()
@@ -24,7 +25,7 @@ fn main() {
     for bench in all_benchmarks() {
         let trace = bench.trace(budget, 1);
         let mut p = ValueProfile::new();
-        trace.profile_values(|v, a| p.record(v, a));
+        profile_source_values(&trace, |v, a| p.record(v, a));
         total.merge(&p);
         println!(
             "{:22} {:>7.1}% {:>8.1}% {:>13.1}%",

@@ -116,12 +116,13 @@ fn load_sources_histogram_is_consistent() {
 #[test]
 fn value_streams_differ_across_seeds_but_not_shape() {
     use ccp::compress::profile::ValueProfile;
+    use ccp::trace::profile_source_values;
     let b = benchmark_by_name("mst").unwrap();
     let mut fracs = Vec::new();
     for seed in [1u64, 2, 3] {
         let t = b.trace(40_000, seed);
         let mut p = ValueProfile::new();
-        t.profile_values(|v, a| p.record(v, a));
+        profile_source_values(&t, |v, a| p.record(v, a));
         fracs.push(p.compressible_fraction());
     }
     let min = fracs.iter().cloned().fold(f64::INFINITY, f64::min);
