@@ -77,9 +77,46 @@ pub mod prelude {
     pub use ccp_workgen::{SynthSource, WorkgenSpec};
 }
 
+// The source-rule scanner's cases (DESIGN.md §9); the scanner is test code
+// under `tests/source_scan`, shared with the tests there.
+#[cfg(test)]
+#[path = "../tests/source_scan/lexer_cases.rs"]
+mod lexer;
+#[cfg(test)]
+#[path = "../tests/source_scan/rule_cases.rs"]
+mod rules;
+#[cfg(test)]
+#[path = "../tests/source_scan/mod.rs"]
+mod source_scan;
+
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
+    use super::source_scan::{in_scope, walk, EXCLUDED};
+
+    /// An exclusion naming a path that no longer exists hides nothing today
+    /// but would silently hide whatever later takes its name; moving or
+    /// deleting the stand-ins must fail here instead. The walk must reach
+    /// the rules' own sources.
+    #[test]
+    fn every_scoped_path_exists_in_this_workspace() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+        let mut rels = Vec::new();
+        walk(root, root, &mut rels);
+        assert!(
+            rels.iter().any(|r| r.starts_with(EXCLUDED)),
+            "the rules skip {EXCLUDED}, which holds no sources in this workspace"
+        );
+        for must in [
+            "src/lib.rs",
+            "crates/sim/src/lib.rs",
+            "tests/source_rules.rs",
+            "tests/source_scan/mod.rs",
+        ] {
+            assert!(rels.iter().any(|r| r == must), "the walk missed {must}");
+            assert!(in_scope(must));
+        }
+    }
 
     #[test]
     fn facade_reexports_work_together() {

@@ -1,191 +1,10 @@
-//! The two workspace source rules no rustc or clippy lint states (DESIGN.md §9):
-//! **R1**, no `Result<_, String>` (a `SimError` class tags exit codes and the
-//! wire protocol), and **R7**, every scalar field of a `*Stats` or `*Meter`
-//! struct is `u64` (long streams pass 2³² events). Both walk the identifiers
-//! and punctuation left once every comment and string or char literal is
-//! blanked to spaces, newlines kept, so they see code only and lines hold.
+//! R1 and R7 (DESIGN.md §9) over every in-scope `.rs` file of the workspace.
+//! The scanner is `source_scan`; its cases are unit tests of the root package.
 
-use proptest::prelude::*;
+mod source_scan;
+
+use source_scan::{check, in_scope, walk};
 use std::path::Path;
-
-/// Skipped: the stand-ins for registry crates follow those crates' idiom.
-const EXCLUDED: &str = "crates/compat/";
-
-fn is_ident(c: u8) -> bool {
-    c.is_ascii_alphanumeric() || c == b'_' || c >= 0x80
-}
-
-/// How many bytes from `b[i]` on satisfy `p`.
-fn run(b: &[u8], i: usize, p: impl Fn(u8) -> bool) -> usize {
-    b[i..].iter().take_while(|&&c| p(c)).count()
-}
-
-/// `src` with every comment and string or char literal replaced by spaces,
-/// newlines kept: the same length, and every line where it was.
-fn blank(src: &str) -> String {
-    let b = src.as_bytes();
-    let (mut out, mut i) = (b.to_vec(), 0);
-    while i < b.len() {
-        let end = literal_end(b, i);
-        for c in out[i..end].iter_mut().filter(|c| **c != b'\n') {
-            *c = b' ';
-        }
-        // Identifiers go whole: a string prefix counts only where one starts.
-        i = end.max(i + run(b, i, is_ident).max(1));
-    }
-    String::from_utf8(out).expect("blanking replaces whole characters")
-}
-
-/// The end of the comment or literal that starts at `b[i]`, or `i` for code.
-/// Unterminated ones run to the end of the text.
-fn literal_end(b: &[u8], i: usize) -> usize {
-    match (b[i], b.get(i + 1).copied()) {
-        (b'/', Some(b'/')) => i + run(b, i, |c| c != b'\n'),
-        (b'/', Some(b'*')) => comment_end(b, i + 2),
-        (b'"', _) => quoted(b, i + 1, b'"'),
-        (b'\'', _) => char_end(b, i),
-        (b'b', Some(b'\'')) if char_end(b, i + 1) > i + 1 => char_end(b, i + 1),
-        (b'r' | b'b' | b'c', next) => {
-            // `r`, `b`, `c`, `br` and `cr` prefixes; raw ones take hashes.
-            let letters = 1 + usize::from(b[i] != b'r' && next == Some(b'r'));
-            let raw = b[i + letters - 1] == b'r';
-            let hashes = run(b, i + letters, |c| raw && c == b'#');
-            let open = i + letters + hashes;
-            match b.get(open) {
-                Some(b'"') if raw => (open + 1..b.len())
-                    .find(|&k| b[k] == b'"' && run(b, k + 1, |c| c == b'#') >= hashes)
-                    .map_or(b.len(), |k| k + 1 + hashes),
-                Some(b'"') => quoted(b, open + 1, b'"'),
-                _ => i, // an identifier, raw ones (`r#fn`) included
-            }
-        }
-        _ => i,
-    }
-}
-
-/// The end of a block comment whose body starts at `k`; comments nest.
-fn comment_end(b: &[u8], mut k: usize) -> usize {
-    while k < b.len() && !b[k..].starts_with(b"*/") {
-        let nested = b[k..].starts_with(b"/*");
-        k = if nested { comment_end(b, k + 2) } else { k + 1 };
-    }
-    (k + 2).min(b.len())
-}
-
-/// The end of an escape-aware literal whose body starts at `k`.
-fn quoted(b: &[u8], mut k: usize, quote: u8) -> usize {
-    while k < b.len() && b[k] != quote {
-        k += if b[k] == b'\\' { 2 } else { 1 };
-    }
-    (k + 1).min(b.len())
-}
-
-/// The end of the char literal opening at `b[i] == '\''`, or `i` for a
-/// lifetime, a label or a lone quote.
-fn char_end(b: &[u8], i: usize) -> usize {
-    let width = match b.get(i + 1) {
-        Some(b'\\') => return quoted(b, i + 1, b'\''),
-        Some(b'\'') => 0,
-        _ => run(b, i + 1, is_ident).max(1),
-    };
-    match b.get(i + 1 + width) {
-        Some(b'\'') => i + 2 + width,
-        _ => i,
-    }
-}
-
-/// The identifier runs and single punctuation characters of blanked text,
-/// each with its 1-based line.
-fn tokens(code: &str) -> Vec<(&str, u32)> {
-    let b = code.as_bytes();
-    let (mut out, mut line, mut i) = (Vec::new(), 1, 0);
-    while i < b.len() {
-        let len = run(b, i, is_ident).max(1);
-        if !b[i].is_ascii_whitespace() && b[i] != 0x0b {
-            out.push((&code[i..i + len], line));
-        }
-        line += u32::from(b[i] == b'\n');
-        i += len;
-    }
-    out
-}
-
-/// The tokens of the second top-level argument of the generic list that
-/// opens at `t[open]`. `None` when the list has another arity, does not
-/// close within 256 tokens, or meets `;`/`{` first (a comparison, not a list).
-fn second_generic_arg<'a>(t: &[(&'a str, u32)], open: usize) -> Option<Vec<&'a str>> {
-    let (mut depth, mut args) = (0, vec![Vec::new()]);
-    for j in open..(open + 256).min(t.len()) {
-        let closes = t[j].0 == ">" && t[j - 1].0 != "-"; // not a fn type's `->`
-        let opens = matches!(t[j].0, "<" | "(" | "[");
-        depth += i32::from(opens) - i32::from(closes || matches!(t[j].0, ")" | "]"));
-        match t[j].0 {
-            ";" | "{" => return None,
-            "<" if depth == 1 => {}
-            "," if depth == 1 => args.push(Vec::new()),
-            _ if closes && depth == 0 => {
-                // A trailing comma leaves an empty last argument.
-                let trailing = args.len() > 1 && args.last().is_some_and(Vec::is_empty);
-                return (args.len() - usize::from(trailing) == 2).then(|| args.swap_remove(1));
-            }
-            _ => args.last_mut()?.push(t[j].0),
-        }
-    }
-    None
-}
-
-/// Every R1 and R7 finding in one file, as `(rule, line, message)`.
-fn check(src: &str) -> Vec<(&'static str, u32, String)> {
-    let code = blank(src);
-    let t = tokens(&code);
-    let is = |k: usize, s: &str| t.get(k).is_some_and(|x| x.0 == s);
-    let mut out = Vec::new();
-    for k in 0..t.len() {
-        let stringly = || second_generic_arg(&t, k + 1) == Some(vec!["String"]);
-        if is(k, "Result") && is(k + 1, "<") && stringly() {
-            let msg = "`Result<_, String>` erases the error class; return `SimResult<_>`";
-            out.push(("R1", t[k].1, msg.to_string()));
-        }
-        let name = t.get(k + 1).map_or("", |x| x.0);
-        if !is(k, "struct") || !(name.ends_with("Stats") || name.ends_with("Meter")) {
-            continue;
-        }
-        // The braced body; a `;` first means a unit or tuple struct.
-        let body = (k + 2..t.len()).find(|&j| is(j, "{") || is(j, ";"));
-        let Some(open) = body.filter(|&j| is(j, "{")) else {
-            continue;
-        };
-        let mut depth = 0;
-        let close = (open..t.len()).find(|&j| {
-            depth += i32::from(is(j, "{")) - i32::from(is(j, "}"));
-            depth == 0
-        });
-        let close = close.unwrap_or(t.len() - 1);
-        for j in open + 1..close {
-            let ty = ["u8", "u16", "u32"].into_iter().find(|ty| is(j + 1, ty));
-            if let Some(ty) = ty.filter(|_| is(j, ":") && (is(j + 2, ",") || j + 2 == close)) {
-                let msg = format!("`{ty}` counter in `{name}` wraps silently; count in u64");
-                out.push(("R7", t[j + 1].1, msg));
-            }
-        }
-    }
-    out
-}
-
-/// The path from `root` of every `.rs` file under `dir`, skipping `target`
-/// and hidden directories.
-fn walk(root: &Path, dir: &Path, out: &mut Vec<String>) {
-    for entry in std::fs::read_dir(dir).expect("readable workspace") {
-        let path = entry.expect("readable workspace").path();
-        let name = path.file_name().unwrap_or_default().to_string_lossy();
-        if path.is_dir() && name != "target" && !name.starts_with('.') {
-            walk(root, &path, out);
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            let rel = path.strip_prefix(root).unwrap_or(&path);
-            out.push(rel.display().to_string());
-        }
-    }
-}
 
 #[test]
 fn workspace_sources_keep_r1_and_r7() {
@@ -193,14 +12,8 @@ fn workspace_sources_keep_r1_and_r7() {
     let mut rels = Vec::new();
     walk(root, root, &mut rels);
     rels.sort();
-    let walked = rels.len();
-    rels.retain(|r| !r.starts_with(EXCLUDED));
-    // A stale exclusion would silently hide whatever later takes its name.
-    assert!(rels.len() < walked, "no sources under {EXCLUDED}");
+    rels.retain(|r| in_scope(r));
     assert!(rels.len() > 80, "only {} sources in scope", rels.len());
-    for must in "src/lib.rs crates/sim/src/lib.rs tests/source_rules.rs".split(' ') {
-        assert!(rels.iter().any(|r| r == must), "{must} is not checked");
-    }
     let mut report = Vec::new();
     for rel in &rels {
         let src = std::fs::read(root.join(rel)).expect("readable source");
@@ -209,128 +22,6 @@ fn workspace_sources_keep_r1_and_r7() {
         }
     }
     assert!(report.is_empty(), "\n{}", report.join("\n"));
-}
-
-/// `//~ R1` marks a line a rule must flag, once per mention; test code is no exception.
-const RULE_CASES: &str = r##"
-//! R1: `Result<_, String>` is denied; typed errors and `String` on the Ok side pass.
-fn bad_parse(s: &str) -> Result<u32, String> { s.parse().map_err(|_| "nan".into()) } //~ R1
-fn typed(s: &str) -> Result<u32, SimError> { s.parse().map_err(|_| SimError::spec("nan")) }
-fn string_is_the_payload() -> Result<String, std::io::Error> { Ok(String::new()) }
-fn not_a_result(map: BTreeMap<String, Vec<String>>) -> usize { map.len() }
-fn a() -> Result<Args, String> { x } //~ R1
-fn b() -> Result<Vec<String>, SimError> { x }
-fn c() -> SimResult<String> { x }
-fn d(x: Result<(), String>) {} //~ R1
-fn e(f: Result<fn(u8) -> u32, String>) {} //~ R1
-fn g() -> io::Result<String> { x }
-fn h() -> Result< //~ R1
-    u32,
-    String,
-> { x }
-/* Result<A, String> */ // returns Result<A, String>
-    /// -> Result<A, String>
-const S: &str = "Result<A, String>";
-pub struct WrapStats { pub hits: u32, pub misses: u64, //~ R7
-    pub retries: u16, //~ R7
-}
-pub struct DropMeter {
-    pub dropped: u32, //~ R7
-}
-pub struct FlowMeter { pub packets: u32 } //~ R7
-counters! { #[derive(Debug)] pub struct XStats { pub ok: u64, pub wraps: u8 } } //~ R7
-pub struct SafeStats { pub events: u64, pub histogram: Vec<u32>,
-    pub pairs: BTreeMap<u32, u64>, pub nested: Option<Inner<u32>> }
-pub struct LineState { pub tag: u32 }
-pub struct TupleStats(u32);
-#[cfg(test)]
-mod tests { struct TinyStats { n: u32 } } //~ R7
-#[cfg(test)]
-struct OtherStats { n: u16 } //~ R7
-// pub struct CommentStats { n: u32 }
-const DOC: &str = "pub struct StringStats { n: u32 }";
-"##;
-
-#[test]
-fn rule_cases_flag_exactly_their_marked_lines() {
-    let mut want = Vec::new();
-    for (n, line) in (1..).zip(RULE_CASES.lines()) {
-        let marks = line.split_once("//~").map_or("", |m| m.1);
-        want.extend(marks.split_whitespace().map(|rule| (rule, n)));
-    }
-    let got: Vec<(&str, u32)> = check(RULE_CASES).into_iter().map(|f| (f.0, f.1)).collect();
-    assert_eq!(got, want);
-}
-
-/// `(source, the tokens left after blanking)`, with a newline at each line break.
-const BLANKING_CASES: &[(&str, &str)] = &[
-    ("let x = a.unwrap();", "let x = a . unwrap ( ) ;"),
-    (r#"s = "x.unwrap() // not code";"#, "s = ;"),
-    (r##"s = r#"a "b" .unwrap()"#; next"##, "s = ; next"),
-    (r##"b"bytes" c"cstr" br"raw" cr#"c"#"##, ""),
-    ("a /* outer /* inner */ still */ b", "a b"),
-    ("a // unwrap() here\nb", "a\nb"),
-    (r"<'a> 'x' '\n' 'static b'z'", "< ' a > ' static"),
-    (r"'{' '\'' 'é' 'outer: loop", "' outer : loop"),
-    ("r#fn r#type normal", "r # fn r # type normal"),
-    ("1..2 3.5 0xFF_u32 x.0", "1 . . 2 3 . 5 0xFF_u32 x . 0"),
-    ("let héllo = \"ωorld\"; // caféine", "let héllo = ;"),
-    ("ab cd\n  ef", "ab cd\nef"),
-];
-
-#[test]
-fn blanking_cases_leave_only_code() {
-    for (src, want) in BLANKING_CASES {
-        let code = blank(src);
-        let toks = tokens(&code);
-        let mut got = toks.first().map_or(String::new(), |t| t.0.to_string());
-        for w in toks.windows(2) {
-            got += if w[1].1 > w[0].1 { "\n" } else { " " };
-            got += w[1].0;
-        }
-        assert_eq!(got, *want, "{src:?}");
-    }
-    // Unterminated constructs run to the end of the text.
-    for src in ["\"never closed", "r#\"also open", "/* open", "'\\", "b\"x"] {
-        assert_eq!(blank(src).trim(), "", "{src:?}");
-    }
-}
-
-/// Byte soup rich in quotes, hashes, slashes, stars, backslashes, `r` and a UTF-8 lead byte.
-fn spicy_bytes() -> impl Strategy<Value = Vec<u8>> {
-    let byte = (any::<u8>(), 0usize..12).prop_map(|(b, k)| *b"\"'#/*\\r\xE2".get(k).unwrap_or(&b));
-    prop::collection::vec(byte, 0..400)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-    /// Blanking and the rules are total on byte soup; blanking keeps the
-    /// length and every newline, and changes other bytes only to spaces.
-    #[test]
-    fn blanking_is_total_and_keeps_every_newline(bytes in spicy_bytes()) {
-        let src = String::from_utf8_lossy(&bytes).into_owned();
-        let (code, _) = (blank(&src), check(&src));
-        let kept = src.bytes().zip(code.bytes()).all(|(s, c)| c == s || (c == b' ' && s != b'\n'));
-        prop_assert!(code.len() == src.len() && kept, "{:?} blanked to {:?}", src, code);
-    }
-
-    /// An identifier inside a string literal or a comment is blanked; the
-    /// same identifier in code is a token.
-    #[test]
-    fn strings_and_comments_hide_identifiers(
-        letters in prop::collection::vec(0u8..26, 3..10), container in 0u32..4
-    ) {
-        let payload: String = letters.iter().map(|&b| char::from(b'h' + (b % 13))).collect();
-        let src = match container {
-            0 => format!("let x = \"{payload}\";\n"),
-            1 => format!("let x = 1; // {payload}\n"),
-            2 => format!("/* outer /* {payload} */ still */ let x = 1;\n"),
-            _ => format!("let x = r#\"{payload}\"#;\n"),
-        };
-        let seen = |src: &str| tokens(&blank(src)).iter().any(|t| t.0 == payload);
-        prop_assert!(!seen(&src), "{:?} leaked out of {:?}", payload, src);
-        prop_assert!(seen(&format!("fn demo() {{ let {payload} = 1; }}\n")));
-    }
 }
 
 /// One violation of each rule appended to a real file: found, and nothing else.
