@@ -1,12 +1,15 @@
 //! Golden-fixture check of the figures path: the stdout of
 //! `repro --budget 20000 all` (Figures 3 and 9–15), of
-//! `repro --budget 20000 ext` (the extension tables) and of
+//! `repro --budget 20000 ext` (the extension tables), of
 //! `repro inspect health --budget 20000` (every design's run statistics)
-//! is pinned byte for byte in `tests/expected_repro/`. Any change to a
-//! sweep, a cell runner, a figure's arithmetic or its rendering shows up
-//! here as a diff — regenerate with
+//! and of `repro trace workgen --spec workgen:addr=zipf,small=0.6 --budget
+//! 20000` (one synthetic workload's mix, profile and functional BC/CPP
+//! traffic) is pinned byte for byte in `tests/expected_repro/`. Any
+//! change to a sweep, a cell runner, a figure's arithmetic or its
+//! rendering shows up here as a diff — regenerate with
 //! `cargo run --release -p ccp-sim --bin repro -- all --budget 20000 > crates/sim/tests/expected_repro/all.txt`
-//! (and likewise `ext` > `ext.txt`, `inspect health` > `inspect.txt`)
+//! (and likewise `ext` > `ext.txt`, `inspect health` > `inspect.txt`,
+//! `trace workgen --spec workgen:addr=zipf,small=0.6` > `workgen.txt`)
 //! after auditing that the drift is intended.
 
 use std::path::Path;
@@ -49,4 +52,12 @@ fn extension_tables_match_pinned_stdout() {
 #[test]
 fn inspect_matches_pinned_stdout() {
     check(&["inspect", "health"], "inspect.txt");
+}
+
+#[test]
+fn trace_workgen_matches_pinned_stdout() {
+    check(
+        &["trace", "workgen", "--spec", "workgen:addr=zipf,small=0.6"],
+        "workgen.txt",
+    );
 }
