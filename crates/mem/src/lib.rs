@@ -217,16 +217,6 @@ impl MainMemory {
             .and_then(|leaf| leaf.pages[page % LEAF_PAGES].as_ref())
             .map(|b| &**b)
     }
-
-    /// Replaces page `page` wholesale (serialization support).
-    pub fn write_page(&mut self, page: u32, words: [Word; 1024]) {
-        let page = page as usize;
-        let leaf = self.roots[page / LEAF_PAGES].get_or_insert_with(Box::default);
-        if leaf.pages[page % LEAF_PAGES].is_none() {
-            self.resident += 1;
-        }
-        leaf.pages[page % LEAF_PAGES] = Some(Box::new(words));
-    }
 }
 
 #[cfg(test)]
@@ -319,7 +309,9 @@ mod tests {
         assert_eq!(p[1], 7);
         let mut m2 = MainMemory::new();
         for pg in pages {
-            m2.write_page(pg, *m.page_words(pg).unwrap());
+            for (i, &w) in m.page_words(pg).unwrap().iter().enumerate() {
+                m2.write(pg << 12 | (i as u32) << 2, w);
+            }
         }
         assert_eq!(m2.read(0x1004), 7);
         assert_eq!(m2.read(0x5_3000), 9);

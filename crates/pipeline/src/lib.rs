@@ -1162,7 +1162,7 @@ mod tests {
         );
     }
 
-    /// `n` integer ops of latency 0 (the `.ccpt` decoder accepts them),
+    /// `n` integer ops of latency 0 (any `Inst` may carry latency 0),
     /// each depending on the one before, looping over one I-cache block.
     fn zero_latency_chain(n: u32) -> ccp_trace::Trace {
         ccp_trace::Trace {

@@ -4,7 +4,7 @@
 
 use ccp_cache::{CacheSim, DesignKind, TwoLevelCache};
 use ccp_pipeline::{run_source, PipelineConfig, PredictorKind};
-use ccp_trace::{ProgramCtx, Trace, H};
+use ccp_trace::{ProgramCtx, Trace, TraceSource, H};
 use proptest::prelude::*;
 
 mod strategies;

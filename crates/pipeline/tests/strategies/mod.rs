@@ -55,8 +55,8 @@ pub fn config_strategy() -> impl Strategy<Value = PipelineConfig> {
 }
 
 /// A random program with real dataflow: each op reads up to two of the
-/// 23 ops before it, one integer op in four takes 0 cycles (the `.ccpt`
-/// decoder accepts them; their consumers can issue in the producer's own
+/// 23 ops before it, one integer op in four takes 0 cycles (any `Inst`
+/// may carry latency 0; their consumers can issue in the producer's own
 /// cycle), and memory ops mix a hot 32-word region (store forwarding and
 /// same-word stalls) with a line-strided cold one (L1, L2 and memory
 /// misses that fill the MSHRs).

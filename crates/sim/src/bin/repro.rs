@@ -1,7 +1,7 @@
 //! `repro` — the simulator's one binary. Without a subcommand it
 //! regenerates the paper's tables and figures; its subcommands run
 //! resumable sweeps, per-design dumps of one benchmark, the
-//! fault-injection harness, and `.ccpt` trace files.
+//! fault-injection harness, and synthetic workloads.
 //!
 //! ```text
 //! repro [OPTIONS] [FIGURES...]     fig3 fig9..fig15 all · exta..extg ext · workgen
@@ -9,7 +9,7 @@
 //! repro sweep [OPTIONS]            resumable, crash-isolated sweep grid
 //! repro inspect <benchmark>        full per-design statistics of one benchmark
 //! repro chaos [OPTIONS]            fault injection: every class must be detected
-//! repro trace gen|info|profile|run|workgen ...
+//! repro trace workgen [OPTIONS]    stream and profile one synthetic workload
 //! ```
 //!
 //! `repro --help` prints every subcommand's options ([`HELP`]). One
@@ -21,7 +21,6 @@
 use ccp_cache::DesignKind;
 use ccp_compress::profile::ValueProfile;
 use ccp_errors::{SimError, SimResult};
-use ccp_pipeline::{run_source, PipelineConfig};
 use ccp_schemes::SchemeKind;
 use ccp_sim::checkpoint::stats_to_json;
 use ccp_sim::experiments::{self as exp, NormalizedFigure};
@@ -32,9 +31,7 @@ use ccp_sim::sweep::{
     SweepConfig, Workload,
 };
 use ccp_sim::{build_design, chaos, fastsim};
-use ccp_trace::{
-    all_benchmarks, benchmark_by_name, profile_source_values, Benchmark, Trace, TraceSource,
-};
+use ccp_trace::{all_benchmarks, benchmark_by_name, profile_source_values, Benchmark, TraceSource};
 use ccp_workgen::{SynthSource, WorkgenSpec};
 use std::path::{Path, PathBuf};
 use std::process::exit;
@@ -83,23 +80,19 @@ usage: repro [--budget N] [--seed S] [--threads T] [--benchmarks a,b,..] [--json
        repro chaos [--workload NAME|SPEC]... [--all-benchmarks] [--budget N] [--seed S]
            inject every metadata fault class and require each detected
            (budget 20000, workload health)
-       repro trace gen <benchmark> <out.ccpt> [--budget N] [--seed S]
-       repro trace info <file.ccpt>
-       repro trace profile <file.ccpt>
-       repro trace run <file.ccpt> [--design BC|BCC|HAC|BCP|CPP]
        repro trace workgen [--spec STR] [--addr seq|stride|uniform|zipf|chase]
                    [--small-value F] [--pointer F] [--entropy F] [--mem F]
                    [--store-ratio F] [--branch F] [--falu F] [--footprint W]
                    [--stride W] [--zipf-skew K] [--nodes N] [--seed S] [--budget N]
-           write, describe, profile or time a .ccpt trace (gen budget
-           400000); workgen streams a synthetic workload (budget 1000000)
+           stream a synthetic workload and print its mix, value profile and
+           functional BC/CPP traffic (budget 1000000)
 exit codes: 0 ok · 1 run/IO failure or failed cell · 2 usage/spec error · 3 sweep incomplete";
 
 /// Flags that take no value; every other flag takes one.
 const SWITCHES: [&str; 3] = ["--bars", "--halved", "--all-benchmarks"];
 
-/// A subcommand: the words that select it, how many names (benchmark,
-/// file) follow them (`None`: any number), its default budget, the flags
+/// A subcommand: the words that select it, how many names (a
+/// benchmark) follow them (`None`: any number), its default budget, the flags
 /// it takes (space-separated), and the function that runs it.
 struct Command {
     name: &'static str,
@@ -119,7 +112,7 @@ static FIGURE_MODE: Command = Command {
     run: figures,
 };
 
-static COMMANDS: [Command; 8] = [
+static COMMANDS: [Command; 4] = [
     Command {
         name: "sweep",
         names: Some(0),
@@ -141,34 +134,6 @@ static COMMANDS: [Command; 8] = [
         budget: 20_000,
         flags: "--budget --seed --workload --all-benchmarks",
         run: chaos,
-    },
-    Command {
-        name: "trace gen",
-        names: Some(2),
-        budget: 400_000,
-        flags: "--budget --seed",
-        run: trace_gen,
-    },
-    Command {
-        name: "trace info",
-        names: Some(1),
-        budget: 0,
-        flags: "",
-        run: trace_info,
-    },
-    Command {
-        name: "trace profile",
-        names: Some(1),
-        budget: 0,
-        flags: "",
-        run: trace_profile,
-    },
-    Command {
-        name: "trace run",
-        names: Some(1),
-        budget: 0,
-        flags: "--design",
-        run: trace_run,
     },
     Command {
         name: "trace workgen",
@@ -228,9 +193,7 @@ impl Args {
                 .ok_or_else(|| {
                     spec_err(
                         "repro trace",
-                        format!(
-                            "unknown subcommand {sub:?} (valid: gen, info, profile, run, workgen)"
-                        ),
+                        format!("unknown subcommand {sub:?} (valid: workgen)"),
                     )
                 })?
         } else if let Some(c) = COMMANDS.iter().find(|c| c.name == lead) {
@@ -878,88 +841,6 @@ fn chaos(args: &Args) -> SimResult<()> {
         exit(EXIT_FAILED);
     }
     println!("chaos: every fault class detected, no false positives");
-    Ok(())
-}
-
-/// `trace gen`: writes a benchmark's trace as a `.ccpt` container.
-fn trace_gen(args: &Args) -> SimResult<()> {
-    let (name, out) = (&args.names[0], &args.names[1]);
-    let bench = benchmark_by_name(name).ok_or_else(|| SimError::unknown("benchmark", name))?;
-    let t = bench.trace(args.budget, args.seed);
-    t.save(Path::new(out)).map_err(|e| SimError::io(out, &e))?;
-    println!(
-        "wrote {} ({} instructions, {} resident pages)",
-        out,
-        t.len(),
-        t.initial_mem.resident_pages()
-    );
-    Ok(())
-}
-
-fn load(path: &str) -> SimResult<Trace> {
-    Trace::load(Path::new(path)).map_err(|e| SimError::io(path, &e))
-}
-
-/// `trace info`: a trace file's mix, memory image and validation status.
-fn trace_info(args: &Args) -> SimResult<()> {
-    let t = load(&args.names[0])?;
-    let m = t.mix();
-    println!("name:         {}", t.name);
-    println!("instructions: {}", t.len());
-    println!(
-        "mix:          {} ialu / {} falu / {} loads / {} stores / {} branches",
-        m.ialu, m.falu, m.loads, m.stores, m.branches
-    );
-    println!(
-        "memory image: {} pages ({} KB resident)",
-        t.initial_mem.resident_pages(),
-        t.initial_mem.resident_pages() * 4
-    );
-    println!(
-        "validation:   {}",
-        match t.validate() {
-            Ok(()) => "ok".to_string(),
-            Err(e) => format!("BROKEN: {e}"),
-        }
-    );
-    Ok(())
-}
-
-/// `trace profile`: the value profile of a trace file's accesses.
-fn trace_profile(args: &Args) -> SimResult<()> {
-    let t = load(&args.names[0])?;
-    let mut p = ValueProfile::new();
-    profile_source_values(&t, |v, a| p.record(v, a));
-    println!(
-        "{}: {} accessed values — {:.1}% small, {:.1}% pointer, {:.1}% compressible",
-        t.name,
-        p.total(),
-        100.0 * p.small_fraction(),
-        100.0 * p.pointer_fraction(),
-        100.0 * p.compressible_fraction()
-    );
-    Ok(())
-}
-
-/// `trace run`: one design (default CPP) over a trace file on the
-/// out-of-order pipeline.
-fn trace_run(args: &Args) -> SimResult<()> {
-    let design = match args.value("--design") {
-        Some(d) => DesignKind::from_name(d).ok_or_else(|| SimError::unknown("design", d))?,
-        None => DesignKind::Cpp,
-    };
-    let t = load(&args.names[0])?;
-    let mut cache = build_design(design);
-    let s = run_source(&t, cache.as_mut(), &PipelineConfig::paper());
-    println!(
-        "{} on {}: {} cycles (IPC {:.3}), L1 miss {:.2}%, traffic {} half-words",
-        t.name,
-        design.name(),
-        s.cycles,
-        s.ipc(),
-        100.0 * s.hierarchy.l1.miss_rate(),
-        s.hierarchy.memory_traffic_halfwords()
-    );
     Ok(())
 }
 

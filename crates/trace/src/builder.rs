@@ -81,11 +81,6 @@ impl ProgramCtx {
         self.mem.write(addr, value);
     }
 
-    /// Reads current (functional) memory — valid during setup and emission.
-    pub fn mem_read(&self, addr: Addr) -> Word {
-        self.mem.read(addr)
-    }
-
     /// Allocates a fresh basic-block label (a PC the generator can jump to
     /// with [`ProgramCtx::at`]). Labels are spaced so blocks of up to 64
     /// instructions never overlap.

@@ -29,7 +29,6 @@
 //! See `DESIGN.md` §5 for the substitution rationale per benchmark.
 
 pub mod builder;
-pub mod serialize;
 pub mod source;
 pub mod workloads;
 
@@ -235,21 +234,6 @@ impl TraceMix {
 }
 
 impl Trace {
-    /// Computes the instruction mix.
-    pub fn mix(&self) -> TraceMix {
-        let mut m = TraceMix::default();
-        for i in &self.insts {
-            match i.op() {
-                Op::IAlu { .. } => m.ialu += 1,
-                Op::FAlu { .. } => m.falu += 1,
-                Op::Load { .. } => m.loads += 1,
-                Op::Store { .. } => m.stores += 1,
-                Op::Branch { .. } => m.branches += 1,
-            }
-        }
-        m
-    }
-
     /// Number of instructions.
     pub fn len(&self) -> usize {
         self.insts.len()

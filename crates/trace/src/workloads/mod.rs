@@ -157,6 +157,7 @@ pub fn benchmark_by_name(name: &str) -> Option<Benchmark> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TraceSource;
 
     #[test]
     fn fourteen_benchmarks_registered() {

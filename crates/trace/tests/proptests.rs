@@ -1,7 +1,7 @@
-//! Property tests for the trace substrate: builder well-formedness and
-//! serialization fidelity under arbitrary programs.
+//! Property tests for the trace substrate: builder well-formedness, the
+//! value profile and the instruction mix under arbitrary programs.
 
-use ccp_trace::{profile_source_values, Op, ProgramCtx, Trace, DEP_WINDOW, H};
+use ccp_trace::{profile_source_values, Op, ProgramCtx, Trace, TraceSource, H};
 use proptest::prelude::*;
 
 /// Random builder scripts.
@@ -26,40 +26,8 @@ fn program_strategy() -> impl Strategy<Value = Trace> {
     })
 }
 
-/// Instructions in [`far_dependence_bytes`]' trace.
-const FAR_LEN: u64 = 10_000;
-
-/// A `.ccpt` file of [`FAR_LEN`] independent ALU ops, and the offset of
-/// the last one's dep1 field (13 bytes into its 21-byte record).
-fn far_dependence_bytes() -> (Vec<u8>, usize) {
-    let mut ctx = ProgramCtx::new("far");
-    for _ in 0..FAR_LEN {
-        ctx.alu(H::NONE, H::NONE);
-    }
-    let bytes = ctx.finish().to_bytes();
-    let at = bytes.len() - 21 + 13;
-    (bytes, at)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// A dependence written to a `.ccpt` file up to `DEP_WINDOW - 1`
-    /// instructions back decodes to exactly that distance, and one reaching
-    /// farther decodes, and is written again, as no dependence.
-    #[test]
-    fn codec_keeps_the_dependence_window(back in 1..FAR_LEN) {
-        let (mut bytes, at) = far_dependence_bytes();
-        let consumer = FAR_LEN - 1;
-        let handle = (consumer + 1 - back) as u32;
-        bytes[at..at + 4].copy_from_slice(&handle.to_le_bytes());
-        let t = Trace::from_bytes(&bytes).expect("a backward dependence decodes");
-        let kept = if back < DEP_WINDOW { back as u32 } else { 0 };
-        prop_assert_eq!(t.insts[consumer as usize].deps(), [kept, 0]);
-        let again = t.to_bytes();
-        let written = if kept == 0 { 0 } else { handle };
-        prop_assert_eq!(&again[at..at + 4], &written.to_le_bytes());
-    }
 
     /// Anything the builder emits validates.
     #[test]
@@ -69,20 +37,6 @@ proptest! {
         // PCs are word-aligned.
         for i in &trace.insts {
             prop_assert_eq!(i.pc & 3, 0);
-        }
-    }
-
-    /// Serialization is lossless for arbitrary programs.
-    #[test]
-    fn serialize_roundtrip(trace in program_strategy()) {
-        let bytes = trace.to_bytes();
-        let back = Trace::from_bytes(&bytes).expect("roundtrip");
-        prop_assert_eq!(&back.name, &trace.name);
-        prop_assert_eq!(back.len(), trace.len());
-        prop_assert_eq!(&back.insts, &trace.insts);
-        // Memory images agree over the touched region.
-        for x in (0x8000u32..0xA000).step_by(4) {
-            prop_assert_eq!(back.initial_mem.read(x), trace.initial_mem.read(x));
         }
     }
 
