@@ -120,11 +120,6 @@ impl ChunkAllocator {
     pub fn base(&self) -> Addr {
         self.base
     }
-
-    /// Address the next allocation would start searching from.
-    pub fn watermark(&self) -> Addr {
-        self.next
-    }
 }
 
 /// Returns `true` when two addresses fall in the same 32 KB pointer chunk

@@ -20,7 +20,6 @@
 //!       --budget N       instruction budget                (default 60000)
 //!       --seed S         workload seed                     (default 1)
 //!       --halved         halved miss penalties
-//!       --warmup N       warm-up memory ops                (default 0)
 //!       --fault F        chaos probe fault class (pa|vcp|aa|bitflip|pairing)
 //!       --deadline-ms MS server-side deadline: an expired job is
 //!                        cancelled, never cached    (default 0 = none)
@@ -51,7 +50,7 @@ use ccp_sim::JobSpec;
 const HELP: &str = "ccp-client — client CLI for ccp-served
 usage: ccp-client --addr HOST:PORT \\
          submit --workload W --design D [--budget N] [--seed S] [--halved]
-                [--warmup N] [--fault F] [--deadline-ms MS] [--json FILE]
+                [--fault F] [--deadline-ms MS] [--json FILE]
        | bench [--conns N] [--requests N] [--jobs N] [--skew Z] [--budget N]
                [--design D] [--workload W] [--seed S] [--json FILE]
                [--min-throughput X] [--min-hit-rate F]
@@ -184,9 +183,6 @@ fn submit(addr: &str, mut args: Vec<String>) {
         spec.seed = parse(v, "--seed");
     }
     spec.halved = take_flag(&mut args, "--halved");
-    if let Some(v) = take_value(&mut args, "--warmup") {
-        spec.warmup = parse(v, "--warmup");
-    }
     spec.fault = take_value(&mut args, "--fault");
     let deadline_ms: u64 = take_value(&mut args, "--deadline-ms")
         .map(|v| parse(v, "--deadline-ms"))

@@ -8,7 +8,7 @@
 //!
 //! | direction | `type` | payload |
 //! |-----------|--------|---------|
-//! | → | `submit` | a [`JobSpec`]: `workload`, `design`, optional `budget`/`seed`/`halved`/`warmup`/`fault`; optional `deadline_ms` |
+//! | → | `submit` | a [`JobSpec`]: `workload`, `design`, optional `budget`/`seed`/`halved`/`fault`; optional `deadline_ms` |
 //! | → | `cancel` | `job` id |
 //! | → | `stats`, `ping`, `shutdown` | — |
 //! | ← | `accepted` | `job` id, cache `key` (hex) |
@@ -231,7 +231,6 @@ fn spec_to_json(spec: &JobSpec) -> Vec<(&'static str, Json)> {
         ("budget", Json::Num(spec.budget as f64)),
         ("seed", Json::Num(spec.seed as f64)),
         ("halved", Json::Bool(spec.halved)),
-        ("warmup", Json::Num(spec.warmup as f64)),
         (
             "fault",
             spec.fault
@@ -265,7 +264,6 @@ fn spec_from_json(v: &Json) -> SimResult<JobSpec> {
         budget: opt_u64(v, "budget", defaults.budget as u64)? as usize,
         seed: opt_u64(v, "seed", defaults.seed)?,
         halved: opt_bool(v, "halved", defaults.halved)?,
-        warmup: opt_u64(v, "warmup", defaults.warmup)?,
         fault,
     })
 }
@@ -486,7 +484,6 @@ mod tests {
         spec.budget = 5_000;
         spec.seed = 42;
         spec.halved = true;
-        spec.warmup = 16;
         spec.fault = Some("pa".into());
         for req in [
             Request::Submit {

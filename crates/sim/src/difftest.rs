@@ -124,12 +124,6 @@ pub const GOLDEN_BUDGET: usize = 40_000;
 /// Workload seed the golden fixtures are rendered at.
 pub const GOLDEN_SEED: u64 = 1;
 
-/// Renders the pinned stats document for one golden benchmark under the
-/// paper's scheme (the historical fixture format, now with a `scheme` key).
-pub fn golden_stats_doc(bench: &Benchmark) -> String {
-    golden_stats_doc_scheme(bench, SchemeKind::Cpp)
-}
-
 /// Renders the pinned stats document for one golden benchmark under one
 /// compression scheme: the optimized engine's full [`HierarchyStats`]
 /// through the same JSON rendering the difftest compares, plus the replay

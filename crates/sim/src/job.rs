@@ -13,8 +13,7 @@
 //!
 //! [`JobSpec::cache_key`] gives the content address: a hash over the
 //! canonical form of every input that determines the result (workload
-//! spec, design, hierarchy/latency variant, budget, seed, warm-up, fault
-//! request). Identical keys ⇒ identical [`RunStats`], because every
+//! spec, design, hierarchy/latency variant, budget, seed, fault request). Identical keys ⇒ identical [`RunStats`], because every
 //! simulation in this workspace is a pure function of its spec.
 
 use crate::sweep::{run_cell_source_scheme, Workload};
@@ -36,8 +35,8 @@ pub struct JobSpec {
     pub design: String,
     /// Compression scheme short name (`CPP`, `BDI`, `FPC`). Only the CPP
     /// design has a compressed level, so the other designs ignore it — but
-    /// it still feeds the cache key, exactly like `warmup`, so results
-    /// computed under different schemes can never alias.
+    /// it still feeds the cache key, so results computed under different
+    /// schemes can never alias.
     pub scheme: String,
     /// Instruction budget.
     pub budget: usize,
@@ -45,10 +44,6 @@ pub struct JobSpec {
     pub seed: u64,
     /// Halve the miss penalties (the Figure 14 latency variant).
     pub halved: bool,
-    /// Warm-up memory operations excluded from stats. Only the functional
-    /// (fault-probe) path consumes it today, but it is part of the cache
-    /// key so a future timing warm-up cannot silently alias cached results.
-    pub warmup: u64,
     /// Chaos probe: run the workload functionally on a CPP hierarchy, then
     /// corrupt the post-run state with this PR-2 fault class (`pa`, `vcp`,
     /// `aa`, `bitflip`, `pairing`). The injected corruption trips the
@@ -69,7 +64,6 @@ impl JobSpec {
             budget: 60_000,
             seed: 1,
             halved: false,
-            warmup: 0,
             fault: None,
         }
     }
@@ -104,12 +98,11 @@ impl JobSpec {
             .map(|s| s.name().to_string())
             .unwrap_or_else(|| self.scheme.trim().to_uppercase());
         format!(
-            "workload={workload}|design={}|scheme={scheme}|budget={}|seed={}|halved={}|warmup={}|fault={}",
+            "workload={workload}|design={}|scheme={scheme}|budget={}|seed={}|halved={}|fault={}",
             self.design.trim().to_uppercase(),
             self.budget,
             self.seed,
             self.halved,
-            self.warmup,
             self.fault.as_deref().unwrap_or("-"),
         )
     }
@@ -136,12 +129,9 @@ pub struct JobCtl<'a> {
     /// Checked periodically while streaming; once `true` the job stops and
     /// reports [`SimError::Canceled`].
     pub cancel: Option<&'a AtomicBool>,
-    /// Called with `(streamed, total)` roughly every
-    /// [`JobCtl::progress_every`] instructions.
+    /// Called with `(streamed, total)` every `total / 8` instructions (at
+    /// least 1024), and once more with `(total, total)` at the end.
     pub progress: Option<&'a (dyn Fn(u64, u64) + Sync)>,
-    /// Progress callback cadence in instructions (0 = auto: total/8,
-    /// at least 1024).
-    pub progress_every: u64,
     /// Streamed-instruction budget before the watchdog trips
     /// (0 = auto: `2 × budget + 1024`).
     pub watchdog_limit: u64,
@@ -176,16 +166,11 @@ struct GuardedSource<'a> {
 impl<'a> GuardedSource<'a> {
     fn new(inner: &'a dyn TraceSource, ctl: &'a JobCtl<'a>, budget: usize) -> Self {
         let total = inner.len_hint().unwrap_or(budget as u64);
-        let every = if ctl.progress_every == 0 {
-            (total / 8).max(1024)
-        } else {
-            ctl.progress_every
-        };
         GuardedSource {
             inner,
             ctl,
             limit: ctl.effective_watchdog(budget),
-            every,
+            every: (total / 8).max(1024),
             total,
             streamed: AtomicU64::new(0),
             tripped: AtomicBool::new(false),
@@ -309,7 +294,7 @@ fn run_fault_probe(spec: &JobSpec, workload: &Workload, fault: &str) -> SimResul
     let kind = FaultKind::by_name(fault)?;
     let source = workload.source(spec.budget, spec.seed);
     let mut h = CppHierarchy::paper();
-    crate::fastsim::run_functional_source(source.as_ref(), &mut h, spec.warmup);
+    crate::fastsim::run_functional_source(source.as_ref(), &mut h, 0);
     let mut injector = FaultInjector::new(spec.seed ^ 0x5EED);
     let report = injector.inject(&mut h, kind)?;
     #[expect(
@@ -384,7 +369,6 @@ mod tests {
             |s: &mut JobSpec| s.budget = 2_001,
             |s: &mut JobSpec| s.seed = 8,
             |s: &mut JobSpec| s.halved = true,
-            |s: &mut JobSpec| s.warmup = 100,
             |s: &mut JobSpec| s.fault = Some("pa".into()),
         ] {
             let mut s = base.clone();
@@ -394,7 +378,7 @@ mod tests {
         others.push(base.cache_key());
         others.sort_unstable();
         others.dedup();
-        assert_eq!(others.len(), 9, "every field must feed the key");
+        assert_eq!(others.len(), 8, "every field must feed the key");
 
         // Equivalent workgen spellings share a key; design and scheme
         // case-fold.
@@ -472,7 +456,6 @@ mod tests {
         let record = |done: u64, total: u64| seen.lock().unwrap().push((done, total));
         let ctl = JobCtl {
             progress: Some(&record),
-            progress_every: 500,
             ..Default::default()
         };
         run_job_ctl(&spec, &ctl).expect("job");

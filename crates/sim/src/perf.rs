@@ -26,7 +26,6 @@
 //! Wall-clock reads are disallowed workspace-wide (`clippy.toml`); the two
 //! here carry an `#[expect]` because their durations are output only.
 
-use crate::difftest::diff_benchmark;
 use crate::fastsim::run_functional;
 use crate::json::Json;
 use ccp_cache::CacheSim;
@@ -233,24 +232,6 @@ pub fn run_perf(benchmarks: &[Benchmark], budget: usize, seed: u64) -> PerfRepor
         budget,
         seed,
     }
-}
-
-/// Conformance guard for the perf path: re-checks a benchmark's engines
-/// agree before publishing numbers for them. Returns the names of any
-/// diverging benchmarks (normally empty — the full difftest already
-/// gates CI).
-pub fn conformance_spot_check(benchmarks: &[Benchmark], budget: usize, seed: u64) -> Vec<String> {
-    benchmarks
-        .iter()
-        .filter_map(|b| {
-            let o = diff_benchmark(b, budget, seed);
-            if o.matches() {
-                None
-            } else {
-                Some(o.benchmark)
-            }
-        })
-        .collect()
 }
 
 /// Renders the report as a table.
@@ -571,13 +552,5 @@ mod tests {
             panic!("entries array");
         };
         assert_eq!(entries.len(), 1);
-    }
-
-    #[test]
-    fn conformance_spot_check_is_clean() {
-        let b = benchmark_by_name("mst")
-            .map(|b| vec![b])
-            .unwrap_or_default();
-        assert!(conformance_spot_check(&b, 10_000, 1).is_empty());
     }
 }

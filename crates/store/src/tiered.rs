@@ -8,7 +8,7 @@
 //! an entry count — entries carry their canonical text, whose length
 //! varies widely between benchmark names and long `workgen:` specs.
 
-use crate::{DiskCounters, DiskTier};
+use crate::DiskTier;
 use ccp_pipeline::RunStats;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -155,11 +155,6 @@ impl TieredStore {
     /// Store traffic counters.
     pub fn counters(&self) -> StoreCounters {
         self.counters
-    }
-
-    /// Disk-tier counters, if a disk tier is attached.
-    pub fn disk_counters(&self) -> Option<DiskCounters> {
-        self.disk.as_ref().map(|d| d.counters())
     }
 
     /// The disk tier, if attached.
