@@ -13,8 +13,9 @@
 //!
 //! [`JobSpec::cache_key`] gives the content address: a hash over the
 //! canonical form of every input that determines the result (workload
-//! spec, design, hierarchy/latency variant, budget, seed, fault request). Identical keys ⇒ identical [`RunStats`], because every
-//! simulation in this workspace is a pure function of its spec.
+//! spec, design, hierarchy/latency variant, budget, seed, fault request).
+//! Identical keys ⇒ identical [`RunStats`], because every simulation in
+//! this workspace is a pure function of its spec.
 
 use crate::sweep::{run_cell_source_scheme, Workload};
 use ccp_cache::DesignKind;

@@ -110,10 +110,7 @@ fn readme_repro_commands_parse() {
         // that no longer exists fails here.
         let mut args = shell_words(rest);
         args.push("--help".to_string());
-        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-            .args(&args)
-            .output()
-            .expect("repro runs");
+        let out = repro(&args.iter().map(String::as_str).collect::<Vec<_>>());
         assert_eq!(
             out.status.code(),
             Some(0),
