@@ -238,26 +238,6 @@ impl SimError {
         }
     }
 
-    /// Prepends `context` to the location of an [`SimError::Invariant`]
-    /// (other variants are returned unchanged) — used when a lower layer
-    /// reports a violation and the caller knows which level it came from.
-    pub fn in_context(self, context: &str) -> Self {
-        match self {
-            SimError::Invariant {
-                context: inner,
-                detail,
-            } => SimError::Invariant {
-                context: if inner.is_empty() {
-                    context.to_string()
-                } else {
-                    format!("{context}: {inner}")
-                },
-                detail,
-            },
-            other => other,
-        }
-    }
-
     /// Short class tag used in per-cell status reports (`failed{panic}`).
     pub fn class(&self) -> &'static str {
         match self {
@@ -400,14 +380,6 @@ mod tests {
         assert!(SimError::from_panic("c", opaque.as_ref())
             .to_string()
             .contains("non-string"));
-    }
-
-    #[test]
-    fn in_context_prefixes_invariants_only() {
-        let e = SimError::invariant("line 0x40", "AA without slot").in_context("L1");
-        assert_eq!(e, SimError::invariant("L1: line 0x40", "AA without slot"));
-        let io = SimError::spec("x").in_context("L1");
-        assert_eq!(io, SimError::spec("x"));
     }
 
     #[test]

@@ -42,7 +42,7 @@
 //! EXIT CODE: 0 ok · 1 job error / failed assertion · 2 usage error
 //! ```
 
-use ccp_served::{run_bench, BenchConfig, Client, SubmitCtl};
+use ccp_served::{run_bench, BenchConfig, Client};
 use ccp_sim::checkpoint::stats_from_json;
 use ccp_sim::json::write_atomic;
 use ccp_sim::JobSpec;
@@ -84,7 +84,7 @@ fn main() {
             let mut c = connect(&addr);
             match c.stats() {
                 Ok(s) => println!(
-                    "submitted {} · completed {} · failed {} · canceled {}\n\
+                    "submitted {} · completed {} · failed {}\n\
                      cache: {} hits + {} joined / {} misses · {} entries · {} evictions\n\
                      sims run {} · queue depth {} · workers {} · draining {}\n\
                      hardening: {} accept errors · {} shed · {} deadline expired · \
@@ -92,7 +92,6 @@ fn main() {
                     s.submitted,
                     s.completed,
                     s.failed,
-                    s.canceled,
                     s.hits,
                     s.joined,
                     s.misses,
@@ -101,7 +100,7 @@ fn main() {
                     s.sims_run,
                     s.queue_depth,
                     s.workers,
-                    s.draining,
+                    s.draining != 0,
                     s.accept_errors,
                     s.shed,
                     s.deadline_expired,
@@ -191,7 +190,7 @@ fn submit(addr: &str, mut args: Vec<String>) {
     ensure_empty(&args);
 
     let mut client = connect(addr);
-    match client.submit_wait_ctl(&spec, &SubmitCtl { deadline_ms }) {
+    match client.submit_wait_deadline(&spec, deadline_ms) {
         Ok(outcome) => {
             let stats = stats_from_json(&outcome.stats).unwrap_or_default();
             println!(

@@ -20,8 +20,6 @@
 //!   --store DIR        content-addressed disk tier (off by default)
 //!   --max-queue N      queue depth before submits are shed with a typed
 //!                      `overloaded` response  (default 0 = unbounded)
-//!   --read-timeout-ms MS  per-connection socket read poll slice
-//!                                                         (default 200)
 //!
 //! Prints `ccp-served listening on HOST:PORT` once ready (scripts parse
 //! the port from this line). SIGINT/SIGTERM — or a client `shutdown`
@@ -38,7 +36,7 @@ use std::time::Duration;
 
 const HELP: &str = "ccp-served — multi-threaded simulation server
 usage: ccp-served [--addr HOST:PORT] [--workers N] [--cache-bytes N] [--store DIR]
-                  [--max-queue N] [--read-timeout-ms MS]
+                  [--max-queue N]
 exit codes: 0 clean drain · 1 startup failure · 2 usage error";
 
 fn usage(msg: &str) -> ! {
@@ -104,14 +102,6 @@ fn parse_args() -> ServerConfig {
                 config.max_queue = need(&mut it, "--max-queue")
                     .parse()
                     .unwrap_or_else(|e| usage(&format!("bad --max-queue: {e}")));
-            }
-            "--read-timeout-ms" => {
-                config.read_timeout_ms = need(&mut it, "--read-timeout-ms")
-                    .parse()
-                    .unwrap_or_else(|e| usage(&format!("bad --read-timeout-ms: {e}")));
-                if config.read_timeout_ms == 0 {
-                    usage("--read-timeout-ms must be >= 1");
-                }
             }
             other => usage(&format!("unknown flag {other:?}")),
         }

@@ -204,18 +204,6 @@ impl<W> ResultCache<W> {
         }
     }
 
-    /// Removes one waiter (identified by `pred`) from an in-flight entry.
-    /// Returns the waiter if found — used for cancelling a joined job
-    /// without disturbing the leader.
-    pub fn remove_waiter(&mut self, key: u64, pred: impl Fn(&W) -> bool) -> Option<W> {
-        if let Some(Entry::InFlight { waiters, .. }) = self.map.get_mut(&key) {
-            if let Some(ix) = waiters.iter().position(pred) {
-                return Some(waiters.swap_remove(ix));
-            }
-        }
-        None
-    }
-
     /// Visits every waiter parked on `flight` (for streaming progress to
     /// joined submissions).
     pub fn for_each_waiter(&self, key: u64, flight: Flight, f: impl FnMut(&W)) {
@@ -339,17 +327,6 @@ mod tests {
         // The error was delivered but not retained: next lookup re-runs.
         c.lookup(5, "j", 3).assert_miss();
         assert_eq!(c.entries(), 0);
-    }
-
-    #[test]
-    fn canceled_waiter_is_removed_without_disturbing_the_flight() {
-        let mut c: ResultCache<u32> = ResultCache::new(cap(4));
-        let (_, f) = c.lookup(5, "j", 1).assert_miss();
-        assert!(matches!(c.lookup(5, "j", 2), Lookup::Joined));
-        assert!(matches!(c.lookup(5, "j", 3), Lookup::Joined));
-        assert_eq!(c.remove_waiter(5, |w| *w == 2), Some(2));
-        assert_eq!(c.remove_waiter(5, |w| *w == 2), None);
-        assert_eq!(c.complete(5, f, Some(&stats(1))), vec![3]);
     }
 
     #[test]

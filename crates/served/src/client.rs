@@ -62,15 +62,6 @@ pub struct JobOutcome {
     pub stats: Json,
 }
 
-/// Delivery controls for [`Client::submit_wait_ctl`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SubmitCtl {
-    /// Server-side deadline in milliseconds (0 = none). Travels on the
-    /// `submit` line; the server cancels the job once it elapses and
-    /// never completes it into the cache or store.
-    pub deadline_ms: u64,
-}
-
 impl Client {
     /// Connects to `addr` (e.g. `127.0.0.1:4161`).
     pub fn connect(addr: &str) -> SimResult<Client> {
@@ -92,26 +83,13 @@ impl Client {
             .map_err(|e| SimError::io("socket", &e))
     }
 
-    /// Caps how long [`Client::recv`] blocks for a line. `None` restores
-    /// the default (block forever). Elapsing surfaces as the transient
-    /// [`SimError::Timeout`], so a stalled server cannot hang the caller.
-    pub fn set_read_timeout(&mut self, timeout: Option<Duration>) -> SimResult<()> {
-        self.reader
-            .get_ref()
-            .set_read_timeout(timeout)
-            .map_err(|e| SimError::io("socket", &e))
-    }
-
     /// Blocks for the next response line.
     pub fn recv(&mut self) -> SimResult<Response> {
         let mut line = String::new();
-        let n = self.reader.read_line(&mut line).map_err(|e| {
-            if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
-                SimError::timeout("recv", "read deadline elapsed waiting for a response line")
-            } else {
-                SimError::io("socket", &e)
-            }
-        })?;
+        let n = self
+            .reader
+            .read_line(&mut line)
+            .map_err(|e| SimError::io("socket", &e))?;
         if n == 0 {
             // Clean EOF is a *dead connection*, not a protocol violation
             // and not a timeout: the peer hung up in an orderly way.
@@ -127,21 +105,25 @@ impl Client {
     /// progress events along the way. Job errors come back as the typed
     /// [`SimError`] the server-side class encodes.
     pub fn submit_wait(&mut self, spec: &JobSpec) -> SimResult<JobOutcome> {
-        self.submit_wait_ctl(spec, &SubmitCtl::default())
+        self.submit_wait_deadline(spec, 0)
     }
 
-    /// [`Client::submit_wait`] with delivery controls ([`SubmitCtl`]: a
-    /// server-side deadline).
+    /// [`Client::submit_wait`] with a server-side deadline in milliseconds
+    /// (0 = none): the server cancels the job once it elapses and never
+    /// completes it into the cache or store.
     ///
     /// Every accepted key is checked against the locally computed
     /// [`JobSpec::cache_key`], and every result's `sum` integrity field
-    /// (when present) against the payload — a mismatch means the bytes
-    /// were mangled in transit and surfaces as a protocol error rather
-    /// than a wrong result.
-    pub fn submit_wait_ctl(&mut self, spec: &JobSpec, ctl: &SubmitCtl) -> SimResult<JobOutcome> {
+    /// against the payload — a mismatch means the bytes were mangled in
+    /// transit and surfaces as a protocol error rather than a wrong result.
+    pub fn submit_wait_deadline(
+        &mut self,
+        spec: &JobSpec,
+        deadline_ms: u64,
+    ) -> SimResult<JobOutcome> {
         self.send(&Request::Submit {
             spec: spec.clone(),
-            deadline_ms: ctl.deadline_ms,
+            deadline_ms,
         })?;
         let want_key = format!("{:016x}", spec.cache_key());
         let mut job = 0u64;
@@ -165,14 +147,12 @@ impl Client {
                     stats,
                     sum,
                 } if id == job => {
-                    if !sum.is_empty() {
-                        let computed = format!("{:016x}", fnv1a(stats.to_string().as_bytes()));
-                        if computed != sum {
-                            return Err(SimError::protocol(format!(
-                                "result integrity sum mismatch: payload hashes to \
-                                 {computed}, server sent {sum}"
-                            )));
-                        }
+                    let computed = format!("{:016x}", fnv1a(stats.to_string().as_bytes()));
+                    if computed != sum {
+                        return Err(SimError::protocol(format!(
+                            "result integrity sum mismatch: payload hashes to \
+                             {computed}, server sent {sum}"
+                        )));
                     }
                     return Ok(JobOutcome {
                         job,
@@ -201,21 +181,20 @@ impl Client {
         }
     }
 
-    /// [`Client::submit_wait_ctl`] that absorbs typed `overloaded` sheds:
+    /// [`Client::submit_wait`] that absorbs typed `overloaded` sheds:
     /// each shed sleeps [`jittered_backoff_ms`]`(backoff_ms, shed#, salt)`
     /// and resubmits, up to `max_sheds` consecutive sheds. Everything
     /// else (results, job errors, faults) passes through unchanged.
     pub fn submit_wait_shed_retry(
         &mut self,
         spec: &JobSpec,
-        ctl: &SubmitCtl,
         max_sheds: u32,
         backoff_ms: u64,
         salt: u64,
     ) -> SimResult<JobOutcome> {
         let mut sheds = 0u32;
         loop {
-            match self.submit_wait_ctl(spec, ctl) {
+            match self.submit_wait(spec) {
                 Err(e) if e.class() == "overloaded" && sheds < max_sheds => {
                     thread::sleep(Duration::from_millis(jittered_backoff_ms(
                         backoff_ms.max(1),
@@ -251,12 +230,6 @@ impl Client {
                 _ => {}
             }
         }
-    }
-
-    /// Requests cancellation of `job` (fire-and-forget; the canceled
-    /// job's terminal `job_error` arrives on its submitter's connection).
-    pub fn cancel(&mut self, job: u64) -> SimResult<()> {
-        self.send(&Request::Cancel { job })
     }
 
     /// Asks the server to drain and waits for the acknowledgement.
@@ -435,7 +408,6 @@ pub fn run_bench(cfg: &BenchConfig) -> SimResult<BenchReport> {
                 // degrades bench throughput instead of erroring out.
                 match client.submit_wait_shed_retry(
                     &spec,
-                    &SubmitCtl::default(),
                     100,
                     2,
                     cfg.seed ^ (t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),

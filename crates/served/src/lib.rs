@@ -21,9 +21,10 @@
 //! submissions nearly free. `ccp-client` is the matching CLI: one-shot
 //! submissions, server control, and a zipf load generator.
 //!
-//! The three modules mirror the moving parts:
+//! The modules mirror the moving parts:
 //!
-//! * [`protocol`] — the wire format (requests, responses, counters);
+//! * [`protocol`] — the wire format (requests, responses, counters),
+//!   specified in DESIGN.md §8;
 //! * [`cache`] — the content-addressed single-flight result cache;
 //! * [`server`] — listener, connection handling, worker pool, drain;
 //! * [`client`] — blocking client and the `bench` load generator;
@@ -33,7 +34,8 @@
 //! cache key, its resolution produces the typed errors the wire carries,
 //! and [`ccp_sim::run_job_ctl`] supplies crash isolation (a panicking
 //! job is a `job_error`, never a dead worker), the runaway-stream
-//! watchdog, cooperative cancellation, and progress callbacks.
+//! watchdog, progress callbacks, and the cooperative cancellation that
+//! stops a running job once its submit deadline passes.
 
 pub mod cache;
 pub mod client;
@@ -42,8 +44,6 @@ pub mod server;
 pub mod sync;
 
 pub use cache::{CacheCounters, Flight, Lookup, ResultCache};
-pub use client::{
-    jittered_backoff_ms, run_bench, BenchConfig, BenchReport, Client, JobOutcome, SubmitCtl,
-};
+pub use client::{jittered_backoff_ms, run_bench, BenchConfig, BenchReport, Client, JobOutcome};
 pub use protocol::{Request, Response, StatsSnapshot};
 pub use server::{start, ServerConfig, ServerHandle};

@@ -6,25 +6,9 @@
 //! form of any message is canonical and diffable, and a protocol trace
 //! can be replayed byte-for-byte.
 //!
-//! | direction | `type` | payload |
-//! |-----------|--------|---------|
-//! | → | `submit` | a [`JobSpec`]: `workload`, `design`, optional `budget`/`seed`/`halved`/`fault`; optional `deadline_ms` |
-//! | → | `cancel` | `job` id |
-//! | → | `stats`, `ping`, `shutdown` | — |
-//! | ← | `accepted` | `job` id, cache `key` (hex) |
-//! | ← | `progress` | `job`, `done`, `total` instructions |
-//! | ← | `result` | `job`, `cached` flag, full `stats` object, `sum` integrity hex |
-//! | ← | `job_error` | `job`, error `class` + `error` message |
-//! | ← | `overloaded` | `depth`/`limit` of the full queue (typed shed; retry with backoff) |
-//! | ← | `stats` | the [`StatsSnapshot`] counters |
-//! | ← | `pong`, `shutting_down`, `error` | — / `detail` / `class`+`error` |
-//!
-//! A `submit` may carry `deadline_ms` (0 or absent = none): the server
-//! cancels the job once the deadline passes, and a deadline-expired job
-//! is *never* completed into the result cache or disk store. The `sum`
-//! field on `result` is the FNV-1a hash of the canonical `stats` JSON
-//! text as fixed-width hex, carried as a string because `Json::Num` is an
-//! f64 — clients use it to reject payloads mangled in transit.
+//! DESIGN.md §8 tables every request and response with its fields and
+//! meaning; `protocol_table_matches_the_codec` keeps those tables and
+//! this codec naming the same `type`s.
 //!
 //! Responses to one request are totally ordered on the connection
 //! (`accepted` before any `progress` before the terminal `result` /
@@ -32,7 +16,7 @@
 //! clients demultiplex on `job`.
 
 use ccp_errors::{SimError, SimResult};
-use ccp_sim::json::Json;
+use ccp_sim::json::{counters, counters_from_json, counters_to_json, Json};
 use ccp_sim::JobSpec;
 
 /// A client → server message.
@@ -47,11 +31,6 @@ pub enum Request {
         /// deliberately *not* a [`JobSpec`] field, so it never feeds the
         /// cache key.
         deadline_ms: u64,
-    },
-    /// Request cooperative cancellation of a previously accepted job.
-    Cancel {
-        /// The job id from the `accepted` response.
-        job: u64,
     },
     /// Ask for the server's counter snapshot.
     Stats,
@@ -89,10 +68,10 @@ pub enum Response {
         cached: bool,
         /// The `RunStats` rendered as JSON (same shape as `ccp-sim --json`).
         stats: Json,
-        /// FNV-1a hash of the canonical `stats` text, as fixed-width hex.
-        /// Empty when an older server omitted it; clients
-        /// verify it when present and reject mismatches as protocol
-        /// errors (a corrupted-in-transit payload).
+        /// FNV-1a hash of the canonical `stats` text, as fixed-width hex
+        /// (a string, because `Json::Num` is an f64). Clients verify it and
+        /// reject a mismatch as a protocol error (a payload mangled in
+        /// transit).
         sum: String,
     },
     /// Terminal failure, with the [`SimError`] class preserved so the
@@ -131,55 +110,57 @@ pub enum Response {
     },
 }
 
-/// Server counters, as reported by the `stats` request.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// Jobs accepted (including cache hits and joined flights).
-    pub submitted: u64,
-    /// Jobs that reached a terminal `result`.
-    pub completed: u64,
-    /// Jobs that reached a terminal `job_error` (other than cancellation).
-    pub failed: u64,
-    /// Jobs that ended canceled.
-    pub canceled: u64,
-    /// Simulations actually executed by workers (misses that ran).
-    pub sims_run: u64,
-    /// Result-cache hits served without touching the queue.
-    pub hits: u64,
-    /// Submissions that joined an identical in-flight job (single-flight).
-    pub joined: u64,
-    /// Cache misses (each elects a leader that runs the simulation).
-    pub misses: u64,
-    /// Cached results evicted by the LRU policy.
-    pub evictions: u64,
-    /// Ready entries currently cached.
-    pub entries: u64,
-    /// Jobs queued and not yet picked up by a worker.
-    pub queue_depth: u64,
-    /// Jobs currently being executed by workers.
-    pub in_flight: u64,
-    /// Estimated bytes resident in the RAM result cache.
-    pub cache_bytes: u64,
-    /// Results served (verified) from the disk store tier.
-    pub disk_hits: u64,
-    /// Disk-tier lookups that found no usable entry.
-    pub disk_misses: u64,
-    /// Entries written to the disk store tier.
-    pub disk_writes: u64,
-    /// Worker threads in the pool.
-    pub workers: u64,
-    /// Whether the server is draining.
-    pub draining: bool,
-    /// Accept-loop errors other than `WouldBlock` (satellite of the
-    /// listener hardening: these used to be silently swallowed).
-    pub accept_errors: u64,
-    /// Submits shed with a typed `overloaded` response (queue full).
-    pub shed: u64,
-    /// Jobs cancelled (or results discarded) because their deadline
-    /// passed; none of these ever populate the cache or store.
-    pub deadline_expired: u64,
-    /// Corrupt `.ccpz` entries quarantined by the disk tier.
-    pub disk_quarantined: u64,
+counters! {
+    /// Server counters, as reported by the `stats` request. Declared through
+    /// [`counters!`], so the counter visitor encodes and decodes the
+    /// `stats` response.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct StatsSnapshot {
+        /// Jobs accepted (including cache hits and joined flights).
+        pub submitted: u64,
+        /// Jobs that reached a terminal `result`.
+        pub completed: u64,
+        /// Jobs that reached a terminal `job_error`.
+        pub failed: u64,
+        /// Simulations actually executed by workers (misses that ran).
+        pub sims_run: u64,
+        /// Result-cache hits served without touching the queue.
+        pub hits: u64,
+        /// Submissions that joined an identical in-flight job (single-flight).
+        pub joined: u64,
+        /// Cache misses (each elects a leader that runs the simulation).
+        pub misses: u64,
+        /// Cached results evicted by the LRU policy.
+        pub evictions: u64,
+        /// Ready entries currently cached.
+        pub entries: u64,
+        /// Jobs queued and not yet picked up by a worker.
+        pub queue_depth: u64,
+        /// Jobs currently being executed by workers.
+        pub in_flight: u64,
+        /// Estimated bytes resident in the RAM result cache.
+        pub cache_bytes: u64,
+        /// Results served (verified) from the disk store tier.
+        pub disk_hits: u64,
+        /// Disk-tier lookups that found no usable entry.
+        pub disk_misses: u64,
+        /// Entries written to the disk store tier.
+        pub disk_writes: u64,
+        /// Worker threads in the pool.
+        pub workers: u64,
+        /// 1 while the server is draining, else 0.
+        pub draining: u64,
+        /// Accept-loop errors other than `WouldBlock` (satellite of the
+        /// listener hardening: these used to be silently swallowed).
+        pub accept_errors: u64,
+        /// Submits shed with a typed `overloaded` response (queue full).
+        pub shed: u64,
+        /// Jobs cancelled (or results discarded) because their deadline
+        /// passed; none of these ever populate the cache or store.
+        pub deadline_expired: u64,
+        /// Corrupt `.ccpz` entries quarantined by the disk tier.
+        pub disk_quarantined: u64,
+    }
 }
 
 fn get_str(obj: &Json, key: &str) -> SimResult<String> {
@@ -193,6 +174,12 @@ fn get_u64(obj: &Json, key: &str) -> SimResult<u64> {
     obj.get(key)
         .and_then(Json::as_u64)
         .ok_or_else(|| SimError::protocol(format!("missing or non-integer field {key:?}")))
+}
+
+fn get_bool(obj: &Json, key: &str) -> SimResult<bool> {
+    obj.get(key)
+        .and_then(Json::as_bool)
+        .ok_or_else(|| SimError::protocol(format!("missing or non-boolean field {key:?}")))
 }
 
 fn opt_u64(obj: &Json, key: &str, default: u64) -> SimResult<u64> {
@@ -280,10 +267,6 @@ impl Request {
                 pairs.extend(spec_to_json(spec));
                 Json::obj(pairs)
             }
-            Request::Cancel { job } => Json::obj([
-                ("type", Json::Str("cancel".into())),
-                ("job", Json::Num(*job as f64)),
-            ]),
             Request::Stats => Json::obj([("type", Json::Str("stats".into()))]),
             Request::Ping => Json::obj([("type", Json::Str("ping".into()))]),
             Request::Shutdown => Json::obj([("type", Json::Str("shutdown".into()))]),
@@ -304,9 +287,6 @@ impl Request {
             "submit" => Ok(Request::Submit {
                 spec: spec_from_json(&v)?,
                 deadline_ms: opt_u64(&v, "deadline_ms", 0)?,
-            }),
-            "cancel" => Ok(Request::Cancel {
-                job: get_u64(&v, "job")?,
             }),
             "stats" => Ok(Request::Stats),
             "ping" => Ok(Request::Ping),
@@ -351,31 +331,13 @@ impl Response {
                 ("class", Json::Str(class.clone())),
                 ("error", Json::Str(error.clone())),
             ]),
-            Response::Stats(s) => Json::obj([
-                ("type", Json::Str("stats".into())),
-                ("submitted", Json::Num(s.submitted as f64)),
-                ("completed", Json::Num(s.completed as f64)),
-                ("failed", Json::Num(s.failed as f64)),
-                ("canceled", Json::Num(s.canceled as f64)),
-                ("sims_run", Json::Num(s.sims_run as f64)),
-                ("hits", Json::Num(s.hits as f64)),
-                ("joined", Json::Num(s.joined as f64)),
-                ("misses", Json::Num(s.misses as f64)),
-                ("evictions", Json::Num(s.evictions as f64)),
-                ("entries", Json::Num(s.entries as f64)),
-                ("queue_depth", Json::Num(s.queue_depth as f64)),
-                ("in_flight", Json::Num(s.in_flight as f64)),
-                ("cache_bytes", Json::Num(s.cache_bytes as f64)),
-                ("disk_hits", Json::Num(s.disk_hits as f64)),
-                ("disk_misses", Json::Num(s.disk_misses as f64)),
-                ("disk_writes", Json::Num(s.disk_writes as f64)),
-                ("workers", Json::Num(s.workers as f64)),
-                ("draining", Json::Bool(s.draining)),
-                ("accept_errors", Json::Num(s.accept_errors as f64)),
-                ("shed", Json::Num(s.shed as f64)),
-                ("deadline_expired", Json::Num(s.deadline_expired as f64)),
-                ("disk_quarantined", Json::Num(s.disk_quarantined as f64)),
-            ]),
+            Response::Stats(s) => {
+                let mut json = counters_to_json(s);
+                if let Json::Obj(map) = &mut json {
+                    map.insert("type".into(), Json::Str("stats".into()));
+                }
+                json
+            }
             Response::Pong => Json::obj([("type", Json::Str("pong".into()))]),
             Response::ShuttingDown { detail } => Json::obj([
                 ("type", Json::Str("shutting_down".into())),
@@ -416,46 +378,21 @@ impl Response {
             }),
             "result" => Ok(Response::Result {
                 job: get_u64(&v, "job")?,
-                cached: opt_bool(&v, "cached", false)?,
+                cached: get_bool(&v, "cached")?,
                 stats: v
                     .get("stats")
                     .cloned()
                     .ok_or_else(|| SimError::protocol("result without \"stats\""))?,
-                // Absent from older servers: empty means "unverifiable".
-                sum: opt_str(&v, "sum")?,
+                sum: get_str(&v, "sum")?,
             }),
             "job_error" => Ok(Response::JobError {
                 job: get_u64(&v, "job")?,
                 class: get_str(&v, "class")?,
                 error: get_str(&v, "error")?,
             }),
-            "stats" => Ok(Response::Stats(StatsSnapshot {
-                submitted: get_u64(&v, "submitted")?,
-                completed: get_u64(&v, "completed")?,
-                failed: get_u64(&v, "failed")?,
-                canceled: get_u64(&v, "canceled")?,
-                sims_run: get_u64(&v, "sims_run")?,
-                hits: get_u64(&v, "hits")?,
-                joined: get_u64(&v, "joined")?,
-                misses: get_u64(&v, "misses")?,
-                evictions: get_u64(&v, "evictions")?,
-                entries: get_u64(&v, "entries")?,
-                queue_depth: get_u64(&v, "queue_depth")?,
-                // Added after the first protocol cut: parsed tolerantly so
-                // a new client still reads an old server's snapshot.
-                in_flight: opt_u64(&v, "in_flight", 0)?,
-                cache_bytes: opt_u64(&v, "cache_bytes", 0)?,
-                disk_hits: opt_u64(&v, "disk_hits", 0)?,
-                disk_misses: opt_u64(&v, "disk_misses", 0)?,
-                disk_writes: opt_u64(&v, "disk_writes", 0)?,
-                workers: get_u64(&v, "workers")?,
-                draining: opt_bool(&v, "draining", false)?,
-                // Added with deadlines and sheds, same tolerance.
-                accept_errors: opt_u64(&v, "accept_errors", 0)?,
-                shed: opt_u64(&v, "shed", 0)?,
-                deadline_expired: opt_u64(&v, "deadline_expired", 0)?,
-                disk_quarantined: opt_u64(&v, "disk_quarantined", 0)?,
-            })),
+            "stats" => counters_from_json(&v)
+                .map(Response::Stats)
+                .map_err(|e| SimError::protocol(format!("bad stats response: {e}"))),
             "pong" => Ok(Response::Pong),
             "shutting_down" => Ok(Response::ShuttingDown {
                 detail: get_str(&v, "detail")?,
@@ -477,6 +414,89 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
+
+    /// A sample of the request variant after `r`, in declaration order.
+    /// The match is exhaustive, so a new variant does not compile until
+    /// it has a place in this chain.
+    fn next_request(r: &Request) -> Option<Request> {
+        match r {
+            Request::Submit { .. } => Some(Request::Stats),
+            Request::Stats => Some(Request::Ping),
+            Request::Ping => Some(Request::Shutdown),
+            Request::Shutdown => None,
+        }
+    }
+
+    /// One sample of every request variant.
+    fn every_request() -> Vec<Request> {
+        let first = Request::Submit {
+            spec: JobSpec::new("health", "CPP"),
+            deadline_ms: 0,
+        };
+        std::iter::successors(Some(first), next_request).collect()
+    }
+
+    /// [`next_request`] for responses.
+    fn next_response(r: &Response) -> Option<Response> {
+        match r {
+            Response::Accepted { .. } => Some(Response::Progress {
+                job: 1,
+                done: 512,
+                total: 2_048,
+            }),
+            Response::Progress { .. } => Some(Response::Result {
+                job: 1,
+                cached: true,
+                stats: Json::obj([("cycles", Json::Num(123.0))]),
+                sum: "00000000075bcd15".into(),
+            }),
+            Response::Result { .. } => Some(Response::JobError {
+                job: 2,
+                class: "panic".into(),
+                error: "poisoned".into(),
+            }),
+            Response::JobError { .. } => Some(Response::Stats(StatsSnapshot {
+                submitted: 10,
+                hits: 3,
+                in_flight: 2,
+                cache_bytes: 4_096,
+                disk_hits: 5,
+                disk_writes: 6,
+                draining: 1,
+                accept_errors: 1,
+                shed: 2,
+                deadline_expired: 3,
+                disk_quarantined: 4,
+                ..Default::default()
+            })),
+            Response::Stats(_) => Some(Response::Pong),
+            Response::Pong => Some(Response::ShuttingDown {
+                detail: "draining 2 jobs".into(),
+            }),
+            Response::ShuttingDown { .. } => Some(Response::Overloaded { depth: 4, limit: 4 }),
+            Response::Overloaded { .. } => Some(Response::ProtocolError {
+                error: "bad line".into(),
+            }),
+            Response::ProtocolError { .. } => None,
+        }
+    }
+
+    /// One sample of every response variant.
+    fn every_response() -> Vec<Response> {
+        let first = Response::Accepted {
+            job: 1,
+            key: "00ff".into(),
+        };
+        std::iter::successors(Some(first), next_response).collect()
+    }
+
+    fn wire_type(v: &Json) -> String {
+        v.get("type")
+            .and_then(Json::as_str)
+            .expect("every message carries a type")
+            .to_string()
+    }
 
     #[test]
     fn requests_roundtrip() {
@@ -485,7 +505,7 @@ mod tests {
         spec.seed = 42;
         spec.halved = true;
         spec.fault = Some("pa".into());
-        for req in [
+        let submits = [
             Request::Submit {
                 spec: spec.clone(),
                 deadline_ms: 0,
@@ -494,11 +514,8 @@ mod tests {
                 spec,
                 deadline_ms: 2_500,
             },
-            Request::Cancel { job: 9 },
-            Request::Stats,
-            Request::Ping,
-            Request::Shutdown,
-        ] {
+        ];
+        for req in submits.into_iter().chain(every_request()) {
             let line = req.to_line();
             assert!(!line.contains('\n'), "one line per message: {line}");
             assert_eq!(Request::parse(&line).expect("parse"), req, "{line}");
@@ -520,85 +537,34 @@ mod tests {
 
     #[test]
     fn responses_roundtrip() {
-        let stats = Json::obj([("cycles", Json::Num(123.0))]);
-        for resp in [
-            Response::Accepted {
-                job: 1,
-                key: "00ff".into(),
-            },
-            Response::Progress {
-                job: 1,
-                done: 512,
-                total: 2_048,
-            },
-            Response::Result {
-                job: 1,
-                cached: true,
-                stats,
-                sum: "00000000075bcd15".into(),
-            },
-            Response::JobError {
-                job: 2,
-                class: "panic".into(),
-                error: "poisoned".into(),
-            },
-            Response::Stats(StatsSnapshot {
-                submitted: 10,
-                hits: 3,
-                in_flight: 2,
-                cache_bytes: 4_096,
-                disk_hits: 5,
-                disk_writes: 6,
-                draining: true,
-                accept_errors: 1,
-                shed: 2,
-                deadline_expired: 3,
-                disk_quarantined: 4,
-                ..Default::default()
-            }),
-            Response::Pong,
-            Response::ShuttingDown {
-                detail: "draining 2 jobs".into(),
-            },
-            Response::Overloaded { depth: 4, limit: 4 },
-            Response::ProtocolError {
-                error: "bad line".into(),
-            },
-        ] {
+        for resp in every_response() {
             let line = resp.to_line();
             assert!(!line.contains('\n'), "one line per message: {line}");
             assert_eq!(Response::parse(&line).expect("parse"), resp, "{line}");
         }
-    }
-
-    #[test]
-    fn old_stats_lines_parse_without_new_fields() {
-        // An older server omits in_flight/cache_bytes/disk_*: the
-        // snapshot must still parse, with those counters defaulting to 0.
-        let line = r#"{"type":"stats","submitted":1,"completed":1,"failed":0,"canceled":0,"sims_run":1,"hits":0,"joined":0,"misses":1,"evictions":0,"entries":1,"queue_depth":0,"workers":4,"draining":false}"#;
-        match Response::parse(line).expect("parse") {
-            Response::Stats(s) => {
-                assert_eq!(s.submitted, 1);
-                assert_eq!(s.in_flight, 0);
-                assert_eq!(s.cache_bytes, 0);
-                assert_eq!(s.disk_hits, 0);
+        // Every counter of a `stats` response is required.
+        let stats = Response::Stats(StatsSnapshot::default()).to_json();
+        for key in stats.as_obj().expect("object").keys() {
+            if key == "type" {
+                continue;
             }
-            other => panic!("expected stats, got {other:?}"),
+            let mut partial = stats.clone();
+            if let Json::Obj(map) = &mut partial {
+                map.remove(key);
+            }
+            let e = Response::parse(&partial.to_string()).unwrap_err();
+            assert_eq!(e.class(), "protocol", "stats without {key:?}: {e}");
         }
     }
 
     #[test]
-    fn old_result_lines_parse_without_sum() {
-        // An older server omits the integrity sum: the result still
-        // parses, with an empty (unverifiable) sum.
+    fn a_result_without_sum_is_a_protocol_error() {
+        // The integrity sum is required: a result that lacks it cannot
+        // be checked, so it is refused rather than trusted.
         let line = r#"{"type":"result","job":3,"cached":false,"stats":{"cycles":9}}"#;
-        match Response::parse(line).expect("parse") {
-            Response::Result { job, sum, .. } => {
-                assert_eq!(job, 3);
-                assert!(sum.is_empty());
-            }
-            other => panic!("expected result, got {other:?}"),
-        }
+        let e = Response::parse(line).unwrap_err();
+        assert_eq!(e.class(), "protocol", "{e}");
+        assert!(e.to_string().contains("\"sum\""), "{e}");
     }
 
     #[test]
@@ -611,9 +577,69 @@ mod tests {
             "{\"type\":\"submit\",\"workload\":\"health\"}",
             "{\"type\":\"submit\",\"workload\":\"health\",\"design\":\"CPP\",\"budget\":-1}",
             "{\"type\":\"cancel\"}",
+            "{\"type\":\"cancel\",\"job\":1}",
         ] {
             let e = Request::parse(bad).unwrap_err();
             assert_eq!(e.class(), "protocol", "{bad:?} -> {e}");
         }
+    }
+
+    /// The backticked first cell of every body row of the table under
+    /// `heading` in `doc` (its header and rule rows skipped).
+    fn table_types(doc: &str, heading: &str) -> BTreeSet<String> {
+        let section = doc
+            .split_once(heading)
+            .unwrap_or_else(|| panic!("DESIGN.md has no {heading:?}"))
+            .1;
+        section
+            .lines()
+            .skip_while(|l| !l.starts_with('|'))
+            .take_while(|l| l.starts_with('|'))
+            .skip(2)
+            .filter_map(|row| {
+                let cell = row.split('|').nth(1)?.trim();
+                let name = cell.strip_prefix('`')?.strip_suffix('`')?;
+                Some(name.to_string())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn protocol_table_matches_the_codec() {
+        let design =
+            std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../DESIGN.md"))
+                .expect("DESIGN.md reads");
+        let section = design
+            .split_once("## 8. Serving protocol")
+            .expect("DESIGN.md has §8")
+            .1;
+        let requests: BTreeSet<String> = every_request()
+            .iter()
+            .map(|r| wire_type(&r.to_json()))
+            .collect();
+        let responses: BTreeSet<String> = every_response()
+            .iter()
+            .map(|r| wire_type(&r.to_json()))
+            .collect();
+        assert_eq!(
+            requests.len(),
+            every_request().len(),
+            "a request type repeats"
+        );
+        assert_eq!(
+            responses.len(),
+            every_response().len(),
+            "a response type repeats"
+        );
+        assert_eq!(
+            table_types(section, "### Requests"),
+            requests,
+            "DESIGN.md §8's Requests table and Request's codec disagree"
+        );
+        assert_eq!(
+            table_types(section, "### Responses"),
+            responses,
+            "DESIGN.md §8's Responses table and Response's codec disagree"
+        );
     }
 }

@@ -34,7 +34,7 @@ use ccp_errors::{SimError, SimResult};
 use ccp_sim::checkpoint::stats_to_json;
 use ccp_sim::{run_job_ctl, JobCtl, JobSpec};
 use ccp_store::{fnv1a, DiskTier};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -47,6 +47,11 @@ use std::time::{Duration, Instant};
 /// Longest accepted request line, including the newline. Guards the
 /// per-connection read buffer against an unframed flood.
 pub const MAX_LINE: usize = 1 << 20;
+
+/// Per-connection socket read timeout: the poll slice at which an idle
+/// reader re-checks the drain flag, not a deadline — the connection
+/// stays open across timeouts.
+pub const READ_POLL: Duration = Duration::from_millis(200);
 
 /// Tunables for [`start`].
 #[derive(Debug, Clone)]
@@ -66,10 +71,6 @@ pub struct ServerConfig {
     /// this limit is shed with a typed `overloaded` response instead of
     /// being accepted. `0` means unbounded.
     pub max_queue: usize,
-    /// Per-connection socket read timeout in milliseconds. This is the
-    /// poll interval at which an idle reader re-checks the drain flag,
-    /// not a deadline — the connection stays open across timeouts.
-    pub read_timeout_ms: u64,
 }
 
 impl Default for ServerConfig {
@@ -80,7 +81,6 @@ impl Default for ServerConfig {
             cache_bytes: 4 << 20,
             store_dir: None,
             max_queue: 0,
-            read_timeout_ms: 200,
         }
     }
 }
@@ -98,6 +98,8 @@ struct JobState {
     key: u64,
     flight: Flight,
     spec: JobSpec,
+    /// Set by the progress callback once the deadline has passed; the
+    /// guarded run stops at its next check.
     cancel: AtomicBool,
     /// Absolute deadline from the submit's `deadline_ms`, if any. A job
     /// past this instant is cancelled and reported as a timeout; its
@@ -116,19 +118,11 @@ impl JobState {
     }
 }
 
-/// Where a live job id routes for cancellation.
-enum Route {
-    Leader(Arc<JobState>),
-    Waiter { key: u64 },
-}
-
-/// Cache, cancellation registry and job queue behind the server's only
-/// lock: a submission's lookup, registry insert and enqueue are atomic
-/// with respect to a worker's pop and complete-and-unregister, which
-/// closes the register/complete race with no lock order to keep.
+/// Cache and job queue behind the server's only lock: a submission's
+/// lookup and enqueue are atomic with respect to a worker's pop and
+/// complete, with no lock order to keep.
 struct Inner {
     cache: ResultCache<Waiter>,
-    registry: HashMap<u64, Route>,
     queue: VecDeque<Arc<JobState>>,
 }
 
@@ -140,7 +134,6 @@ struct Shared {
     next_id: AtomicU64,
     workers: usize,
     max_queue: usize,
-    read_timeout: Duration,
     // The cold tier is lock-free (&self methods over atomics + the
     // filesystem), so workers consult and fill it without touching the
     // `state` lock.
@@ -148,7 +141,6 @@ struct Shared {
     submitted: AtomicU64,
     completed: AtomicU64,
     failed: AtomicU64,
-    canceled: AtomicU64,
     sims_run: AtomicU64,
     in_flight: AtomicU64,
     accept_errors: AtomicU64,
@@ -180,7 +172,6 @@ impl Shared {
             submitted: self.submitted.load(Ordering::Relaxed),
             completed: self.completed.load(Ordering::Relaxed),
             failed: self.failed.load(Ordering::Relaxed),
-            canceled: self.canceled.load(Ordering::Relaxed),
             sims_run: self.sims_run.load(Ordering::Relaxed),
             hits: counters.hits,
             joined: counters.joined,
@@ -194,7 +185,7 @@ impl Shared {
             disk_misses: disk.misses,
             disk_writes: disk.writes,
             workers: self.workers as u64,
-            draining: self.draining.load(Ordering::SeqCst),
+            draining: u64::from(self.draining.load(Ordering::SeqCst)),
             accept_errors: self.accept_errors.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
             deadline_expired: self.deadline_expired.load(Ordering::Relaxed),
@@ -257,7 +248,6 @@ pub fn start(config: ServerConfig) -> SimResult<ServerHandle> {
     let shared = Arc::new(Shared {
         state: Mutex::new(Inner {
             cache: ResultCache::new(config.cache_bytes),
-            registry: HashMap::new(),
             queue: VecDeque::new(),
         }),
         queue_cv: Condvar::new(),
@@ -265,12 +255,10 @@ pub fn start(config: ServerConfig) -> SimResult<ServerHandle> {
         next_id: AtomicU64::new(0),
         workers,
         max_queue: config.max_queue,
-        read_timeout: Duration::from_millis(config.read_timeout_ms.max(1)),
         disk,
         submitted: AtomicU64::new(0),
         completed: AtomicU64::new(0),
         failed: AtomicU64::new(0),
-        canceled: AtomicU64::new(0),
         sims_run: AtomicU64::new(0),
         in_flight: AtomicU64::new(0),
         accept_errors: AtomicU64::new(0),
@@ -354,7 +342,7 @@ fn worker_loop(shared: &Arc<Shared>) {
         let expired_in_queue = job.deadline_expired();
         // Cold-tier consult happens on the worker thread, off the `state`
         // lock: a verified disk entry skips the simulation entirely.
-        let disk_hit = if expired_in_queue || job.cancel.load(Ordering::SeqCst) {
+        let disk_hit = if expired_in_queue {
             None
         } else {
             shared
@@ -368,16 +356,13 @@ fn worker_loop(shared: &Arc<Shared>) {
                 job.spec.context(),
                 "deadline expired before the job started",
             ))
-        } else if job.cancel.load(Ordering::SeqCst) {
-            Err(SimError::canceled(job.spec.context()))
         } else if let Some(stats) = disk_hit {
             Ok(stats)
         } else {
             shared.sims_run.fetch_add(1, Ordering::Relaxed);
             let progress = |done: u64, total: u64| {
                 // Deadline enforcement piggybacks on the progress stream:
-                // an expired job is cancelled cooperatively, exactly like
-                // a client `cancel` request.
+                // an expired job is cancelled cooperatively.
                 if job.deadline_expired() {
                     job.cancel.store(true, Ordering::SeqCst);
                 }
@@ -438,15 +423,12 @@ fn worker_loop(shared: &Arc<Shared>) {
                 let _ = disk.put_stats(job.key, &job.spec.canonical(), stats);
             }
         }
-        let waiters = {
-            let mut inner = shared.state.lock_unpoisoned();
-            let waiters = inner.cache.complete(job.key, job.flight, stats.as_ref());
-            inner.registry.remove(&job.id);
-            for w in &waiters {
-                inner.registry.remove(&w.job);
-            }
-            waiters
-        };
+        let waiters =
+            shared
+                .state
+                .lock_unpoisoned()
+                .cache
+                .complete(job.key, job.flight, stats.as_ref());
         let response = match &outcome {
             Ok((_, json)) => Ok(json),
             Err(e) => Err(e),
@@ -487,11 +469,7 @@ fn deliver(
             .to_line()
         }
         Err(e) => {
-            if e.class() == "canceled" {
-                shared.canceled.fetch_add(1, Ordering::Relaxed);
-            } else {
-                shared.failed.fetch_add(1, Ordering::Relaxed);
-            }
+            shared.failed.fetch_add(1, Ordering::Relaxed);
             Response::JobError {
                 job,
                 class: e.class().to_string(),
@@ -508,7 +486,7 @@ fn handle_conn(stream: TcpStream, shared: &Arc<Shared>) {
     // drain even on an idle connection; NODELAY because the protocol is
     // small request/response lines and Nagle + delayed ACK would add
     // ~40ms to every cached hit.
-    let _ = stream.set_read_timeout(Some(shared.read_timeout));
+    let _ = stream.set_read_timeout(Some(READ_POLL));
     let _ = stream.set_nodelay(true);
     let Ok(write_half) = stream.try_clone() else {
         return;
@@ -610,7 +588,6 @@ fn handle_request(line: &str, tx: &Sender<String>, shared: &Arc<Shared>) {
                 .to_line(),
             );
         }
-        Request::Cancel { job } => cancel_job(job, tx, shared),
         Request::Submit { spec, deadline_ms } => submit_job(spec, deadline_ms, tx, shared),
     }
 }
@@ -674,7 +651,6 @@ fn submit_job(spec: JobSpec, deadline_ms: u64, tx: &Sender<String>, shared: &Arc
                 Some(stats)
             }
             Lookup::Joined => {
-                inner.registry.insert(id, Route::Waiter { key });
                 let _ = tx.send(accepted);
                 None
             }
@@ -706,9 +682,6 @@ fn submit_job(spec: JobSpec, deadline_ms: u64, tx: &Sender<String>, shared: &Arc
                     deadline,
                     tx: waiter.tx,
                 });
-                // Insert-then-enqueue under one hold of `state`: a worker
-                // cannot complete the job before it routes.
-                inner.registry.insert(id, Route::Leader(Arc::clone(&job)));
                 inner.queue.push_back(job);
                 shared.queue_cv.notify_one();
                 let _ = tx.send(accepted);
@@ -728,40 +701,5 @@ fn submit_job(spec: JobSpec, deadline_ms: u64, tx: &Sender<String>, shared: &Arc
             }
             .to_line(),
         );
-    }
-}
-
-fn cancel_job(job: u64, tx: &Sender<String>, shared: &Arc<Shared>) {
-    let mut inner = shared.state.lock_unpoisoned();
-    match inner.registry.get(&job) {
-        Some(Route::Leader(state)) => {
-            // Cooperative: the worker observes the flag at its next
-            // check and reports `canceled` to the leader and all
-            // waiters through the normal completion path.
-            state.cancel.store(true, Ordering::SeqCst);
-        }
-        Some(Route::Waiter { key }) => {
-            let key = *key;
-            if let Some(w) = inner.cache.remove_waiter(key, |w| w.job == job) {
-                inner.registry.remove(&job);
-                shared.canceled.fetch_add(1, Ordering::Relaxed);
-                let _ = w.tx.send(
-                    Response::JobError {
-                        job,
-                        class: "canceled".into(),
-                        error: format!("canceled: job {job} detached from shared flight"),
-                    }
-                    .to_line(),
-                );
-            }
-        }
-        None => {
-            let _ = tx.send(
-                Response::ProtocolError {
-                    error: format!("no live job {job} (already completed?)"),
-                }
-                .to_line(),
-            );
-        }
     }
 }

@@ -1,12 +1,10 @@
 //! End-to-end tests against an in-process `ccp-served` instance: protocol
 //! round-trips over real TCP, result-cache semantics (including the
-//! single-flight dedup property), crash isolation, cancellation, graceful
-//! drain, deadlines, typed overload sheds, and the disk tier outliving a
-//! server restart.
+//! single-flight dedup property), crash isolation, graceful drain,
+//! deadlines (shared by joined waiters), typed overload sheds, and the
+//! disk tier outliving a server restart.
 
-use ccp_served::{
-    run_bench, start, BenchConfig, Client, Request, Response, ServerConfig, SubmitCtl,
-};
+use ccp_served::{run_bench, start, BenchConfig, Client, Request, Response, ServerConfig};
 use ccp_sim::{run_job, JobSpec};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -230,14 +228,7 @@ fn shutdown_drains_inflight_jobs_and_refuses_new_ones() {
 #[test]
 fn a_peer_stalled_mid_frame_is_closed_by_the_drain() {
     use std::io::{BufRead, BufReader, Read, Write};
-    use std::time::Duration;
-    let server = start(ServerConfig {
-        addr: "127.0.0.1:0".into(),
-        workers: 1,
-        read_timeout_ms: 50,
-        ..ServerConfig::default()
-    })
-    .expect("start server");
+    let server = serve(1);
     let mut peer = std::net::TcpStream::connect(server.addr()).expect("connect");
     // A full round trip first, so the connection is accepted before the
     // drain stops the listener.
@@ -251,7 +242,7 @@ fn a_peer_stalled_mid_frame_is_closed_by_the_drain() {
     server.shutdown();
     server.wait();
     // EOF within a few read timeouts; a held connection times out instead.
-    peer.set_read_timeout(Some(Duration::from_millis(500)))
+    peer.set_read_timeout(Some(ccp_served::server::READ_POLL * 10))
         .expect("timeout");
     let mut rest = Vec::new();
     match reader.read_to_end(&mut rest) {
@@ -261,77 +252,59 @@ fn a_peer_stalled_mid_frame_is_closed_by_the_drain() {
 }
 
 #[test]
-fn cancel_hits_queued_leaders_and_joined_waiters() {
-    let server = serve(1);
+fn joined_waiters_share_the_leaders_deadline() {
+    let store = scratch("joined-deadline-store");
+    let server = start(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 1,
+        store_dir: Some(store.clone()),
+        ..ServerConfig::default()
+    })
+    .expect("start server");
     let addr = server.addr().to_string();
+    let mut spec = JobSpec::new("health", "CPP");
+    spec.budget = 2_000_000; // runs for much longer than the deadline
 
-    // Fill the only worker.
-    let mut slow = quick("health", "CPP", 31);
-    slow.budget = 400_000;
-    let mut holder = Client::connect(&addr).expect("connect");
-    holder
+    // The leader carries the deadline...
+    let mut leader = Client::connect(&addr).expect("connect");
+    leader
         .send(&Request::Submit {
-            spec: slow.clone(),
-            deadline_ms: 0,
+            spec: spec.clone(),
+            deadline_ms: 300,
         })
         .expect("send");
-    let Response::Accepted { .. } = holder.recv().expect("accepted") else {
+    let Response::Accepted { .. } = leader.recv().expect("accepted") else {
         panic!("expected accepted");
     };
 
-    // A queued leader (distinct spec) and a joined waiter (same spec).
-    let mut queued = Client::connect(&addr).expect("connect");
-    queued
-        .send(&Request::Submit {
-            spec: quick("mst", "BC", 31),
-            deadline_ms: 0,
-        })
-        .expect("send");
-    let Response::Accepted { job: queued_id, .. } = queued.recv().expect("accepted") else {
-        panic!("expected accepted");
-    };
-    let mut joined = Client::connect(&addr).expect("connect");
-    joined
-        .send(&Request::Submit {
-            spec: slow,
-            deadline_ms: 0,
-        })
-        .expect("send");
-    let Response::Accepted { job: joined_id, .. } = joined.recv().expect("accepted") else {
-        panic!("expected accepted");
-    };
-
-    let mut controller = Client::connect(&addr).expect("connect");
-    controller.cancel(queued_id).expect("cancel queued");
-    controller.cancel(joined_id).expect("cancel joined");
-
-    let err = loop {
-        match queued.recv().expect("queued response") {
+    // ...and an identical submit without one joins its flight, so it ends
+    // with the leader's timeout rather than running to completion.
+    let mut waiter = Client::connect(&addr).expect("connect");
+    let err = waiter
+        .submit_wait(&spec)
+        .expect_err("a joined waiter shares the leader's deadline");
+    assert_eq!(err.class(), "timeout", "{err}");
+    let class = loop {
+        match leader.recv().expect("leader response") {
             Response::Progress { .. } => continue,
             Response::JobError { class, .. } => break class,
             other => panic!("expected job_error, got {other:?}"),
         }
     };
-    assert_eq!(err, "canceled");
-    let err = loop {
-        match joined.recv().expect("joined response") {
-            Response::Progress { .. } => continue,
-            Response::JobError { class, .. } => break class,
-            other => panic!("expected job_error, got {other:?}"),
-        }
-    };
-    assert_eq!(err, "canceled");
+    assert_eq!(class, "timeout");
 
-    // The in-flight holder is untouched by either cancellation.
-    loop {
-        match holder.recv().expect("holder result") {
-            Response::Progress { .. } => continue,
-            Response::Result { .. } => break,
-            other => panic!("expected result, got {other:?}"),
-        }
-    }
+    let stats = waiter.stats().expect("stats");
+    assert!(stats.joined >= 1, "the waiter joined: {stats:?}");
+    assert_eq!(stats.deadline_expired, 1, "one flight expired: {stats:?}");
+    assert_eq!(
+        ccpz_count(&store),
+        0,
+        "an expired flight must never spill to the store"
+    );
+
     server.shutdown();
     server.wait();
+    let _ = std::fs::remove_dir_all(&store);
 }
 
 proptest! {
@@ -442,7 +415,7 @@ fn deadline_expired_jobs_are_cancelled_and_never_cached() {
 
     let mut client = Client::connect(&addr).expect("connect");
     let err = client
-        .submit_wait_ctl(&spec, &SubmitCtl { deadline_ms: 5 })
+        .submit_wait_deadline(&spec, 5)
         .expect_err("a 5 ms deadline must expire before a 2M-instruction job finishes");
     assert_eq!(
         err.class(),
@@ -465,7 +438,7 @@ fn deadline_expired_jobs_are_cancelled_and_never_cached() {
     );
 
     let again = client
-        .submit_wait_ctl(&spec, &SubmitCtl::default())
+        .submit_wait(&spec)
         .expect("the same spec without a deadline completes");
     assert!(
         !again.cached,
@@ -524,7 +497,7 @@ fn bounded_queue_sheds_typed_overloads_that_shed_retry_absorbs() {
     // Shed-aware retry (jittered-deterministic backoff) rides out the
     // backpressure and completes once capacity frees up.
     let done = shed_client
-        .submit_wait_shed_retry(&shed_spec, &SubmitCtl::default(), 1_000, 2, 0x5EED)
+        .submit_wait_shed_retry(&shed_spec, 1_000, 2, 0x5EED)
         .expect("shed retry absorbs the overload");
     assert!(
         done.stats

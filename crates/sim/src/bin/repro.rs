@@ -16,7 +16,8 @@
 //! parser ([`Args::parse`]) reads every command line, so a flag means the
 //! same thing and fails the same way everywhere. Exit codes: 0 ok · 1 run
 //! or I/O failure, failed cell or failed check · 2 usage or spec error ·
-//! 3 sweep incomplete (cells skipped).
+//! 3 sweep incomplete (cells skipped); a stdout closed early (`repro … |
+//! head`) ends it by SIGPIPE, shell status 141.
 
 use ccp_cache::DesignKind;
 use ccp_compress::profile::ValueProfile;
@@ -86,7 +87,8 @@ usage: repro [--budget N] [--seed S] [--threads T] [--benchmarks a,b,..] [--json
                    [--stride W] [--zipf-skew K] [--nodes N] [--seed S] [--budget N]
            stream a synthetic workload and print its mix, value profile and
            functional BC/CPP traffic (budget 1000000)
-exit codes: 0 ok · 1 run/IO failure or failed cell · 2 usage/spec error · 3 sweep incomplete";
+exit codes: 0 ok · 1 run/IO failure or failed cell · 2 usage/spec error · 3 sweep incomplete;
+            a stdout closed early ends repro by SIGPIPE (shell status 141)";
 
 /// Flags that take no value; every other flag takes one.
 const SWITCHES: [&str; 3] = ["--bars", "--halved", "--all-benchmarks"];
@@ -292,6 +294,24 @@ fn die(e: &SimError) -> ! {
 }
 
 fn main() {
+    // std ignores SIGPIPE, so a print to a closed pipe would panic (exit
+    // 101). The default disposition ends `repro` the way it ends `cat`:
+    // silently, by the signal, never with a status that reads as success.
+    // `std` already links libc; declaring `signal` avoids a dependency.
+    #[cfg(unix)]
+    {
+        extern "C" {
+            fn signal(signum: i32, handler: usize) -> usize;
+        }
+        const SIGPIPE: i32 = 13;
+        const SIG_DFL: usize = 0;
+        // SAFETY: `signal` is the C library's, declared with its ABI
+        // (`sighandler_t` is pointer-sized); SIG_DFL installs no handler
+        // code, and no other thread exists yet to race the change.
+        unsafe {
+            signal(SIGPIPE, SIG_DFL);
+        }
+    }
     if let Err(e) = Args::parse(std::env::args().skip(1)).and_then(|a| (a.command.run)(&a)) {
         die(&e);
     }

@@ -17,6 +17,10 @@ use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+/// Declares a counter struct that [`counters_to_json`] and
+/// [`counters_from_json`] encode, for crates that reach the codec here.
+pub use ccp_mem::counters;
+
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {

@@ -1,6 +1,6 @@
 //! The `repro` command line end to end: every subcommand rejects bad
-//! usage with exit code 2 (never a panic's 101), and every `repro`
-//! command README.md documents still parses.
+//! usage with exit code 2 (never a panic's 101), a closed stdout ends it
+//! by SIGPIPE, and every `repro` command README.md documents still parses.
 
 use std::process::{Command, Output};
 
@@ -73,6 +73,41 @@ fn help_exits_0() {
         assert_eq!(out.status.code(), Some(0), "repro {args:?}");
         assert!(String::from_utf8_lossy(&out.stdout).contains("exit codes:"));
     }
+}
+
+#[cfg(unix)]
+#[test]
+fn closed_stdout_ends_repro_by_sigpipe() {
+    use std::io::{BufRead, BufReader, Read};
+    use std::os::unix::process::ExitStatusExt;
+    use std::process::Stdio;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["inspect", "health", "--budget", "20000"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("repro starts");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("first line");
+    // The reader, and with it the pipe's read end, is gone: the next
+    // print hits a closed pipe.
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .expect("piped stderr")
+        .read_to_string(&mut stderr)
+        .expect("stderr");
+    let status = child.wait().expect("repro exits");
+    assert!(!first.is_empty(), "repro printed nothing");
+    assert_eq!(
+        status.signal(),
+        Some(13),
+        "a closed stdout must end repro by SIGPIPE, not {status:?}; stderr: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 /// Splits a shell command line into words, honouring double quotes, and
